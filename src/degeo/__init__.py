@@ -7,8 +7,7 @@ from .errors import (BubbleDetected, DegenerateHessian, DegeoError,
                      GapTooLarge, GridTooCoarse, InvalidC1, InvalidCoefficient,
                      InvalidDensity, InvalidK, NoRoot, NonConvergence,
                      NonExistence, NonPositiveEigenvalue,
-                     NotInNonexistenceRegime, OriginEvaluation, ZeroBeta,
-                     ZeroDensityInterior)
+                     NotInNonexistenceRegime, ZeroBeta, ZeroDensityInterior)
 from .functionals import (Curve, Curve3, area, area_polar, curve3_to_csv,
                           curve_from_csv, curve_from_json,
                           curve_from_json_dict, curve_to_csv, curve_to_json,
@@ -45,8 +44,8 @@ __all__ = [
     "DesingularizedPath", "GapTooLarge", "GridTooCoarse",
     "HomogeneousSolution", "InvalidC1", "InvalidCoefficient", "InvalidDensity",
     "InvalidK", "NoRoot", "NonConvergence", "NonExistence",
-    "NonPositiveEigenvalue", "NotInNonexistenceRegime", "OriginEvaluation",
-    "Potential", "SolveResult", "SolverConfig", "WaveProfile", "Well",
+    "NonPositiveEigenvalue", "NotInNonexistenceRegime", "Potential",
+    "SolveResult", "SolverConfig", "WaveProfile", "Well",
     "ZeroBeta", "ZeroDensityInterior", "area", "area_polar", "area_sweep",
     "compare_b_negative", "curve3_to_csv", "curve_from_csv", "curve_from_json",
     "curve_from_json_dict", "curve_to_csv", "curve_to_json",

@@ -1,4 +1,4 @@
-"""Batch front end: `degeo COMMAND CONFIG [--out DIR] [--seed N] [--quiet]`.
+"""Batch front end: `degeo COMMAND CONFIG [--out DIR] [--quiet]`.
 
 Commands
     solve         constrained minimization; writes result.json + curve.csv
@@ -25,11 +25,12 @@ Exit codes: 0 success, 1 usage or config error (bad JSON, wrong kinds, bad
 parameters), 2 mathematical flag (non-existence suspected, bubble detected,
 area above the attainable cap, failed convergence).
 
-Float formatting is fixed (17 significant digits in JSON, shortest
+Curves are written with the header p1,p2, which `curve_from_csv` reads
+back.  Float formatting is fixed (17 significant digits in JSON, shortest
 round-trip in CSV) and JSON keys are sorted, so outputs are byte-identical
 across runs.  `DEGEO_LOG` in {error, info, debug} sets verbosity; `--quiet`
-forces error-only.  `--jobs` is accepted for compatibility; sweeps run
-serially because each solve warm-starts from its neighbor.
+forces error-only.  Sweeps run serially because each solve warm-starts from
+its neighbor.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ import numpy as np
 
 from .errors import (BubbleDetected, DegeoError, GapTooLarge, NoRoot,
                      NonConvergence, NonExistence)
-from .functionals import Curve, area, energy
+from .functionals import Curve, area, curve_to_csv, energy
 from .homogeneous import minimizing_ellipse, solve_homogeneous
 from .potential import from_json_dict as potential_from_json
 from .radial import (existence_threshold, figure1_bundle, parabola_geodesic,
-                     path_to_csv, solve_C1_for_area, spiral_from_C1,
-                     vertical_segment_resolution)
+                     path_to_csv, spiral_from_C1, vertical_segment_resolution)
 from .solver import SolverConfig, area_sweep, minimize_constrained
 from .wave import (hamiltonian_energy, hamiltonian_tail_estimate,
                    profile_to_csv, second_variation_spectrum,
@@ -103,13 +103,6 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_curve_csv(path: str, curve: Curve) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for a, b in curve.vertices:
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -134,12 +127,9 @@ def _potential(config: dict):
     return potential_from_json(config["potential"])
 
 
-def _solver_config(config: dict, args) -> SolverConfig:
-    overrides = dict(config.get("solver", {}))
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+def _solver_config(config: dict) -> SolverConfig:
     try:
-        return SolverConfig(**overrides)
+        return SolverConfig(**config.get("solver", {}))
     except TypeError as exc:
         raise ValueError(f"bad solver override: {exc}") from exc
 
@@ -167,9 +157,9 @@ def cmd_solve(config: dict, args) -> int:
     pot = _potential(config)
     p, q = _endpoints(config)
     A = float(config["A"])
-    res = minimize_constrained(p, q, A, pot, _solver_config(config, args))
+    res = minimize_constrained(p, q, A, pot, _solver_config(config))
     _write_json(os.path.join(out, "result.json"), res.to_json_dict())
-    _write_curve_csv(os.path.join(out, "curve.csv"), res.curve)
+    curve_to_csv(res.curve, os.path.join(out, "curve.csv"))
     if res.nonexistence_suspected:
         log.info("non-existence suspected at A = %g", A)
         return 2
@@ -186,7 +176,7 @@ def cmd_sweep(config: dict, args) -> int:
     A_list = [float(a) for a in A_list]
     if any(b < a for a, b in zip(A_list, A_list[1:])):
         log.info("A_list not ascending; sorting it")
-    rows = area_sweep(p, q, A_list, pot, _solver_config(config, args))
+    rows = area_sweep(p, q, A_list, pot, _solver_config(config))
     with open(os.path.join(out, "table.csv"), "w") as fh:
         fh.write("A,energy,multiplier,slope_fd,converged,flagged\n")
         for row in rows:
@@ -218,7 +208,7 @@ def cmd_homogeneous(config: dict, args) -> int:
     else:
         raise ValueError(f"unknown homogeneous mode {mode!r}")
     _write_json(os.path.join(out, "result.json"), payload)
-    _write_curve_csv(os.path.join(out, "curve.csv"), curve)
+    curve_to_csv(curve, os.path.join(out, "curve.csv"))
     return 0
 
 
@@ -243,8 +233,7 @@ def cmd_radial(config: dict, args) -> int:
         path, _extent = vertical_segment_resolution(R0, A_tilde, b, n)
     else:
         path = parabola_geodesic(bundle["C1"], b, R0, n)
-    with open(os.path.join(out, "table.csv"), "w") as fh:
-        fh.write(path_to_csv(path))
+    path_to_csv(path, os.path.join(out, "table.csv"))
 
     r_outer = math.sqrt(R0)
     r_inner = float(config.get("r_inner", 1e-3 * r_outer))
@@ -252,7 +241,7 @@ def cmd_radial(config: dict, args) -> int:
         curve = spiral_from_C1(bundle["C1"], b, r_outer, r_inner)
     else:
         curve = Curve(np.array([[r_outer, 0.0], [r_inner, 0.0]]))
-    _write_curve_csv(os.path.join(out, "curve.csv"), curve)
+    curve_to_csv(curve, os.path.join(out, "curve.csv"))
     if above:
         log.info("requested area %g exceeds the cap %g", A_tilde, thr)
         return 2
@@ -264,7 +253,7 @@ def cmd_wave(config: dict, args) -> int:
     pot = _potential(config)
     p, q = _endpoints(config)
     A = float(config["A"])
-    res = minimize_constrained(p, q, A, pot, _solver_config(config, args))
+    res = minimize_constrained(p, q, A, pot, _solver_config(config))
     if res.nonexistence_suspected or not res.converged:
         log.info("solve flagged; not writing a profile")
         _write_json(os.path.join(out, "result.json"), res.to_json_dict())
@@ -314,16 +303,10 @@ def main(argv: Optional[list] = None) -> int:
         p = sub.add_parser(name, help=f"run the {name} command")
         p.add_argument("config", help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in the solver config")
         p.add_argument("--quiet", action="store_true",
                        help="log errors only")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="accepted for compatibility; runs are serial")
     args = parser.parse_args(argv)
     _setup_logging(args.quiet)
-    if args.jobs is not None and args.jobs != 1:
-        log.info("--jobs requested; sweeps stay serial for warm starting")
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.command](config, args)

@@ -26,10 +26,6 @@ class DegenerateHessian(DegeoError):
     """Hessian at a declared well is singular or indefinite."""
 
 
-class OriginEvaluation(DegeoError):
-    """A quantity is undefined at the well itself (e.g. polar angle)."""
-
-
 class NonConvergence(DegeoError):
     """An iterative routine exhausted its budget without meeting tolerance."""
 

@@ -17,9 +17,9 @@ final lifted height and the reported area agree bit for bit.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -43,21 +43,18 @@ class Curve:
             raise ValueError("vertices must have shape (n >= 2, 2)")
         self.vertices = v
 
-    @property
-    def n(self) -> int:
-        return self.vertices.shape[0]
+    def path(self) -> np.ndarray:
+        """Vertices in traversal order; a closed curve repeats its first."""
+        v = self.vertices
+        return np.vstack([v, v[:1]]) if self.closed else v
 
     def segments(self) -> np.ndarray:
-        v = self.vertices
-        if self.closed:
-            return np.vstack([v[1:] - v[:-1], v[:1] - v[-1:]])
-        return v[1:] - v[:-1]
+        p = self.path()
+        return p[1:] - p[:-1]
 
     def midpoints(self) -> np.ndarray:
-        v = self.vertices
-        if self.closed:
-            return np.vstack([0.5 * (v[1:] + v[:-1]), 0.5 * (v[:1] + v[-1:])])
-        return 0.5 * (v[1:] + v[:-1])
+        p = self.path()
+        return 0.5 * (p[1:] + p[:-1])
 
 
 @dataclass
@@ -88,12 +85,52 @@ def euclid_length(curve: Curve) -> float:
     return float(np.linalg.norm(curve.segments(), axis=1).sum())
 
 
+@dataclass
+class SegmentGeometry:
+    """Per-segment data of a polyline; see segment_geometry."""
+
+    seg: np.ndarray
+    L: np.ndarray
+    mid: np.ndarray
+    T: Optional[np.ndarray] = None
+    F: Optional[np.ndarray] = None
+    gF: Optional[np.ndarray] = None
+
+
+def segment_geometry(vertices, potential: Optional[Potential] = None, *,
+                     floor: float = 0.0, rel_floor: float = 0.0,
+                     tangents: bool = False, gradient: bool = False
+                     ) -> SegmentGeometry:
+    """Chords, lengths and midpoints of the segments joining consecutive
+    vertices, plus what the caller asks for.
+
+    Lengths are floored at `floor`, or at rel_floor * max(Lmax, rel_floor);
+    `tangents` adds the unit chords T = seg / L (with the floored L).  With
+    a potential the density F at the midpoints is added, and `gradient`
+    adds grad F there from the same evaluation of W.
+    """
+    v = np.asarray(vertices, dtype=float)
+    seg = v[1:] - v[:-1]
+    L = np.linalg.norm(seg, axis=1)
+    if rel_floor:
+        floor = rel_floor * max(float(L.max()), rel_floor)
+    if floor:
+        L = np.maximum(L, floor)
+    geo = SegmentGeometry(seg=seg, L=L, mid=0.5 * (v[1:] + v[:-1]))
+    if tangents:
+        geo.T = seg / L[:, None]
+    if potential is not None:
+        if gradient:
+            geo.F, geo.gF = potential.density(geo.mid)
+        else:
+            geo.F = potential.eval_F(geo.mid)
+    return geo
+
+
 def energy(curve: Curve, potential: Potential) -> float:
     """Weighted length integral F ds by the midpoint rule."""
-    seg = curve.segments()
-    mid = curve.midpoints()
-    f = potential.eval_F(mid)
-    return float((f * np.linalg.norm(seg, axis=1)).sum())
+    geo = segment_geometry(curve.path(), potential)
+    return float((geo.F * geo.L).sum())
 
 
 def _area_increments(curve: Curve) -> np.ndarray:
@@ -135,12 +172,7 @@ def lift(curve: Curve, p3_start: float = 0.0) -> Curve3:
     """
     inc = _area_increments(curve)
     p3 = p3_start + np.concatenate([[0.0], np.cumsum(inc)])
-    v = curve.vertices
-    if curve.closed:
-        xy = np.vstack([v, v[:1]])
-    else:
-        xy = v
-    return Curve3(np.column_stack([xy, p3]))
+    return Curve3(np.column_stack([curve.path(), p3]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +182,7 @@ def lift(curve: Curve, p3_start: float = 0.0) -> Curve3:
 def _resample_by_weight(curve: Curve, weights: np.ndarray, n_out: int) -> Curve:
     """Place n_out vertices along the polyline equidistributed in the
     cumulative weight (one weight per segment)."""
-    v = curve.vertices
-    if curve.closed:
-        v = np.vstack([v, v[:1]])
+    v = curve.path()
     cum = np.concatenate([[0.0], np.cumsum(weights)])
     total = cum[-1]
     if total <= 0.0:
@@ -196,10 +226,8 @@ def reparam_degenerate_arclength(curve: Curve, potential: Potential,
     which is positive, so curves ending at wells are handled naturally.
     """
     _check_interior_density(curve, potential)
-    seg = curve.segments()
-    mid = curve.midpoints()
-    w = potential.eval_F(mid) * np.linalg.norm(seg, axis=1)
-    return _resample_by_weight(curve, w, n_out)
+    geo = segment_geometry(curve.path(), potential)
+    return _resample_by_weight(curve, geo.F * geo.L, n_out)
 
 
 def reparam_equipartition(curve: Curve, potential: Potential, n_out: int,
@@ -231,12 +259,10 @@ def reparam_equipartition(curve: Curve, potential: Potential, n_out: int,
         raise ValueError("w_cut removes the whole curve")
     vv = v[lo:hi + 1]
 
-    trimmed = Curve(vv.copy())
-    seg = trimmed.segments()
-    mid = trimmed.midpoints()
-    w_mid = np.maximum(potential.eval_W(mid), w_cut * 1e-6)
-    dy = np.linalg.norm(seg, axis=1) / np.sqrt(2.0 * w_mid)
-    out = _resample_by_weight(trimmed, dy, n_out)
+    geo = segment_geometry(vv)
+    w_mid = np.maximum(potential.eval_W(geo.mid), w_cut * 1e-6)
+    dy = geo.L / np.sqrt(2.0 * w_mid)
+    out = _resample_by_weight(Curve(vv.copy()), dy, n_out)
     span = float(dy.sum())
     y = np.linspace(-0.5 * span, 0.5 * span, n_out)
     return out, y
@@ -246,34 +272,56 @@ def reparam_equipartition(curve: Curve, potential: Potential, n_out: int,
 # serialization
 # ---------------------------------------------------------------------------
 
-def curve_to_csv(curve: Curve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p1", "p2"])
-    for p in curve.vertices:
-        writer.writerow([repr(float(p[0])), repr(float(p[1]))])
-    return buf.getvalue()
+# rows per block handed to the file: whole tables are never built as text
+_CSV_BLOCK = 4096
+
+
+def table_to_csv(header: str, table, file=None):
+    """Write a float table as CSV: the header line, then one row per line
+    with every value in its shortest round-trip form (repr).
+
+    `file` is a path or an open text stream; rows are streamed to it in
+    blocks.  With no file the text is returned instead.
+    """
+    if file is None:
+        buf = io.StringIO()
+        table_to_csv(header, table, buf)
+        return buf.getvalue()
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, "w") as fh:
+            return table_to_csv(header, table, fh)
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    file.write(header + "\n")
+    for start in range(0, len(table), _CSV_BLOCK):
+        block = table[start:start + _CSV_BLOCK].tolist()
+        file.write("".join([row % tuple(r) for r in block]))
+
+
+def table_from_csv(file, *headers: str) -> np.ndarray:
+    """Read a table written by table_to_csv from a text stream; its header
+    must be one of `headers`."""
+    header = ",".join(h.strip() for h in file.readline().split(","))
+    if header not in headers:
+        raise ValueError(f"expected header {' or '.join(headers)}, "
+                         f"got {header!r}")
+    rows = [[float(x) for x in line.split(",")] for line in file
+            if line.strip()]
+    return np.array(rows, dtype=float).reshape(-1, header.count(",") + 1)
+
+
+def curve_to_csv(curve: Curve, file=None):
+    return table_to_csv("p1,p2", curve.vertices, file)
 
 
 def curve3_to_csv(curve: Curve3) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p1", "p2", "p3"])
-    for p in curve.vertices:
-        writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(p[2]))])
-    return buf.getvalue()
+    return table_to_csv("p1,p2,p3", curve.vertices)
 
 
 def curve_from_csv(text: str):
     """Read a curve from CSV with header p1,p2 or p1,p2,p3."""
-    rows = list(csv.reader(io.StringIO(text)))
-    header = [h.strip() for h in rows[0]]
-    data = np.array([[float(x) for x in row] for row in rows[1:] if row])
-    if header == ["p1", "p2"]:
-        return Curve(data)
-    if header == ["p1", "p2", "p3"]:
-        return Curve3(data)
-    raise ValueError(f"unrecognized curve header {header}")
+    data = table_from_csv(io.StringIO(text), "p1,p2", "p1,p2,p3")
+    return Curve(data) if data.shape[1] == 2 else Curve3(data)
 
 
 def curve_to_json_dict(curve: Curve) -> dict:

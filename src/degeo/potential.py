@@ -20,8 +20,8 @@ value from inside the near disc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,24 +50,18 @@ class Well:
     lambda2: float
     frame: np.ndarray
 
-    def separation_scale(self) -> float:
-        return float(np.hypot(*self.location))
-
 
 class Potential:
     """Bundle of W and its derivatives plus declared wells."""
 
     def __init__(self, kind, params, wells_locations, eval_W, grad_W=None,
-                 hess_W=None, vectorized=True, trust_radius=None):
+                 hess_W=None, vectorized=True):
         self.kind = kind
         self.params = dict(params)
         self._eval = eval_W
         self._grad = grad_W
         self._hess = hess_W
         self._vectorized = vectorized
-        # Radius inside which the caller promises the quadratic well model is
-        # adequate.  Not inferred; user-set, None means "no promise".
-        self.trust_radius = trust_radius
         locs = [np.asarray(w, dtype=float) for w in wells_locations]
         self.wells = [self._make_well(loc) for loc in locs]
 
@@ -109,14 +103,16 @@ class Potential:
         """Conformal density sqrt(W); zero exactly at the wells."""
         return np.sqrt(np.maximum(self.eval_W(p), 0.0))
 
-    def grad_F(self, p) -> np.ndarray:
-        """Gradient of sqrt(W); bounded near wells, guarded against W = 0."""
-        w = np.maximum(self.eval_W(p), 1e-300)
-        g = self.grad_W(p)
-        denom = 2.0 * np.sqrt(w)
-        if g.ndim == 1:
-            return g / denom
-        return g / denom[:, None]
+    def density(self, p) -> Tuple[np.ndarray, np.ndarray]:
+        """(F, grad F) from one evaluation of W and one of grad W.
+
+        grad F = grad W / (2 sqrt W) is guarded against W = 0, so it stays
+        bounded at the wells.
+        """
+        w = self.eval_W(p)
+        F = np.sqrt(np.maximum(w, 0.0))
+        denom = 2.0 * np.sqrt(np.maximum(w, 1e-300))
+        return F, self.grad_W(p) / denom[..., None]
 
     # -- finite differences -------------------------------------------------
 
@@ -354,11 +350,11 @@ def make_two_well_k(k: float) -> Potential:
 
 
 def make_custom(eval_W: Callable, wells=(), grad_W=None, hess_W=None,
-                vectorized: bool = True, trust_radius=None) -> Potential:
+                vectorized: bool = True) -> Potential:
     """Wrap a user potential; missing derivatives fall back to central
     finite differences with step 1e-5 * max(1, |p|)."""
     return Potential("custom", {}, list(wells), eval_W, grad_W, hess_W,
-                     vectorized=vectorized, trust_radius=trust_radius)
+                     vectorized=vectorized)
 
 
 def well_frame(potential: Potential, index: int) -> Well:

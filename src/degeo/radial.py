@@ -20,17 +20,17 @@ with infinite winding number and infinite Euclidean arclength.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import (GapTooLarge, InvalidC1, InvalidCoefficient,
                      InvalidDensity, NonExistence, NotInNonexistenceRegime)
-from .functionals import Curve
+from .functionals import (Curve, segment_geometry, table_from_csv,
+                          table_to_csv)
 
 
 @dataclass
@@ -55,10 +55,6 @@ class DesingularizedPath:
         if np.any(same):
             raise ValueError("consecutive samples must differ")
 
-    @property
-    def samples(self):
-        return list(zip(self.R.tolist(), self.alpha.tolist()))
-
 
 def to_RA(curve: Curve, center, b: float = 0.0) -> DesingularizedPath:
     """Desingularize a planar curve about a center.
@@ -67,12 +63,10 @@ def to_RA(curve: Curve, center, b: float = 0.0) -> DesingularizedPath:
     four times the polar area form, segment by segment with the midpoint
     rule (exact on straight segments).
     """
-    q = curve.vertices - np.asarray(center, dtype=float)
-    if curve.closed:
-        q = np.vstack([q, q[:1]])
+    q = curve.path() - np.asarray(center, dtype=float)
     R = q[:, 0]**2 + q[:, 1]**2
-    mid = 0.5 * (q[:-1] + q[1:])
-    seg = np.diff(q, axis=0)
+    geo = segment_geometry(q)
+    mid, seg = geo.mid, geo.seg
     inc = 2.0 * (mid[:, 0] * seg[:, 1] - mid[:, 1] * seg[:, 0])
     alpha = np.concatenate([[0.0], np.cumsum(inc)])
     # duplicate plane vertices collapse to duplicate samples; drop them
@@ -313,18 +307,10 @@ def figure1_bundle(R0: float, A_tilde: float, b: float) -> dict:
             "total_cost": parabola_cost + vertical_cost}
 
 
-def path_to_csv(path: DesingularizedPath) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["R", "alpha"])
-    for R, alpha in zip(path.R, path.alpha):
-        writer.writerow([repr(float(R)), repr(float(alpha))])
-    return buf.getvalue()
+def path_to_csv(path: DesingularizedPath, file=None):
+    return table_to_csv("R,alpha", np.column_stack([path.R, path.alpha]), file)
 
 
 def path_from_csv(text: str, b: float = 0.0) -> DesingularizedPath:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["R", "alpha"]:
-        raise ValueError("expected header R,alpha")
-    data = np.array([[float(x) for x in row] for row in rows[1:]])
+    data = table_from_csv(io.StringIO(text), "R,alpha")
     return DesingularizedPath(data[:, 0], data[:, 1], b)

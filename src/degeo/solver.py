@@ -34,7 +34,8 @@ from scipy.sparse import coo_matrix as _coo_matrix, eye as _sparse_eye
 from scipy.sparse.linalg import splu as _splu
 
 from .errors import NonConvergence, ZeroDensityInterior
-from .functionals import Curve, area, energy, reparam_degenerate_arclength
+from .functionals import (Curve, SegmentGeometry, area, energy,
+                          reparam_degenerate_arclength, segment_geometry)
 from .potential import Potential
 
 log = logging.getLogger("degeo.solver")
@@ -55,7 +56,6 @@ class SolverConfig:
     max_inner: int = 500
     # None: [1e-1, 1e-2, 1e-3] scaled by the well separation at solve time
     well_radius_schedule: Optional[Sequence[float]] = None
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.tol_grad, self.tol_area, self.penalty_init,
@@ -109,21 +109,23 @@ class SolveResult:
 # discrete functionals with gradients
 # ---------------------------------------------------------------------------
 
+def _energy_gradient_geometry(vertices, potential: Potential
+                              ) -> Tuple[float, np.ndarray, SegmentGeometry]:
+    """Energy, its gradient, and the segment data they were built from."""
+    geo = segment_geometry(vertices, potential, floor=1e-300, tangents=True,
+                           gradient=True)
+    g = np.zeros((geo.L.size + 1, 2))
+    half = 0.5 * geo.gF * geo.L[:, None]
+    FT = geo.F[:, None] * geo.T
+    g[:-1] += half - FT
+    g[1:] += half + FT
+    return float(np.sum(geo.F * geo.L)), g, geo
+
+
 def discrete_energy_gradient(vertices: np.ndarray, potential: Potential
                              ) -> Tuple[float, np.ndarray]:
     """Midpoint-rule weighted length and its gradient in every vertex."""
-    v = np.asarray(vertices, dtype=float)
-    seg = v[1:] - v[:-1]
-    L = np.maximum(np.linalg.norm(seg, axis=1), 1e-300)
-    T = seg / L[:, None]
-    mid = 0.5 * (v[1:] + v[:-1])
-    Fm = potential.eval_F(mid)
-    gFm = potential.grad_F(mid)
-    E = float(np.sum(Fm * L))
-    g = np.zeros_like(v)
-    half = 0.5 * gFm * L[:, None]
-    g[:-1] += half - Fm[:, None] * T
-    g[1:] += half + Fm[:, None] * T
+    E, g, _ = _energy_gradient_geometry(vertices, potential)
     return E, g
 
 
@@ -150,15 +152,11 @@ def _lagrangian_hessian(v: np.ndarray, potential: Potential, w: float):
     zero (the Newton loop is damped anyway, inexactness there is harmless).
     """
     n = v.shape[0]
-    seg = v[1:] - v[:-1]
-    L = np.linalg.norm(seg, axis=1)
-    L = np.maximum(L, 1e-12 * max(float(L.max()), 1e-12))
-    T = seg / L[:, None]
-    mid = 0.5 * (v[1:] + v[:-1])
-    F = potential.eval_F(mid)
-    F = np.maximum(F, 1e-12 * max(float(F.max()), 1e-12))
-    gF = potential.grad_F(mid)
-    HW = potential.hess_W(mid)
+    geo = segment_geometry(v, potential, rel_floor=1e-12, tangents=True,
+                           gradient=True)
+    L, T, gF = geo.L, geo.T, geo.gF
+    F = np.maximum(geo.F, 1e-12 * max(float(geo.F.max()), 1e-12))
+    HW = potential.hess_W(geo.mid)
     HF = (0.5 * HW - gF[:, :, None] * gF[:, None, :]) / F[:, None, None]
 
     P = np.eye(2)[None, :, :] - T[:, :, None] * T[:, None, :]
@@ -332,8 +330,7 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
     n = v0.shape[0]
     p0, p1 = v0[0].copy(), v0[-1].copy()
 
-    seg = v0[1:] - v0[:-1]
-    L = np.linalg.norm(seg, axis=1)
+    L = segment_geometry(v0).L
     Lmax = max(float(L.max()), 1e-12)
     sbar = np.empty(n)
     sbar[0], sbar[-1] = L[0], L[-1]
@@ -469,16 +466,6 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
 # residuals, curvature, multiplier estimates
 # ---------------------------------------------------------------------------
 
-def _residual_terms(v: np.ndarray, potential: Potential):
-    seg = v[1:] - v[:-1]
-    L = np.maximum(np.linalg.norm(seg, axis=1), 1e-300)
-    T = seg / L[:, None]
-    mid = 0.5 * (v[1:] + v[:-1])
-    Fm = potential.eval_F(mid)
-    s = 0.5 * (L[:-1] + L[1:])
-    return seg, L, T, mid, Fm, s
-
-
 def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     """Normalized stationarity defect of the discrete Lagrange system.
 
@@ -497,18 +484,19 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     v = curve.vertices
     if len(v) < 3:
         return 0.0
-    interior = v[1:-1]
-    w = potential.eval_W(interior)
-    if np.any(w <= 0.0):
+    Fv, gFv = potential.density(v[1:-1])
+    if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
-    _, gE = discrete_energy_gradient(v, potential)
+    _, gE, geo = _energy_gradient_geometry(v, potential)
+    # keep only what is used below: on a packed competitor every segment
+    # array is tens of megabytes
+    L, T = geo.L, geo.T
+    del geo
     _, gA = discrete_area_gradient(v)
     r = gE[1:-1] - lam * gA[1:-1]
-    seg, L, T, mid, Fm, s = _residual_terms(v, potential)
-    gFv = np.linalg.norm(potential.grad_F(interior), axis=1)
-    Fv = potential.eval_F(interior)
+    s = 0.5 * (L[:-1] + L[1:])
     turn = np.linalg.norm(T[1:] - T[:-1], axis=1) / s
-    denom = s * (gFv + abs(lam) + Fv * turn)
+    denom = s * (np.linalg.norm(gFv, axis=1) + abs(lam) + Fv * turn)
     rn = np.abs(np.einsum("ij,ij->i", r, vertex_normals(v)[1:-1]))
     out = np.where(denom > 0.0, rn / np.maximum(denom, 1e-300), 0.0)
     return float(out.max()) if out.size else 0.0
@@ -517,17 +505,17 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
 def geodesic_curvature(curve: Curve, potential: Potential) -> np.ndarray:
     """Per-interior-vertex geodesic curvature of the weighted metric."""
     v = curve.vertices
-    interior = v[1:-1]
-    Fv = potential.eval_F(interior)
+    Fv, gFv = potential.density(v[1:-1])
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
-    seg, L, T, mid, Fm, s = _residual_terms(v, potential)
+    geo = segment_geometry(v, potential, floor=1e-300, tangents=True)
+    Fm, T = geo.F, geo.T
+    s = 0.5 * (geo.L[:-1] + geo.L[1:])
     dFT = Fm[1:, None] * T[1:] - Fm[:-1, None] * T[:-1]
     tbar = T[:-1] + T[1:]
     tl = np.maximum(np.linalg.norm(tbar, axis=1), 1e-300)
     tbar = tbar / tl[:, None]
     nperp = np.stack([-tbar[:, 1], tbar[:, 0]], axis=1)
-    gFv = potential.grad_F(interior)
     kg = (np.einsum("ij,ij->i", dFT, nperp) / s
           - np.einsum("ij,ij->i", gFv, nperp)) / Fv**2
     return kg
@@ -561,9 +549,8 @@ def detect_area_leakage(result: SolveResult, potential: Potential,
     v = result.curve.vertices
     scale = float(np.linalg.norm(v[-1] - v[0])) or 1.0
     schedule = config.schedule(potential, scale)
-    seg = v[1:] - v[:-1]
-    L = np.linalg.norm(seg, axis=1)
-    mid = 0.5 * (v[1:] + v[:-1])
+    geo = segment_geometry(v)
+    seg, L, mid = geo.seg, geo.L, geo.mid
     a_scale = 1.0 + abs(result.A_target)
     wells_report = []
     flagged_any = False
@@ -668,16 +655,12 @@ def _packing_rate(curve: Curve, potential: Potential, A: float) -> float:
     """Discrete marginal cost of the packed loops, signed like the area."""
     if not potential.wells:
         return 0.0
-    v = curve.vertices
-    mid = 0.5 * (v[1:] + v[:-1])
-    best = None
-    for well in potential.wells:
-        d = np.linalg.norm(mid - well.location, axis=1)
-        if best is None or d.min() < best[0]:
-            best = (float(d.min()), well)
-    rc, _ = best
+    mid = segment_geometry(curve.vertices).mid
+    # nearest well to any midpoint; ties go to the first listed well
+    rc, _, well = min((float(np.linalg.norm(mid - w.location, axis=1).min()),
+                       i, w) for i, w in enumerate(potential.wells))
     rate = 2.0 * float(potential.eval_F(
-        best[1].location + np.array([rc, 0.0]))) / rc if rc > 0 else 0.0
+        well.location + np.array([rc, 0.0]))) / rc if rc > 0 else 0.0
     return math.copysign(rate, A)
 
 

@@ -21,6 +21,7 @@ estimate rather than silently added.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -31,8 +32,11 @@ from scipy.linalg import eigh as _dense_eigh
 from scipy.sparse.linalg import eigsh as _sparse_eigsh
 
 from .errors import BubbleDetected, GridTooCoarse
+from .functionals import segment_geometry, table_from_csv, table_to_csv
 from .potential import Potential
 from .solver import SolveResult
+
+log = logging.getLogger("degeo.wave")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -144,13 +148,9 @@ def to_traveling_wave(result: SolveResult, potential: Potential) -> WaveProfile:
             v = np.vstack([v[:-1], chain[::-1], v[-1:]])
 
     # drop exact duplicates so every segment has positive length
-    L = np.linalg.norm(np.diff(v, axis=0), axis=1)
-    keep = np.concatenate([[True], L > 0.0])
-    v = v[keep]
-
-    mid = 0.5 * (v[1:] + v[:-1])
-    w_mid = np.maximum(potential.eval_W(mid), 1e-300)
-    dy = np.linalg.norm(np.diff(v, axis=0), axis=1) / np.sqrt(2.0 * w_mid)
+    v = v[np.concatenate([[True], segment_geometry(v).L > 0.0])]
+    geo = segment_geometry(v)
+    dy = geo.L / np.sqrt(2.0 * np.maximum(potential.eval_W(geo.mid), 1e-300))
     y = np.concatenate([[0.0], np.cumsum(dy)])
     y -= 0.5 * (y[0] + y[-1])
     return WaveProfile(y_grid=y, U=v, nu=_SQRT2 * result.multiplier)
@@ -288,15 +288,20 @@ def second_variation_spectrum(profile: WaveProfile, potential: Potential,
     K, M = _assemble_forms(profile, potential)
     dim = K.shape[0]
     k_eff = min(k, dim - 1)
-    try:
-        if k_eff >= dim - 1 or dim <= 400:
-            raise RuntimeError("dense path")
+    vals = None
+    if k_eff < dim - 1 and dim > 400:
         Minv_half = 1.0 / np.sqrt(M)
         B = sp.diags(Minv_half) @ K @ sp.diags(Minv_half)
-        vals, vecs = _sparse_eigsh(B, k=k_eff, sigma=-1.0, which="LM",
-                                   v0=np.ones(dim), tol=0)
-        vecs = Minv_half[:, None] * vecs
-    except Exception:
+        try:
+            vals, vecs = _sparse_eigsh(B, k=k_eff, sigma=-1.0, which="LM",
+                                       v0=np.ones(dim), tol=0)
+            vecs = Minv_half[:, None] * vecs
+        except RuntimeError as exc:
+            # ArpackError, or "Factor is exactly singular" from the
+            # shift-invert LU; both subclass RuntimeError
+            log.debug("sparse eigensolver failed (%s); using the dense path",
+                      exc)
+    if vals is None:
         dense = K.toarray() / np.sqrt(M)[:, None] / np.sqrt(M)[None, :]
         vals, vecs = _dense_eigh(dense)
         vals, vecs = vals[:k_eff], (vecs / np.sqrt(M)[:, None])[:, :k_eff]
@@ -342,14 +347,10 @@ def zero_mode_alignment(profile: WaveProfile, mode: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def profile_to_csv(profile: WaveProfile, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("y,u1,u2\n")
-        for yi, (a, b) in zip(profile.y_grid, profile.U):
-            fh.write(f"{float(yi)!r},{float(a)!r},{float(b)!r}\n")
+    table_to_csv("y,u1,u2", np.column_stack([profile.y_grid, profile.U]), path)
 
 
 def profile_from_csv(path: str, nu: float = 0.0) -> WaveProfile:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    with open(path) as fh:
+        data = table_from_csv(fh, "y,u1,u2")
     return WaveProfile(y_grid=data[:, 0], U=data[:, 1:3], nu=nu)

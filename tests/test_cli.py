@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from degeo import (SolverConfig, curve_from_csv, make_radial_quartic,
+                   minimize_constrained)
 from degeo.cli import main
 
 RADIAL_POT = {"kind": "radial_quartic", "params": {"b": 1.0}}
@@ -35,10 +37,16 @@ def test_solve_writes_result_and_curve(tmp_path):
     assert result["A_target"] == 0.1
     assert abs(result["area_achieved"] - 0.1) < 1e-6
     lines = (out / "curve.csv").read_text().splitlines()
-    assert lines[0] == "x,y"
+    assert lines[0] == "p1,p2"
     assert len(lines) == 97
     x0, y0 = map(float, lines[1].split(","))
     assert (x0, y0) == (1.0, 0.0)
+    # the library reads the CLI's curve back into the solver's vertices
+    loaded = curve_from_csv((out / "curve.csv").read_text())
+    res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.1,
+                               make_radial_quartic(1.0),
+                               SolverConfig(n_vertices=96))
+    assert (loaded.vertices == res.curve.vertices).all()
 
 
 def test_solve_outputs_are_byte_identical(tmp_path):
@@ -124,7 +132,7 @@ def test_radial_below_threshold(tmp_path):
     table = (out / "table.csv").read_text().splitlines()
     assert table[0] == "R,alpha"
     spiral = (out / "curve.csv").read_text().splitlines()
-    assert spiral[0] == "x,y"
+    assert spiral[0] == "p1,p2"
 
 
 def test_radial_above_threshold_exits_2_with_bundle(tmp_path):

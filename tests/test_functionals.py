@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from degeo import (Curve, Curve3, ZeroDensityInterior, area, area_polar,
                    curve_to_json_dict, energy, euclid_length, lift,
                    make_homogeneous, make_two_well_k,
                    reparam_degenerate_arclength, reparam_equipartition)
+from degeo.functionals import segment_geometry, table_from_csv, table_to_csv
+from degeo.radial import path_from_csv
+from degeo.wave import profile_from_csv
 
 RNG = np.random.default_rng(11)
 
@@ -183,3 +187,39 @@ def test_json_roundtrip_preserves_closed_flag():
     assert set(d) == {"closed", "vertices"}
     open_back = curve_from_json_dict({"vertices": [[0, 0], [1, 1]]})
     assert not open_back.closed
+
+
+def test_table_csv_streams_every_block_and_checks_headers(tmp_path):
+    table = RNG.normal(size=(10_000, 3))  # several write blocks
+    path = tmp_path / "t.csv"
+    assert table_to_csv("a,b,c", table, path) is None
+    text = path.read_text()
+    assert text == table_to_csv("a,b,c", table)
+    rows = text.splitlines()
+    assert rows[0] == "a,b,c" and len(rows) == 10_001
+    assert rows[1] == ",".join(repr(float(x)) for x in table[0])
+    assert np.array_equal(table_from_csv(io.StringIO(text), "x,y", "a,b,c"),
+                          table)
+    with pytest.raises(ValueError):
+        table_from_csv(io.StringIO(text), "x,y")
+    with pytest.raises(ValueError):
+        path_from_csv("p1,p2\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ValueError):
+        profile_from_csv(path)
+
+
+def test_segment_geometry_floors_and_options():
+    pot = make_homogeneous(1.0, 2.0)
+    v = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    bare = segment_geometry(v)
+    assert bare.L.tolist() == [0.0, math.sqrt(2.0)]
+    assert bare.T is None and bare.F is None and bare.gF is None
+    geo = segment_geometry(v, pot, floor=1e-300, tangents=True,
+                           gradient=True)
+    assert geo.L[0] == 1e-300 and np.array_equal(geo.T[0], [0.0, 0.0])
+    F, gF = pot.density(geo.mid)
+    assert np.array_equal(geo.F, F) and np.array_equal(geo.gF, gF)
+    rel = segment_geometry(v, rel_floor=1e-12)
+    assert rel.L[0] == 1e-12 * math.sqrt(2.0)
+    only_F = segment_geometry(v, pot)
+    assert only_F.gF is None and np.array_equal(only_F.F, F)

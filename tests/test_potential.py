@@ -143,11 +143,18 @@ def test_degenerate_well_rejected():
         make_custom(W, wells=[(0.0, 0.0)], hess_W=hess)
 
 
-def test_grad_F_bounded_at_well():
+def test_density_is_F_and_grad_F_bounded_at_well():
     pot = make_homogeneous(1.0, 2.0)
-    g = pot.grad_F(np.array([1e-12, 0.0]))
+    pts = RNG.normal(size=(16, 2))
+    F, gF = pot.density(pts)
+    assert np.array_equal(F, pot.eval_F(pts))
+    expected = pot.grad_W(pts) / (2.0 * np.sqrt(pot.eval_W(pts)))[:, None]
+    assert np.array_equal(gF, expected)
+    _, g = pot.density(np.array([1e-12, 0.0]))
     assert np.all(np.isfinite(g))
     assert np.linalg.norm(g) <= 2.0 + 1e-6
+    F0, g0 = pot.density(np.zeros(2))
+    assert F0 == 0.0 and np.array_equal(g0, np.zeros(2))
 
 
 def test_json_roundtrip_builtin_kinds():

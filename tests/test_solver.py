@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from degeo import (Curve, SolveResult, SolverConfig, area_sweep,
+from degeo import (Curve, Potential, SolveResult, SolverConfig, area_sweep,
                    detect_area_leakage, discrete_area_gradient,
                    discrete_energy_gradient, el_residual, energy,
                    estimate_multiplier, geodesic_curvature, make_custom,
@@ -229,3 +230,21 @@ def test_solver_config_validation():
         SolverConfig(well_radius_schedule=[0.1, 0.2])
     cfg = SolverConfig(well_radius_schedule=[0.2, 0.02])
     assert cfg.schedule(make_two_well_k(2.0), 1.0) == [0.2, 0.02]
+
+
+def test_energy_gradient_evaluates_W_once(monkeypatch):
+    pot = make_radial_quartic(1.0)  # its well set-up evaluates hess W
+    calls = Counter()
+    for name in ("eval_W", "grad_W", "hess_W"):
+        def counted(self, p, _name=name, _method=getattr(Potential, name)):
+            calls[_name] += 1
+            return _method(self, p)
+        monkeypatch.setattr(Potential, name, counted)
+    t = np.linspace(0.0, 1.0, 40)
+    v = np.stack([1.0 - t, 0.3 * t * (1.0 - t)], axis=1)
+    discrete_energy_gradient(v, pot)
+    assert calls == {"eval_W": 1, "grad_W": 1}
+    # one density call at the midpoints, one at the interior vertices
+    calls.clear()
+    el_residual(Curve(v), pot, 0.5)
+    assert calls == {"eval_W": 2, "grad_W": 2}
