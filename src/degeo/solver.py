@@ -13,12 +13,14 @@ an L-BFGS-B inner minimizer.  Wells make the problem degenerate (the density
 F vanishes there), so interior vertices are pushed out of tiny well
 neighborhoods between inner solves and released for a final polish.
 
-When the requested area is not attainable, minimizing sequences dump area
-into vanishing loops at the wells.  A fixed-size polyline cannot shrink loops
-indefinitely, so after the standard solve the driver builds an explicit
-packed competitor (straight trunk plus many small square loops around the
-cheapest well) and adopts it when it is strictly cheaper; the leakage
-diagnostics then report the trapped area and raise the non-existence flag.
+When the requested area is not attainable there is no minimizer: minimizing
+sequences park the area excess in vanishing loops at the cheapest well, at
+the limiting cost trunk + (lambda1 + lambda2) * |excess|.  After the
+standard solve the driver builds that limit as a certificate (a trunk curve
+running one small square loop at the well, plus a `PackedLoops` count of how
+often the polyline it stands for runs the loop) and adopts it when it is
+strictly cheaper; it is reported as not converged, and the leakage
+diagnostics raise the non-existence flag.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ class SolverConfig:
     well_radius_schedule: Optional[Sequence[float]] = None
 
     def __post_init__(self):
+        if self.n_vertices < 3:
+            raise ValueError("n_vertices must be at least 3")
         if min(self.tol_grad, self.tol_area, self.penalty_init,
                self.penalty_growth) <= 0.0:
             raise ValueError("tolerances and penalty parameters must be positive")
@@ -74,6 +78,33 @@ class SolverConfig:
 
 
 @dataclass
+class PackedLoops:
+    """Multiplicity of the loop in a non-existence certificate.
+
+    The certificate curve runs one square loop of vertex radius
+    `loop_radius` around well `well`, in its four segments from vertex
+    `anchor` back to the same point; counterclockwise for orientation +1.
+    The polyline it stands for runs that loop `loop_count` times.
+    """
+
+    well: int
+    loop_radius: float
+    loop_count: int
+    orientation: int
+    anchor: int
+
+    def loop(self, curve: Curve) -> Curve:
+        """The loop's five vertices, anchor to anchor."""
+        return Curve(curve.vertices[self.anchor:self.anchor + 5])
+
+    def multiplicity(self, n_segments: int) -> np.ndarray:
+        """How often the represented polyline runs each curve segment."""
+        m = np.ones(n_segments)
+        m[self.anchor:self.anchor + 4] = self.loop_count
+        return m
+
+
+@dataclass
 class SolveResult:
     curve: Curve
     energy: float
@@ -84,6 +115,8 @@ class SolveResult:
     converged: bool
     nonexistence_suspected: bool
     A_target: float
+    # set on a non-existence certificate: `curve` then holds its loop once
+    packed: Optional[PackedLoops] = None
 
     def to_json_dict(self) -> dict:
         leakage = []
@@ -93,7 +126,7 @@ class SolveResult:
                                 "radius": level["radius"],
                                 "area_in": level["area_in"],
                                 "arclength_in": level["arclength_in"]})
-        return {
+        out = {
             "A_target": float(self.A_target),
             "area_achieved": float(self.area_achieved),
             "energy": float(self.energy),
@@ -103,6 +136,12 @@ class SolveResult:
             "nonexistence_suspected": bool(self.nonexistence_suspected),
             "leakage": leakage,
         }
+        if self.packed is not None:
+            out["packed"] = {"well": self.packed.well,
+                             "loop_radius": float(self.packed.loop_radius),
+                             "loop_count": self.packed.loop_count,
+                             "orientation": self.packed.orientation}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +527,7 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
     _, gE, geo = _energy_gradient_geometry(v, potential)
-    # keep only what is used below: on a packed competitor every segment
-    # array is tens of megabytes
     L, T = geo.L, geo.T
-    del geo
     _, gA = discrete_area_gradient(v)
     r = gE[1:-1] - lam * gA[1:-1]
     s = 0.5 * (L[:-1] + L[1:])
@@ -544,13 +580,16 @@ def detect_area_leakage(result: SolveResult, potential: Potential,
     Flags non-existence when the area parked inside a well neighborhood
     refuses to shrink with the neighborhood (consecutive ratio > 0.5 down
     the whole radius schedule) while the reported multiplier sits within
-    10 percent of that well's packing rate lambda1 + lambda2.
+    10 percent of that well's packing rate lambda1 + lambda2.  On a
+    certificate the loop's segments count `loop_count` times each.
     """
     v = result.curve.vertices
     scale = float(np.linalg.norm(v[-1] - v[0])) or 1.0
     schedule = config.schedule(potential, scale)
     geo = segment_geometry(v)
     seg, L, mid = geo.seg, geo.L, geo.mid
+    mult = (np.ones(L.size) if result.packed is None
+            else result.packed.multiplicity(L.size))
     a_scale = 1.0 + abs(result.A_target)
     wells_report = []
     flagged_any = False
@@ -562,10 +601,11 @@ def detect_area_leakage(result: SolveResult, potential: Potential,
             # area form recentered on the well: exact for loops closed
             # around it and immune to the global choice of origin
             area_in = float(np.sum((mid[inside, 0] - well.location[0])
-                                   * seg[inside, 1]))
+                                   * seg[inside, 1] * mult[inside]))
             levels.append({"radius": float(r),
                            "area_in": area_in,
-                           "arclength_in": float(np.sum(L[inside]))})
+                           "arclength_in": float(np.sum(L[inside]
+                                                        * mult[inside]))})
         areas = [lv["area_in"] for lv in levels]
         ratios = []
         for a_prev, a_next in zip(areas, areas[1:]):
@@ -590,111 +630,123 @@ def detect_area_leakage(result: SolveResult, potential: Potential,
 
 
 # ---------------------------------------------------------------------------
-# packed competitor for the non-existence regime
+# certificate for the non-existence regime
 # ---------------------------------------------------------------------------
 
-def _packed_competitor(p: np.ndarray, q: np.ndarray, A: float,
-                       potential: Potential, config: SolverConfig
-                       ) -> Optional[Curve]:
-    """Trunk-plus-loops polyline parking the whole area excess at one well.
+def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
+                        potential: Potential, config: SolverConfig
+                        ) -> Optional[SolveResult]:
+    """Trunk plus the whole area excess parked in loops at one well.
 
-    Square loops of vertex radius just inside the smallest diagnostic radius
-    pack area at the discrete rate 2 F(rc)/rc per unit area (rc the midpoint
-    radius), which tends to the well's lambda1 + lambda2; this reproduces the
-    vanishing-loop minimizing sequences at the resolution the diagnostics
-    probe.  Returns None when no well is available or the construction would
-    be absurdly large.
+    Straight legs run from p to an anchor on the +x axis of the cheapest
+    well and on to q; `loop_count` square loops of vertex radius r around
+    the well, each from the anchor back to it, hold the rest of the area.
+    Square loops pack area at the discrete rate 2 F(rc)/rc per unit area
+    (rc = r/sqrt(2) the midpoint radius), which tends to the well's
+    lambda1 + lambda2; this reproduces the vanishing-loop minimizing
+    sequences at the resolution the diagnostics probe.  The curve holds the
+    loop once and `SolveResult.packed` its multiplicity; diagnostics are
+    left to _finish.  Returns None when no well is available or no loop
+    radius meets A to tol_area.
     """
     if not potential.wells:
         return None
     lam_sums = [w.lambda1 + w.lambda2 for w in potential.wells]
-    well = potential.wells[int(np.argmin(lam_sums))]
+    i_well = int(np.argmin(lam_sums))
+    well = potential.wells[i_well]
     scale = float(np.linalg.norm(q - p)) or 1.0
     rho = 0.85 * min(config.schedule(potential, scale))
 
     n_leg = 2048
-    # legs meet the loop train at an anchor on the +x axis of the well
     leg_in = _straight(p, well.location + np.array([rho, 0.0]), n_leg)
     leg_out = _straight(well.location + np.array([rho, 0.0]), q, n_leg)
-    trunk = np.vstack([leg_in, leg_out[1:]])
-    a_trunk, _ = discrete_area_gradient(trunk)
+    a_trunk, _ = discrete_area_gradient(np.vstack([leg_in, leg_out[1:]]))
     payload = A - a_trunk
     if payload == 0.0:
         return None
-    n_loops = int(math.ceil(abs(payload) / (2.0 * rho * rho)))
-    if n_loops < 1 or n_loops > 600_000:
+    sign = 1 if payload > 0.0 else -1
+    n_loops = math.ceil(abs(payload) / (2.0 * rho * rho))
+    # moving the anchor to radius r changes the trunk's area by
+    # beta * (r - rho) through its two anchor segments, and each loop holds
+    # sign * 2 r^2, so r solves 2 n r^2 + b r = |payload| + b rho with
+    # b = sign * beta
+    b = sign * 0.5 * float(leg_out[1, 1] - leg_in[-2, 1])
+    c = abs(payload) + b * rho
+    if not c > 0.0:
         return None
-    s = math.sqrt(abs(payload) / (2.0 * n_loops * rho * rho))
-    sign = 1.0 if payload > 0.0 else -1.0
-    v = None
-    measured = a_trunk
-    for _ in range(3):
-        r = s * rho
-        # square loops traversed counterclockwise for positive payload,
-        # each one anchor -> top -> left -> bottom -> back to anchor
-        loop = np.array([[0.0, sign * r], [-r, 0.0], [0.0, -sign * r],
-                         [r, 0.0]]) + well.location
-        blocks = [leg_in[:-1], well.location[None, :] + np.array([[r, 0.0]])]
-        blocks.extend([loop] * n_loops)
-        blocks.append(leg_out[1:])
-        v = np.vstack(blocks)
-        measured, _ = discrete_area_gradient(v)
-        gap = A - measured
-        if abs(gap) <= config.tol_area * (1.0 + abs(A)):
-            return Curve(v)
-        shrink = (abs(payload) + sign * gap) / abs(payload)
-        if shrink <= 0.0:
-            return None
-        s *= math.sqrt(shrink)
-    if abs(A - measured) <= 10 * config.tol_area * (1.0 + abs(A)):
-        return Curve(v)
-    return None
+    root = math.sqrt(b * b + 8.0 * n_loops * c)
+    r = 2.0 * c / (b + root) if b >= 0.0 else (root - b) / (4.0 * n_loops)
+    # anchor -> top -> left -> bottom -> anchor, counterclockwise for sign +1
+    loop = np.array([[r, 0.0], [0.0, sign * r], [-r, 0.0], [0.0, -sign * r],
+                     [r, 0.0]]) + well.location
+    curve = Curve(np.vstack([leg_in[:-1], loop, leg_out[1:]]))
+    packed = PackedLoops(well=i_well, loop_radius=r, loop_count=n_loops,
+                         orientation=sign, anchor=n_leg - 1)
+    rate = _packing_rate(packed.loop(curve), potential, A)
+    result = _result(curve, potential, A, rate, False, packed)
+    if abs(result.area_achieved - A) > config.tol_area * (1.0 + abs(A)):
+        return None
+    return result
 
 
-def _packing_rate(curve: Curve, potential: Potential, A: float) -> float:
+def _packing_rate(loop: Curve, potential: Potential, A: float) -> float:
     """Discrete marginal cost of the packed loops, signed like the area."""
-    if not potential.wells:
-        return 0.0
-    mid = segment_geometry(curve.vertices).mid
-    # nearest well to any midpoint; ties go to the first listed well
-    rc, _, well = min((float(np.linalg.norm(mid - w.location, axis=1).min()),
-                       i, w) for i, w in enumerate(potential.wells))
-    rate = 2.0 * float(potential.eval_F(
-        well.location + np.array([rc, 0.0]))) / rc if rc > 0 else 0.0
-    return math.copysign(rate, A)
+    return math.copysign(energy(loop, potential) / abs(area(loop)), A)
 
 
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
-def _finish(curve: Curve, potential: Potential, config: SolverConfig,
-            A_target: float, mu: float, converged: bool,
-            multiplier: Optional[float] = None) -> SolveResult:
-    lam = -mu if multiplier is None else multiplier
+def _result(curve: Curve, potential: Potential, A_target: float,
+            multiplier: float, converged: bool,
+            packed: Optional[PackedLoops] = None) -> SolveResult:
+    """Energy and area of a solve's curve; diagnostics left to _finish."""
+    E, a = energy(curve, potential), area(curve)
+    if packed is not None:
+        # the curve runs the loop once; the certificate loop_count times
+        loop = packed.loop(curve)
+        E += (packed.loop_count - 1) * energy(loop, potential)
+        a += (packed.loop_count - 1) * area(loop)
+    return SolveResult(curve=curve, energy=E, area_achieved=a,
+                       multiplier=multiplier, el_residual_max=math.nan,
+                       leakage_report={}, converged=converged,
+                       nonexistence_suspected=False, A_target=A_target,
+                       packed=packed)
+
+
+def _finish(result: SolveResult, potential: Potential,
+            config: SolverConfig) -> SolveResult:
+    """Fill in the EL residual and the leakage report."""
     try:
-        res_max = el_residual(curve, potential, lam)
+        result.el_residual_max = el_residual(result.curve, potential,
+                                             result.multiplier)
     except ZeroDensityInterior:
-        res_max = float("inf")
-    result = SolveResult(curve=curve, energy=energy(curve, potential),
-                         area_achieved=area(curve), multiplier=lam,
-                         el_residual_max=res_max, leakage_report={},
-                         converged=converged, nonexistence_suspected=False,
-                         A_target=A_target)
+        result.el_residual_max = float("inf")
     report = detect_area_leakage(result, potential, config)
     result.leakage_report = report
     result.nonexistence_suspected = report["nonexistence_suspected"]
     return result
 
 
+def _endpoints(p_minus, p_plus, A: float = 0.0
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Endpoints as arrays; rejects equal or non-finite endpoints and area."""
+    p = np.asarray(p_minus, dtype=float)
+    q = np.asarray(p_plus, dtype=float)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
+            and math.isfinite(A)):
+        raise ValueError("endpoints and area must be finite")
+    if np.array_equal(p, q):
+        raise ValueError("endpoints must differ")
+    return p, q
+
+
 def minimize_unconstrained(p, q, potential: Potential,
                            config: Optional[SolverConfig] = None) -> SolveResult:
     """Weighted-length geodesic between pinned endpoints (no area term)."""
     config = config or SolverConfig()
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.array_equal(p, q):
-        raise ValueError("endpoints must differ")
+    p, q = _endpoints(p, q)
     scale = float(np.linalg.norm(q - p))
     sep = potential.well_separation() or scale
     r_repel = 1e-4 * sep
@@ -717,8 +769,8 @@ def minimize_unconstrained(p, q, potential: Potential,
     v, gmax = _newton_polish(v, potential, 0.0, 0.0, 0.0, config)
     ok = gmax <= max(10.0 * config.tol_grad, 1e-7)
     curve = Curve(v)
-    return _finish(curve, potential, config, area(curve), 0.0, ok,
-                   multiplier=0.0)
+    return _finish(_result(curve, potential, area(curve), 0.0, ok),
+                   potential, config)
 
 
 def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
@@ -729,15 +781,12 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
 
     Multi-start augmented-Lagrangian solve; the returned multiplier is the
     negative of the final augmented-Lagrangian estimate, which matches the
-    sign of d(energy)/d(area).  In the non-existence regime the result
-    carries the best packed competitor and the nonexistence flag instead of
-    a fabricated minimizer.
+    sign of d(energy)/d(area).  In the non-existence regime the result is
+    the packed certificate (`packed` set, not converged) with the
+    nonexistence flag instead of a fabricated minimizer.
     """
     config = config or SolverConfig()
-    p = np.asarray(p_minus, dtype=float)
-    q = np.asarray(p_plus, dtype=float)
-    if np.array_equal(p, q):
-        raise ValueError("endpoints must differ")
+    p, q = _endpoints(p_minus, p_plus, A)
     scale = float(np.linalg.norm(q - p))
     sep = potential.well_separation() or scale
     r_repel = 1e-4 * sep
@@ -778,28 +827,26 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         pass
 
     converged = abs(c) <= tol_c and np.isfinite(mu)
-    result = _finish(Curve(v), potential, config, A, mu, converged)
+    result = _finish(_result(Curve(v), potential, A, -mu, converged),
+                     potential, config)
 
     # non-existence continuation: try parking the area surplus at a well
     if potential.wells:
         lam_gate = 0.8 * min(w.lambda1 + w.lambda2 for w in potential.wells)
         if abs(result.multiplier) >= lam_gate or not result.converged:
-            packed = _packed_competitor(p, q, A, potential, config)
-            if packed is not None:
-                E_packed = energy(packed, potential)
-                if E_packed < result.energy or not result.converged:
-                    rate = _packing_rate(packed, potential, A)
-                    cand = _finish(packed, potential, config, A,
-                                   -rate, True, multiplier=rate)
-                    # beat a converged minimizer outright, or replace a
-                    # failed solve only with the full leakage signature;
-                    # otherwise keep the failure visible
-                    if (E_packed < result.energy
-                            or cand.nonexistence_suspected):
-                        log.info("adopting packed competitor: "
-                                 "energy %.6g vs %.6g",
-                                 E_packed, result.energy)
-                        result = cand
+            cand = _packed_certificate(p, q, A, potential, config)
+            if cand is not None and (cand.energy < result.energy
+                                     or not result.converged):
+                cand = _finish(cand, potential, config)
+                # beat a converged minimizer outright, or replace a failed
+                # solve only with the full leakage signature; otherwise
+                # keep the failure visible
+                if (cand.energy < result.energy
+                        or cand.nonexistence_suspected):
+                    log.info("adopting packed certificate: "
+                             "energy %.6g vs %.6g",
+                             cand.energy, result.energy)
+                    result = cand
     return result
 
 

@@ -105,10 +105,11 @@ def to_traveling_wave(result: SolveResult, potential: Potential) -> WaveProfile:
     geometric ray so the asymptotic approach is resolved.  Endpoints away
     from every well are left alone (pinned-end geodesics are allowed).
     """
-    if not result.converged:
-        raise ValueError("wave profile requires a converged result")
+    # the flag first: a non-existence certificate is never converged
     if result.nonexistence_suspected:
         raise BubbleDetected("area is trapped at a well; no wave profile")
+    if not result.converged:
+        raise ValueError("wave profile requires a converged result")
     v = result.curve.vertices.copy()
     n = len(v)
     if n < 4:

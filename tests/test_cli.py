@@ -71,6 +71,29 @@ def test_solve_flags_nonexistence_with_exit_2(tmp_path):
     assert result["leakage"]  # per-radius account present
 
 
+def test_solve_certifies_nonexistence_past_the_old_loop_cap(tmp_path):
+    # a literal polyline capped at 600,000 loops held area up to about 3.47
+    cfg = _write(tmp_path, "cap.json", {
+        "potential": {"kind": "two_well", "params": {"k": 4.0}},
+        "endpoints": [[-1.0, 0.0], [1.0, 0.0]],
+        "A": 4.0,
+        "solver": {"n_vertices": 64}})
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out), "--quiet"]) == 2
+    result = json.loads((out / "result.json").read_text())
+    assert result["nonexistence_suspected"] is True
+    assert result["converged"] is False
+    # plateau cost: trunk plus the packing rate (l1 + l2) per unit area
+    assert result["energy"] == pytest.approx(2.8 + 2.0 * 4.0, rel=1e-3)
+    packed = result["packed"]
+    assert set(packed) == {"well", "loop_radius", "loop_count",
+                           "orientation"}
+    assert packed["loop_count"] > 600_000 and packed["orientation"] == 1
+    # curve.csv holds the trunk and the loop once
+    curve = curve_from_csv((out / "curve.csv").read_text())
+    assert len(curve.vertices) < 5000
+
+
 def test_sweep_table(tmp_path):
     cfg = _write(tmp_path, "sweep.json", {
         "potential": RADIAL_POT,
@@ -183,6 +206,14 @@ def test_bad_configs_exit_1(tmp_path):
     assert main(["radial", kind_mismatch, "--quiet"]) == 1
     bad_solver = _solve_cfg(tmp_path, solver={"n_vertices": 96, "typo": 1})
     assert main(["solve", bad_solver, "--quiet"]) == 1
+    out = tmp_path / "rejected"
+    nan_area = _solve_cfg(tmp_path, A=float("nan"))
+    assert main(["solve", nan_area, "--out", str(out), "--quiet"]) == 1
+    nan_end = _solve_cfg(tmp_path, endpoints=[[float("nan"), 0.0], [0.0, 0.0]])
+    assert main(["solve", nan_end, "--out", str(out), "--quiet"]) == 1
+    two = _solve_cfg(tmp_path, solver={"n_vertices": 2})
+    assert main(["solve", two, "--out", str(out), "--quiet"]) == 1
+    assert not (out / "result.json").exists()
 
 
 def test_usage_error_exits_1():

@@ -1,17 +1,19 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from degeo import (Curve, Potential, SolveResult, SolverConfig, area_sweep,
-                   detect_area_leakage, discrete_area_gradient,
+from degeo import (Curve, Potential, SolveResult, SolverConfig, area,
+                   area_sweep, detect_area_leakage, discrete_area_gradient,
                    discrete_energy_gradient, el_residual, energy,
                    estimate_multiplier, geodesic_curvature, make_custom,
                    make_homogeneous, make_radial_quartic, make_two_well_k,
                    minimize_constrained, minimize_unconstrained,
                    parabola_energy, solve_C1_for_area, solve_homogeneous,
                    spiral_from_C1, vertex_normals)
+from degeo.solver import _packed_certificate
 
 RNG = np.random.default_rng(31)
 FAST = SolverConfig(n_vertices=96)
@@ -109,6 +111,8 @@ def test_unconstrained_geodesic_on_radial_ray():
     assert res.multiplier == 0.0
     with pytest.raises(ValueError):
         minimize_unconstrained((1.0, 0.0), (1.0, 0.0), pot, FAST)
+    with pytest.raises(ValueError):
+        minimize_unconstrained((math.nan, 0.0), (2.0, 0.0), pot, FAST)
 
 
 def test_constrained_matches_radial_closed_form(radial_solve):
@@ -211,6 +215,34 @@ def test_nonexistence_run_packs_area_at_a_well():
     assert trapped > 0.9
 
 
+@pytest.mark.parametrize("q, A", [((1.0, 0.0), 6e-4), ((0.6, 0.5), -0.3)])
+def test_certificate_totals_equal_the_literal_polyline(q, A):
+    pot = make_two_well_k(4.0)
+    cfg = SolverConfig(n_vertices=64)
+    cert = _packed_certificate(np.array([-1.0, 0.0]), np.array(q), A, pot,
+                               cfg)
+    packed = cert.packed
+    assert packed.orientation == math.copysign(1, A)
+    # write every loop out: the polyline the certificate stands for
+    v, k = cert.curve.vertices, packed.anchor
+    literal = Curve(np.vstack([v[:k + 1]]
+                              + [v[k + 1:k + 5]] * packed.loop_count
+                              + [v[k + 5:]]))
+    assert energy(literal, pot) == pytest.approx(cert.energy, rel=1e-12)
+    assert area(literal) == pytest.approx(cert.area_achieved, rel=1e-12)
+    assert abs(area(literal) - A) <= cfg.tol_area * (1.0 + abs(A))
+    report = detect_area_leakage(cert, pot, cfg)
+    ref_report = detect_area_leakage(
+        dataclasses.replace(cert, curve=literal, packed=None), pot, cfg)
+    levels = [(mine, ref)
+              for w_mine, w_ref in zip(report["wells"], ref_report["wells"])
+              for mine, ref in zip(w_mine["levels"], w_ref["levels"])]
+    assert len(levels) == 6
+    for mine, ref in levels:
+        for key in ("area_in", "arclength_in"):
+            assert mine[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
+
+
 def test_area_sweep_slope_tracks_multiplier():
     pot = make_radial_quartic(1.0)
     rows = area_sweep((1.0, 0.0), (0.0, 0.0), [0.08, 0.10, 0.12], pot, FAST)
@@ -228,6 +260,8 @@ def test_solver_config_validation():
         SolverConfig(penalty_growth=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(well_radius_schedule=[0.1, 0.2])
+    with pytest.raises(ValueError):
+        SolverConfig(n_vertices=2)
     cfg = SolverConfig(well_radius_schedule=[0.2, 0.02])
     assert cfg.schedule(make_two_well_k(2.0), 1.0) == [0.2, 0.02]
 

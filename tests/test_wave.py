@@ -125,6 +125,11 @@ def test_wave_rejects_bad_results():
         to_traveling_wave(SolveResult(converged=True,
                                       nonexistence_suspected=True, **base),
                           pot)
+    # a non-existence certificate is flagged and not converged
+    with pytest.raises(BubbleDetected):
+        to_traveling_wave(SolveResult(converged=False,
+                                      nonexistence_suspected=True, **base),
+                          pot)
 
 
 def test_bubble_detected_on_interior_well_revisit():
