@@ -9,9 +9,8 @@ stationary point grad(E) = lambda * grad(area) with lambda = -mu, the
 negative of the augmented-Lagrangian multiplier.
 
 The area constraint is enforced by an augmented-Lagrangian outer loop around
-an L-BFGS-B inner minimizer.  Wells make the problem degenerate (the density
-F vanishes there), so interior vertices are pushed out of tiny well
-neighborhoods between inner solves and released for a final polish.
+an L-BFGS-B inner minimizer, finished by a damped Newton polish in normal
+coordinates.
 
 When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
@@ -44,27 +43,28 @@ log = logging.getLogger("degeo.solver")
 
 _DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3)
 
+# normal-gradient tolerance of the inner and Newton loops
+_TOL_GRAD = 1e-8
+# area-gap tolerance, relative to 1 + |A|
+_TOL_AREA = 1e-8
+# augmented-Lagrangian penalty: start, growth factor, outer iterations
+_PENALTY_START = 1.0
+_PENALTY_FACTOR = 10.0
+_OUTER_ITERATIONS = 20
+# quasi-Newton budget per multiplier update; the gauge-degenerate tail
+# is left to the Newton polish, so large values just buy slow wandering
+_INNER_ITERATIONS = 500
+
 
 @dataclass
 class SolverConfig:
     n_vertices: int = 256
-    tol_grad: float = 1e-8
-    tol_area: float = 1e-8
-    penalty_init: float = 1.0
-    penalty_growth: float = 10.0
-    max_outer: int = 20
-    # quasi-Newton budget per multiplier update; the gauge-degenerate tail
-    # is left to the Newton polish, so large values just buy slow wandering
-    max_inner: int = 500
     # None: [1e-1, 1e-2, 1e-3] scaled by the well separation at solve time
     well_radius_schedule: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if self.n_vertices < 3:
             raise ValueError("n_vertices must be at least 3")
-        if min(self.tol_grad, self.tol_area, self.penalty_init,
-               self.penalty_growth) <= 0.0:
-            raise ValueError("tolerances and penalty parameters must be positive")
         if self.well_radius_schedule is not None:
             sched = list(self.well_radius_schedule)
             if not sched or any(a <= b for a, b in zip(sched, sched[1:])):
@@ -246,8 +246,7 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(v0: np.ndarray, potential: Potential, A: float, mu: float,
-                   rho: float, config: SolverConfig, maxiter: int = 80
-                   ) -> Tuple[np.ndarray, float]:
+                   rho: float, maxiter: int = 80) -> Tuple[np.ndarray, float]:
     """Damped Newton in normal coordinates on the penalized objective.
 
     The full-coordinate problem is gauge degenerate: sliding vertices along
@@ -290,7 +289,7 @@ def _newton_polish(v0: np.ndarray, potential: Potential, A: float, mu: float,
         gmax = float(np.abs(gn).max())
         if not math.isfinite(phi) or not math.isfinite(gmax):
             raise NonConvergence("newton polish produced non-finite values")
-        if gmax <= config.tol_grad:
+        if gmax <= _TOL_GRAD:
             break
         H = _lagrangian_hessian(v, potential, mu + rho * c)
         Hn = (proj.T @ H @ proj).tocsc()
@@ -339,26 +338,8 @@ def _newton_polish(v0: np.ndarray, potential: Potential, A: float, mu: float,
 # inner minimization
 # ---------------------------------------------------------------------------
 
-def _repel_from_wells(v: np.ndarray, potential: Potential, r_min: float
-                      ) -> np.ndarray:
-    """Project interior vertices out of the r_min balls around wells."""
-    if not potential.wells or r_min <= 0.0:
-        return v
-    out = v.copy()
-    for well in potential.wells:
-        d = out[1:-1] - well.location
-        dist = np.linalg.norm(d, axis=1)
-        close = dist < r_min
-        if np.any(close):
-            safe = np.where(dist[close] > 0.0, dist[close], 1.0)
-            dirs = np.where(dist[close, None] > 0.0, d[close] / safe[:, None],
-                            np.array([1.0, 0.0]))
-            out[1:-1][close] = well.location + r_min * dirs
-    return out
-
-
 def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
-                 rho: float, config: SolverConfig) -> Tuple[np.ndarray, bool]:
+                 rho: float) -> Tuple[np.ndarray, bool]:
     """One L-BFGS-B pass on E + mu*(area-A) + rho/2*(area-A)^2.
 
     Runs in rescaled variables: the stiffness felt by vertex i is roughly
@@ -392,12 +373,12 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
 
     res = _scipy_minimize(objective, (v0[1:-1] * sc).ravel(), jac=True,
                           method="L-BFGS-B",
-                          options={"maxiter": config.max_inner,
-                                   "maxfun": 4 * config.max_inner,
+                          options={"maxiter": _INNER_ITERATIONS,
+                                   "maxfun": 4 * _INNER_ITERATIONS,
                                    "maxcor": 20,
                                    "maxls": 40,
                                    "ftol": 1e-13,
-                                   "gtol": config.tol_grad})
+                                   "gtol": _TOL_GRAD})
     if not np.all(np.isfinite(res.x)):
         raise NonConvergence("inner minimization produced non-finite vertices")
     v = v0.copy()
@@ -420,38 +401,42 @@ def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
 
 
 def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
-                          config: SolverConfig, mu0: float = 0.0,
-                          r_repel: float = 0.0, max_outer: Optional[int] = None
+                          mu0: float = 0.0
                           ) -> Tuple[np.ndarray, float, float, bool]:
-    """Outer multiplier loop; returns (vertices, mu, area gap, inner ok)."""
+    """Solve from one start; returns (vertices, mu, area gap, polish ok).
+
+    The outer loop updates the multiplier mu around an L-BFGS-B inner solve
+    of the penalized objective, raising the penalty rho whenever the area
+    gap fails to shrink fourfold, and remeshes between inner solves.  A
+    Newton polish in normal coordinates then drives the normal gradient
+    below tolerance; `ok` says whether it did so with the area gap inside
+    tolerance.
+    """
     v = v0.copy()
-    mu, rho = mu0, config.penalty_init
-    tol_c = config.tol_area * (1.0 + abs(A))
+    mu, rho = mu0, _PENALTY_START
+    tol_c = _TOL_AREA * (1.0 + abs(A))
     c_prev = np.inf
-    outer = config.max_outer if max_outer is None else max_outer
-    for _ in range(outer):
-        v = _repel_from_wells(v, potential, r_repel)
-        v, _ = _inner_solve(v, potential, A, mu, rho, config)
+    for _ in range(_OUTER_ITERATIONS):
+        v, _ = _inner_solve(v, potential, A, mu, rho)
         c = area(Curve(v)) - A
         mu += rho * c
         if abs(c) <= tol_c:
             break
         if abs(c) > 0.25 * abs(c_prev):
             # cap keeps mu updates sane if the constraint noise floors out
-            rho = min(rho * config.penalty_growth, 1e8)
+            rho = min(rho * _PENALTY_FACTOR, 1e8)
         c_prev = c
         v = _remesh(v, potential)
     # remesh to a healthy spacing, then Newton in normal coordinates; at
     # stationarity mu + rho*c is exactly the discrete multiplier, so fold
     # it back in, but only when the polish really converged (otherwise a
     # large rho would poison mu with rho * noise)
-    gtol_ok = max(10.0 * config.tol_grad, 1e-7)
+    gtol_ok = max(10.0 * _TOL_GRAD, 1e-7)
     rho_f = min(rho, 1e6)
     ok = False
     v = _remesh(v, potential)
     for _ in range(4):
-        v, gmax = _newton_polish(v, potential, A, mu, rho_f, config,
-                                 maxiter=150)
+        v, gmax = _newton_polish(v, potential, A, mu, rho_f, maxiter=150)
         c = area(Curve(v)) - A
         if gmax > gtol_ok:
             break
@@ -647,7 +632,7 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     sequences at the resolution the diagnostics probe.  The curve holds the
     loop once and `SolveResult.packed` its multiplicity; diagnostics are
     left to _finish.  Returns None when no well is available or no loop
-    radius meets A to tol_area.
+    radius meets A to the area tolerance.
     """
     if not potential.wells:
         return None
@@ -684,7 +669,7 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
                          orientation=sign, anchor=n_leg - 1)
     rate = _packing_rate(packed.loop(curve), potential, A)
     result = _result(curve, potential, A, rate, False, packed)
-    if abs(result.area_achieved - A) > config.tol_area * (1.0 + abs(A)):
+    if abs(result.area_achieved - A) > _TOL_AREA * (1.0 + abs(A)):
         return None
     return result
 
@@ -742,14 +727,24 @@ def _endpoints(p_minus, p_plus, A: float = 0.0
     return p, q
 
 
+def _warm_start(init_curve: Curve, p: np.ndarray, q: np.ndarray
+                ) -> np.ndarray:
+    """Vertices of a warm start; rejects one that does not run from p to q."""
+    v = init_curve.vertices
+    if init_curve.closed or v.shape[0] < 3 or not np.all(np.isfinite(v)):
+        raise ValueError("init_curve must be an open curve of at least 3 "
+                         "finite vertices")
+    if not (np.array_equal(v[0], p) and np.array_equal(v[-1], q)):
+        raise ValueError("init_curve must run from p_minus to p_plus")
+    return v
+
+
 def minimize_unconstrained(p, q, potential: Potential,
                            config: Optional[SolverConfig] = None) -> SolveResult:
     """Weighted-length geodesic between pinned endpoints (no area term)."""
     config = config or SolverConfig()
     p, q = _endpoints(p, q)
     scale = float(np.linalg.norm(q - p))
-    sep = potential.well_separation() or scale
-    r_repel = 1e-4 * sep
     n = config.n_vertices
     t = np.linspace(0.0, 1.0, n)
     chord = q - p
@@ -757,8 +752,7 @@ def minimize_unconstrained(p, q, potential: Potential,
     best = None
     for amp in (0.0, 0.05 * scale, -0.05 * scale):
         v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
-        v0 = _repel_from_wells(v0, potential, r_repel)
-        v, ok = _inner_solve(v0, potential, 0.0, 0.0, 0.0, config)
+        v, ok = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
         E, _ = discrete_energy_gradient(v, potential)
         if best is None or E < best[0] - 1e-10 or (abs(E - best[0]) <= 1e-10
                                                    and not best[2] and ok):
@@ -766,8 +760,8 @@ def minimize_unconstrained(p, q, potential: Potential,
     E, v, ok = best
     # remesh, then Newton in normal coordinates for tight stationarity
     v = _remesh(v, potential)
-    v, gmax = _newton_polish(v, potential, 0.0, 0.0, 0.0, config)
-    ok = gmax <= max(10.0 * config.tol_grad, 1e-7)
+    v, gmax = _newton_polish(v, potential, 0.0, 0.0, 0.0)
+    ok = gmax <= max(10.0 * _TOL_GRAD, 1e-7)
     curve = Curve(v)
     return _finish(_result(curve, potential, area(curve), 0.0, ok),
                    potential, config)
@@ -779,52 +773,50 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
                          mu0: float = 0.0) -> SolveResult:
     """Area-constrained weighted-length minimization between two points.
 
-    Multi-start augmented-Lagrangian solve; the returned multiplier is the
-    negative of the final augmented-Lagrangian estimate, which matches the
-    sign of d(energy)/d(area).  In the non-existence regime the result is
-    the packed certificate (`packed` set, not converged) with the
-    nonexistence flag instead of a fabricated minimizer.
+    Solves from each start with `_augmented_lagrangian`: the warm start
+    `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
+    mu0) when given, then the bump starts.  The best result by feasibility,
+    then polish success, then energy wins; a warm start that is feasible
+    and polished ends the search.  The returned multiplier is the negative
+    of the final augmented-Lagrangian estimate, which matches the sign of
+    d(energy)/d(area).  When it nears the cheapest well's packing rate, or
+    the solve fails, the packed certificate competes; in the non-existence
+    regime the result is that certificate (`packed` set, not converged)
+    with the nonexistence flag instead of a fabricated minimizer.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
-    scale = float(np.linalg.norm(q - p))
-    sep = potential.well_separation() or scale
-    r_repel = 1e-4 * sep
-    n = config.n_vertices
-    tol_c = config.tol_area * (1.0 + abs(A))
+    tol_c = _TOL_AREA * (1.0 + abs(A))
 
     # a warm start runs first and short-circuits the cold bump starts when
     # it converges; if it goes astray the cold starts still get their shot
+    inits = _bump_inits(p, q, A, config.n_vertices)
     if init_curve is not None:
-        inits = [init_curve.vertices.copy()] + _bump_inits(p, q, A, n)
-    else:
-        inits = _bump_inits(p, q, A, n)
+        inits.insert(0, _warm_start(init_curve, p, q))
 
-    best = None
+    best, energies = None, []
     for j, v0 in enumerate(inits):
-        v, mu, c, ok = _augmented_lagrangian(v0, potential, A, config,
-                                             mu0=mu0 if j == 0 else 0.0,
-                                             r_repel=r_repel)
+        v, mu, c, ok = _augmented_lagrangian(v0, potential, A,
+                                             mu0=mu0 if j == 0 else 0.0)
         E, _ = discrete_energy_gradient(v, potential)
         feasible = abs(c) <= tol_c
+        log.debug("start %d: energy %.12g, feasible %s, ok %s",
+                  j, E, feasible, ok)
+        energies.append(E)
         key = (not feasible, not ok, E)
         if best is None or key < best[0]:
-            best = (key, v, mu, c, ok)
+            best = (key, j, v, mu, c)
         if j == 0 and init_curve is not None and feasible and ok:
             break
-    _, v, mu, c, ok = best
-
-    # resample by degenerate arclength and repolish, keep if not worse
-    try:
-        v2 = reparam_degenerate_arclength(Curve(v), potential, n).vertices
-        v2, mu2, c2, ok2 = _augmented_lagrangian(
-            v2, potential, A, config, mu0=mu, r_repel=r_repel, max_outer=3)
-        E1, _ = discrete_energy_gradient(v, potential)
-        E2, _ = discrete_energy_gradient(v2, potential)
-        if abs(c2) <= max(abs(c), tol_c) and E2 <= E1:
-            v, mu, c, ok = v2, mu2, c2, ok2
-    except (ValueError, ZeroDensityInterior):
-        pass
+    _, j, v, mu, c = best
+    others = energies[:j] + energies[j + 1:]
+    if others:
+        # negative when a cheaper start lost on feasibility or polish
+        log.debug("start %d of %d won; next cheapest start is %.3g higher "
+                  "in relative energy", j, len(energies),
+                  (min(others) - energies[j]) / max(abs(energies[j]), 1e-300))
+    else:
+        log.debug("start %d of %d won unopposed", j, len(energies))
 
     converged = abs(c) <= tol_c and np.isfinite(mu)
     result = _finish(_result(Curve(v), potential, A, -mu, converged),

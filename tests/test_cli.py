@@ -213,6 +213,8 @@ def test_bad_configs_exit_1(tmp_path):
     assert main(["solve", nan_end, "--out", str(out), "--quiet"]) == 1
     two = _solve_cfg(tmp_path, solver={"n_vertices": 2})
     assert main(["solve", two, "--out", str(out), "--quiet"]) == 1
+    knob = _solve_cfg(tmp_path, solver={"tol_grad": 1e-9})
+    assert main(["solve", knob, "--out", str(out), "--quiet"]) == 1
     assert not (out / "result.json").exists()
 
 

@@ -13,7 +13,8 @@ from degeo import (Curve, Potential, SolveResult, SolverConfig, area,
                    minimize_constrained, minimize_unconstrained,
                    parabola_energy, solve_C1_for_area, solve_homogeneous,
                    spiral_from_C1, vertex_normals)
-from degeo.solver import _packed_certificate
+from degeo import solver
+from degeo.solver import _TOL_AREA, _packed_certificate
 
 RNG = np.random.default_rng(31)
 FAST = SolverConfig(n_vertices=96)
@@ -230,7 +231,7 @@ def test_certificate_totals_equal_the_literal_polyline(q, A):
                               + [v[k + 5:]]))
     assert energy(literal, pot) == pytest.approx(cert.energy, rel=1e-12)
     assert area(literal) == pytest.approx(cert.area_achieved, rel=1e-12)
-    assert abs(area(literal) - A) <= cfg.tol_area * (1.0 + abs(A))
+    assert abs(area(literal) - A) <= _TOL_AREA * (1.0 + abs(A))
     report = detect_area_leakage(cert, pot, cfg)
     ref_report = detect_area_leakage(
         dataclasses.replace(cert, curve=literal, packed=None), pot, cfg)
@@ -253,11 +254,52 @@ def test_area_sweep_slope_tracks_multiplier():
     assert mid["slope_fd"] == pytest.approx(mid["multiplier"], rel=5e-2)
 
 
+def test_init_curve_must_run_between_the_endpoints(homogeneous_solve):
+    pot, res = homogeneous_solve
+    p, q = (1.0, 0.0), (0.0, 0.0)
+    cfg = SolverConfig(n_vertices=64)
+    bad = [Curve(np.linspace([3.0, 1.0], [2.0, 0.5], 64)),  # wrong ends
+           Curve(res.curve.vertices[::-1]),                 # reversed
+           Curve(np.array([p, q])),                         # 2 vertices
+           Curve(res.curve.vertices, closed=True),          # closed
+           Curve(np.where(np.arange(96)[:, None] == 40, np.nan,
+                          res.curve.vertices))]             # a NaN vertex
+    for init in bad:
+        with pytest.raises(ValueError):
+            minimize_constrained(p, q, 0.05, pot, cfg, init_curve=init)
+    # a solver result carries the endpoints bit-exactly: area_sweep's warm
+    # starts pass the check
+    assert (res.curve.vertices[0] == p).all()
+    assert (res.curve.vertices[-1] == q).all()
+
+
+def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
+    # each start returned as given: the bump starts meet A exactly
+    def as_given(v0, potential, A, mu0=0.0):
+        return v0, 0.0, area(Curve(v0)) - A, True
+
+    monkeypatch.setattr(solver, "_augmented_lagrangian", as_given)
+    pot = make_radial_quartic(1.0)
+    with caplog.at_level("DEBUG", logger="degeo.solver"):
+        res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.1, pot,
+                                   SolverConfig(n_vertices=32))
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "degeo.solver"]
+    starts = [m for m in messages if m.startswith("start ") and ": " in m]
+    assert len(starts) == 3
+    energies = [float(m.split("energy ")[1].split(",")[0]) for m in starts]
+    assert all("feasible True, ok True" in m for m in starts)
+    best = int(np.argmin(energies))
+    assert res.energy == pytest.approx(energies[best], rel=1e-10)
+    won = [m for m in messages if " won" in m]
+    margin = (sorted(energies)[1] - energies[best]) / energies[best]
+    assert won == [f"start {best} of 3 won; next cheapest start is "
+                   f"{margin:.3g} higher in relative energy"]
+
+
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_grad=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(penalty_growth=-1.0)
+    with pytest.raises(TypeError):
+        SolverConfig(tol_grad=1e-9)
     with pytest.raises(ValueError):
         SolverConfig(well_radius_schedule=[0.1, 0.2])
     with pytest.raises(ValueError):
