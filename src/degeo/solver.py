@@ -6,11 +6,12 @@ Weighted length E and signed area are the midpoint-rule discretizations from
 the functionals module, both with exact analytic gradients, so the discrete
 optimality system is an honest finite-dimensional Lagrange system: at a
 stationary point grad(E) = lambda * grad(area) with lambda = -mu, the
-negative of the augmented-Lagrangian multiplier.
+negative of the multiplier of E + mu * (area - A).
 
-The area constraint is enforced by an augmented-Lagrangian outer loop around
-an L-BFGS-B inner minimizer, finished by a damped Newton polish in normal
-coordinates.
+An augmented-Lagrangian outer loop around an L-BFGS-B inner minimizer brings
+each start near feasibility; a damped Newton polish then solves the KKT
+system for the vertex-normal offsets and mu, one tridiagonal solve with a
+scalar border per step.
 
 When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
@@ -30,9 +31,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize as _scipy_minimize
-from scipy.sparse import coo_matrix as _coo_matrix, eye as _sparse_eye
-from scipy.sparse.linalg import splu as _splu
 
 from .errors import NonConvergence, ZeroDensityInterior
 from .functionals import (Curve, SegmentGeometry, area, energy,
@@ -54,6 +54,8 @@ _OUTER_ITERATIONS = 20
 # quasi-Newton budget per multiplier update; the gauge-degenerate tail
 # is left to the Newton polish, so large values just buy slow wandering
 _INNER_ITERATIONS = 500
+# Newton steps of the polish
+_NEWTON_ITERATIONS = 150
 
 
 @dataclass
@@ -182,15 +184,17 @@ def discrete_area_gradient(vertices: np.ndarray) -> Tuple[float, np.ndarray]:
     return A, g
 
 
-def _lagrangian_hessian(v: np.ndarray, potential: Potential, w: float):
-    """Sparse Hessian of energy + w * area in interleaved coordinates.
+def _lagrangian_hessian(v: np.ndarray, potential: Potential, w: float
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-segment 2x2 Hessian blocks of energy + w * area.
 
-    Built per segment from the exact second derivatives of F(mid)*L and of
-    the midpoint area rule; the sqrt in F = sqrt(W) gives
+    Segment k joins vertices k and k+1; `aa` holds its second derivatives
+    in vertex k twice, `bb` in vertex k+1 twice and `ab` in k, then k+1.
+    Built from the exact second derivatives of F(mid)*L and of the
+    midpoint area rule; the sqrt in F = sqrt(W) gives
     hess F = (hess W / 2 - grad F grad F^T) / F, so F is floored away from
     zero (the Newton loop is damped anyway, inexactness there is harmless).
     """
-    n = v.shape[0]
     geo = segment_geometry(v, potential, rel_floor=1e-12, tangents=True,
                            gradient=True)
     L, T, gF = geo.L, geo.T, geo.gF
@@ -205,31 +209,30 @@ def _lagrangian_hessian(v: np.ndarray, potential: Potential, w: float):
     core = 0.25 * HF * L[:, None, None]
     FPL = F[:, None, None] * P / L[:, None, None]
 
-    h_aa = core - sym + FPL
-    h_bb = core + sym + FPL
-    h_ab = core + asym - FPL
-
     # area rule (a_x+b_x)(b_y-a_y)/2 contributes constant 2x2 blocks
     aa = np.array([[0.0, -0.5], [-0.5, 0.0]])
     bb = np.array([[0.0, 0.5], [0.5, 0.0]])
     ab = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    h_aa = h_aa + w * aa
-    h_bb = h_bb + w * bb
-    h_ab = h_ab + w * ab
+    return (core - sym + FPL + w * aa, core + sym + FPL + w * bb,
+            core + asym - FPL + w * ab)
 
-    a_idx = np.arange(n - 1)
-    blocks = []
-    for h, r0, c0 in ((h_aa, a_idx, a_idx), (h_bb, a_idx + 1, a_idx + 1),
-                      (h_ab, a_idx, a_idx + 1),
-                      (h_ab.transpose(0, 2, 1), a_idx + 1, a_idx)):
-        rows = (2 * r0[:, None, None] + np.arange(2)[None, :, None])
-        cols = (2 * c0[:, None, None] + np.arange(2)[None, None, :])
-        blocks.append((h.ravel(), np.broadcast_to(rows, h.shape).ravel(),
-                       np.broadcast_to(cols, h.shape).ravel()))
-    data = np.concatenate([b[0] for b in blocks])
-    rows = np.concatenate([b[1] for b in blocks])
-    cols = np.concatenate([b[2] for b in blocks])
-    return _coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsc()
+
+def _normal_hessian(v: np.ndarray, potential: Potential, w: float,
+                    N: np.ndarray) -> np.ndarray:
+    """Hessian of energy + w * area along the interior normals N.
+
+    Moving interior vertex i along N_i only couples it to its neighbors,
+    so the matrix is tridiagonal: diagonal N_i^T (bb[i-1] + aa[i]) N_i and
+    off-diagonal N_i^T ab[i] N_{i+1}.  Returned in the (3, n-2) band
+    layout of `scipy.linalg.solve_banded((1, 1), ...)`.
+    """
+    aa, bb, ab = _lagrangian_hessian(v, potential, w)
+    band = np.zeros((3, N.shape[0]))
+    band[1] = np.einsum("ij,ijk,ik->i", N, bb[:-1] + aa[1:], N)
+    off = np.einsum("ij,ijk,ik->i", N[:-1], ab[1:-1], N[1:])
+    band[0, 1:] = off
+    band[2, :-1] = off
+    return band
 
 
 def vertex_normals(v: np.ndarray) -> np.ndarray:
@@ -245,93 +248,75 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
 
 
-def _newton_polish(v0: np.ndarray, potential: Potential, A: float, mu: float,
-                   rho: float, maxiter: int = 80) -> Tuple[np.ndarray, float]:
-    """Damped Newton in normal coordinates on the penalized objective.
+def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
+                   lam: float) -> Tuple[np.ndarray, float, float, float]:
+    """Damped Newton on the KKT system of E + lam * (area - A).
 
     The full-coordinate problem is gauge degenerate: sliding vertices along
     the curve is free, so Newton (and quasi-Newton) steps drift vertices
-    into stacks and never reach tight stationarity.  Freezing each interior
-    vertex to the line through its reference normal removes the gauge modes;
-    the reduced Hessian is a tridiagonal scalar matrix and the rank-one
-    penalty curvature rho * gA gA^T folds in by Sherman-Morrison.  Returns
-    the polished vertices and the final max over interior vertices of the
-    normal gradient component.
+    into stacks and never reach tight stationarity.  Each step moves every
+    interior vertex along its normal only, which removes the gauge modes
+    and leaves the tridiagonal Hessian H of `_normal_hessian`; the area
+    constraint borders it with the normal area gradient u.  One banded
+    solve gives H d0 = -g_n and H d_u = u; the border row u.d = -c then
+    fixes dlam = (u.d0 + c) / (u.d_u) and the step d = d0 - dlam d_u.
+    Normals are recomputed after every accepted step.  A=None solves
+    without the border (lam stays as given).  Returns the vertices, lam,
+    the final max over interior vertices of the normal gradient g_n and
+    the area gap c (0 for A=None).
     """
-    vbar = v0.copy()
-    n = vbar.shape[0]
-    if n < 3:
-        return vbar, 0.0
-    N = vertex_normals(vbar)[1:-1]
+    tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
 
-    def evaluate(eta):
-        vv = vbar.copy()
-        vv[1:-1] += eta[:, None] * N
-        E, gE = discrete_energy_gradient(vv, potential)
-        a, gA = discrete_area_gradient(vv)
-        c = a - A
-        phi = E + mu * c + 0.5 * rho * c * c
-        g = gE + (mu + rho * c) * gA
-        gn = np.einsum("ij,ij->i", g[1:-1], N)
+    def evaluate(v, lam):
+        N = vertex_normals(v)[1:-1]
+        _, gE = discrete_energy_gradient(v, potential)
+        a, gA = discrete_area_gradient(v)
+        gn = np.einsum("ij,ij->i", (gE + lam * gA)[1:-1], N)
         un = np.einsum("ij,ij->i", gA[1:-1], N)
-        return vv, phi, gn, c, un
+        return N, gn, un, 0.0 if A is None else a - A
 
-    eta = np.zeros(n - 2)
-    v, phi, gn, c, un = evaluate(eta)
+    N, gn, un, c = evaluate(v, lam)
     lm = 1e-9
-    gmax = float(np.abs(gn).max())
-    # projector onto normal directions: columns are the interior normals
-    rows = np.arange(2, 2 * n - 2)
-    cols = np.repeat(np.arange(n - 2), 2)
-    proj = _coo_matrix((N.ravel(), (rows, cols)),
-                       shape=(2 * n, n - 2)).tocsc()
-    for _ in range(maxiter):
+    for _ in range(_NEWTON_ITERATIONS):
         gmax = float(np.abs(gn).max())
-        if not math.isfinite(phi) or not math.isfinite(gmax):
+        err = max(gmax, abs(c))
+        if not math.isfinite(err):
             raise NonConvergence("newton polish produced non-finite values")
-        if gmax <= _TOL_GRAD:
+        if gmax <= _TOL_GRAD and abs(c) <= tol_c:
             break
-        H = _lagrangian_hessian(v, potential, mu + rho * c)
-        Hn = (proj.T @ H @ proj).tocsc()
-        accepted = False
+        band = _normal_hessian(v, potential, lam, N)
+        # keep each vertex within a fraction of its local spacing so
+        # normal moves of neighbors cannot collide into a stack
+        seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
+        cap = 0.4 * np.minimum(seg[:-1], seg[1:])
         for _ in range(25):
+            band_lm = band.copy()
+            band_lm[1] += lm
             try:
-                lu = _splu(Hn + lm * _sparse_eye(Hn.shape[0], format="csc"))
-                d0 = lu.solve(-gn)
-                du = lu.solve(un)
-            except RuntimeError:
+                d0, du = solve_banded((1, 1), band_lm,
+                                      np.stack([-gn, un], axis=1)).T
+            except LinAlgError:
                 lm *= 10.0
                 continue
-            if rho > 0.0:
-                denom = 1.0 + rho * float(un @ du)
-                if abs(denom) > 1e-300:
-                    d = d0 - du * (rho * float(un @ d0) / denom)
-                else:
-                    d = d0
-            else:
-                d = d0
-            if not np.all(np.isfinite(d)):
+            dlam = 0.0
+            if A is not None:
+                s = float(un @ du)
+                dlam = (float(un @ d0) + c) / s if s else math.inf
+            d = d0 - dlam * du
+            if not (math.isfinite(dlam) and np.all(np.isfinite(d))):
                 lm *= 10.0
                 continue
-            # keep each vertex within a fraction of its local spacing so
-            # normal moves of neighbors cannot collide into a stack
-            segc = np.linalg.norm(np.diff(v, axis=0), axis=1)
-            cap = 0.4 * np.minimum(segc[:-1], segc[1:])
-            d = np.clip(d, -cap, cap)
-            vt, phit, gnt, ct, unt = evaluate(eta + d)
-            gtmax = float(np.abs(gnt).max()) if math.isfinite(phit) \
-                else np.inf
-            if math.isfinite(phit) and (phit <= phi or gtmax < 0.5 * gmax):
-                eta = eta + d
-                v, phi, gn, c, un = vt, phit, gnt, ct, unt
-                gmax = gtmax
+            vt = v.copy()
+            vt[1:-1] += np.clip(d, -cap, cap)[:, None] * N
+            Nt, gnt, unt, ct = evaluate(vt, lam + dlam)
+            if max(float(np.abs(gnt).max()), abs(ct)) < err:
+                v, lam, N, gn, un, c = vt, lam + dlam, Nt, gnt, unt, ct
                 lm = max(lm / 3.0, 1e-12)
-                accepted = True
                 break
             lm *= 10.0
-        if not accepted:
+        else:
             break
-    return v, gmax
+    return v, lam, float(np.abs(gn).max()), c
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +392,9 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
 
     The outer loop updates the multiplier mu around an L-BFGS-B inner solve
     of the penalized objective, raising the penalty rho whenever the area
-    gap fails to shrink fourfold, and remeshes between inner solves.  A
-    Newton polish in normal coordinates then drives the normal gradient
-    below tolerance; `ok` says whether it did so with the area gap inside
-    tolerance.
+    gap fails to shrink fourfold, and remeshes between inner solves.  The
+    KKT Newton polish then drives the normal gradient and the area gap to
+    tolerance and returns the multiplier; `ok` says whether both got there.
     """
     v = v0.copy()
     mu, rho = mu0, _PENALTY_START
@@ -427,24 +411,11 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
             rho = min(rho * _PENALTY_FACTOR, 1e8)
         c_prev = c
         v = _remesh(v, potential)
-    # remesh to a healthy spacing, then Newton in normal coordinates; at
-    # stationarity mu + rho*c is exactly the discrete multiplier, so fold
-    # it back in, but only when the polish really converged (otherwise a
-    # large rho would poison mu with rho * noise)
-    gtol_ok = max(10.0 * _TOL_GRAD, 1e-7)
-    rho_f = min(rho, 1e6)
-    ok = False
-    v = _remesh(v, potential)
-    for _ in range(4):
-        v, gmax = _newton_polish(v, potential, A, mu, rho_f, maxiter=150)
-        c = area(Curve(v)) - A
-        if gmax > gtol_ok:
-            break
-        mu += rho_f * c
-        if abs(c) <= tol_c:
-            ok = True
-            break
-    return v, mu, area(Curve(v)) - A, ok
+    # remesh to a healthy spacing, then Newton on the KKT system in normal
+    # coordinates, which takes over the multiplier
+    v, mu, gmax, c = _newton_polish(_remesh(v, potential), potential, A, mu)
+    ok = gmax <= max(10.0 * _TOL_GRAD, 1e-7) and abs(c) <= tol_c
+    return v, mu, c, ok
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +444,17 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
     nrm = nrm / nl
     t = np.linspace(0.0, 1.0, n)
     a0, _ = discrete_area_gradient(base)
+    if abs(A - a0) <= 1e-12 * (1.0 + abs(A)):
+        # every bump would have amplitude 0
+        return [base]
     inits = []
     for shape in (t * (1.0 - t), t * t * (1.0 - t), t * (1.0 - t) ** 2):
         cand = base + shape[:, None] * nrm
         a1, _ = discrete_area_gradient(cand)
-        if a1 == a0:
-            continue
-        h = (A - a0) / (a1 - a0)
-        inits.append(base + (h * shape)[:, None] * nrm)
-    if abs(A - a0) <= 1e-12 * (1.0 + abs(A)) or not inits:
-        inits.insert(0, base)
-    return inits
+        if a1 != a0:
+            h = (A - a0) / (a1 - a0)
+            inits.append(base + (h * shape)[:, None] * nrm)
+    return inits or [base]
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +731,7 @@ def minimize_unconstrained(p, q, potential: Potential,
     E, v, ok = best
     # remesh, then Newton in normal coordinates for tight stationarity
     v = _remesh(v, potential)
-    v, gmax = _newton_polish(v, potential, 0.0, 0.0, 0.0)
+    v, _, gmax, _ = _newton_polish(v, potential, None, 0.0)
     ok = gmax <= max(10.0 * _TOL_GRAD, 1e-7)
     curve = Curve(v)
     return _finish(_result(curve, potential, area(curve), 0.0, ok),
@@ -776,11 +747,12 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     Solves from each start with `_augmented_lagrangian`: the warm start
     `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
     mu0) when given, then the bump starts.  The best result by feasibility,
-    then polish success, then energy wins; a warm start that is feasible
-    and polished ends the search.  The returned multiplier is the negative
-    of the final augmented-Lagrangian estimate, which matches the sign of
-    d(energy)/d(area).  When it nears the cheapest well's packing rate, or
-    the solve fails, the packed certificate competes; in the non-existence
+    then polish success, then energy wins, and the result is converged
+    only when the winner is both; a warm start that is feasible and
+    polished ends the search.  The returned multiplier is the negative of
+    the polish's mu, which matches the sign of d(energy)/d(area).  When it
+    nears the cheapest well's packing rate, or the solve fails, the packed
+    certificate competes; in the non-existence
     regime the result is that certificate (`packed` set, not converged)
     with the nonexistence flag instead of a fabricated minimizer.
     """
@@ -805,10 +777,10 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         energies.append(E)
         key = (not feasible, not ok, E)
         if best is None or key < best[0]:
-            best = (key, j, v, mu, c)
+            best = (key, j, v, mu)
         if j == 0 and init_curve is not None and feasible and ok:
             break
-    _, j, v, mu, c = best
+    (infeasible, failed, _), j, v, mu = best
     others = energies[:j] + energies[j + 1:]
     if others:
         # negative when a cheaper start lost on feasibility or polish
@@ -818,7 +790,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     else:
         log.debug("start %d of %d won unopposed", j, len(energies))
 
-    converged = abs(c) <= tol_c and np.isfinite(mu)
+    converged = not (infeasible or failed) and math.isfinite(mu)
     result = _finish(_result(Curve(v), potential, A, -mu, converged),
                      potential, config)
 
