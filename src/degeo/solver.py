@@ -9,9 +9,13 @@ stationary point grad(E) = lambda * grad(area) with lambda = -mu, the
 negative of the multiplier of E + mu * (area - A).
 
 An augmented-Lagrangian outer loop around an L-BFGS-B inner minimizer brings
-each start near feasibility; a damped Newton polish then solves the KKT
-system for the vertex-normal offsets and mu, one tridiagonal solve with a
-scalar border per step.
+each start near feasibility and hands it to a damped Newton polish as soon
+as that polish converges; the polish solves the KKT system for the
+vertex-normal offsets and mu, one tridiagonal solve with a scalar border per
+step.  A converged start then ends on a mesh graded toward the wells, so
+its accuracy is set by that mesh and not by the path the solve took: a
+curve that ends at a well spirals into it, and spacing by weighted length
+alone leaves those turns to a few vertices.
 
 When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
@@ -35,7 +39,7 @@ from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonConvergence, ZeroDensityInterior
-from .functionals import (Curve, SegmentGeometry, area, energy,
+from .functionals import (Curve, _resample_by_weight, area, energy,
                           reparam_degenerate_arclength, segment_geometry)
 from .potential import Potential
 
@@ -56,6 +60,13 @@ _OUTER_ITERATIONS = 20
 _INNER_ITERATIONS = 500
 # Newton steps of the polish
 _NEWTON_ITERATIONS = 150
+# the AL loop hands a start to the Newton polish once the area gap is this
+# small relative to 1 + |A|, trying again only when the gap falls a decade
+_HANDOFF_GAP = 1e-2
+# resample-and-polish rounds on the well-graded mesh, and their stopping
+# level in el_residual's normalization
+_GRADED_ROUNDS = 4
+_TOL_EL = 1e-9
 
 
 @dataclass
@@ -150,9 +161,9 @@ class SolveResult:
 # discrete functionals with gradients
 # ---------------------------------------------------------------------------
 
-def _energy_gradient_geometry(vertices, potential: Potential
-                              ) -> Tuple[float, np.ndarray, SegmentGeometry]:
-    """Energy, its gradient, and the segment data they were built from."""
+def discrete_energy_gradient(vertices: np.ndarray, potential: Potential
+                             ) -> Tuple[float, np.ndarray]:
+    """Midpoint-rule weighted length and its gradient in every vertex."""
     geo = segment_geometry(vertices, potential, floor=1e-300, tangents=True,
                            gradient=True)
     g = np.zeros((geo.L.size + 1, 2))
@@ -160,14 +171,7 @@ def _energy_gradient_geometry(vertices, potential: Potential
     FT = geo.F[:, None] * geo.T
     g[:-1] += half - FT
     g[1:] += half + FT
-    return float(np.sum(geo.F * geo.L)), g, geo
-
-
-def discrete_energy_gradient(vertices: np.ndarray, potential: Potential
-                             ) -> Tuple[float, np.ndarray]:
-    """Midpoint-rule weighted length and its gradient in every vertex."""
-    E, g, _ = _energy_gradient_geometry(vertices, potential)
-    return E, g
+    return float(np.sum(geo.F * geo.L)), g
 
 
 def discrete_area_gradient(vertices: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -249,7 +253,8 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
-                   lam: float) -> Tuple[np.ndarray, float, float, float]:
+                   lam: float, graded: bool = False
+                   ) -> Tuple[np.ndarray, float, float, float, int]:
     """Damped Newton on the KKT system of E + lam * (area - A).
 
     The full-coordinate problem is gauge degenerate: sliding vertices along
@@ -261,34 +266,45 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     solve gives H d0 = -g_n and H d_u = u; the border row u.d = -c then
     fixes dlam = (u.d0 + c) / (u.d_u) and the step d = d0 - dlam d_u.
     Normals are recomputed after every accepted step.  A=None solves
-    without the border (lam stays as given).  Returns the vertices, lam,
-    the final max over interior vertices of the normal gradient g_n and
-    the area gap c (0 for A=None).
+    without the border (lam stays as given).
+
+    A step is accepted when it lowers max(|g_n|, |c|).  With `graded` (a
+    mesh graded toward the wells, whose small spacings shrink the natural
+    scale of g_n) it is accepted when it lowers the l1 merit
+    E + (|lam| + 1) |c| or halves max(|g_n|, |c|), and the residual is g_n
+    in `el_residual`'s normalization.  Returns the vertices, lam, the final
+    max over interior vertices of that residual, the area gap c (0 for
+    A=None) and the number of accepted steps.
     """
     tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
+    tol_g = _TOL_EL if graded else _TOL_GRAD
 
     def evaluate(v, lam):
         N = vertex_normals(v)[1:-1]
-        _, gE = discrete_energy_gradient(v, potential)
+        E, gE = discrete_energy_gradient(v, potential)
         a, gA = discrete_area_gradient(v)
         gn = np.einsum("ij,ij->i", (gE + lam * gA)[1:-1], N)
         un = np.einsum("ij,ij->i", gA[1:-1], N)
-        return N, gn, un, 0.0 if A is None else a - A
+        res = np.abs(gn)
+        if graded:
+            res = res / np.maximum(_el_scale(v, potential, lam)[0], 1e-300)
+        return N, gn, un, 0.0 if A is None else a - A, E, float(res.max())
 
-    N, gn, un, c = evaluate(v, lam)
+    N, gn, un, c, E, res = evaluate(v, lam)
     lm = 1e-9
+    steps = 0
     for _ in range(_NEWTON_ITERATIONS):
-        gmax = float(np.abs(gn).max())
-        err = max(gmax, abs(c))
+        err = max(float(np.abs(gn).max()), abs(c))
         if not math.isfinite(err):
             raise NonConvergence("newton polish produced non-finite values")
-        if gmax <= _TOL_GRAD and abs(c) <= tol_c:
+        if res <= tol_g and abs(c) <= tol_c:
             break
         band = _normal_hessian(v, potential, lam, N)
         # keep each vertex within a fraction of its local spacing so
         # normal moves of neighbors cannot collide into a stack
         seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
         cap = 0.4 * np.minimum(seg[:-1], seg[1:])
+        nu = abs(lam) + 1.0
         for _ in range(25):
             band_lm = band.copy()
             band_lm[1] += lm
@@ -308,15 +324,24 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
                 continue
             vt = v.copy()
             vt[1:-1] += np.clip(d, -cap, cap)[:, None] * N
-            Nt, gnt, unt, ct = evaluate(vt, lam + dlam)
-            if max(float(np.abs(gnt).max()), abs(ct)) < err:
-                v, lam, N, gn, un, c = vt, lam + dlam, Nt, gnt, unt, ct
+            trial = evaluate(vt, lam + dlam)
+            gnt, ct, Et = trial[1], trial[3], trial[4]
+            err_t = max(float(np.abs(gnt).max()), abs(ct))
+            if graded:
+                better = (Et + nu * abs(ct) < E + nu * abs(c)
+                          or err_t <= 0.5 * err)
+            else:
+                better = err_t < err
+            if better:
+                v, lam = vt, lam + dlam
+                N, gn, un, c, E, res = trial
+                steps += 1
                 lm = max(lm / 3.0, 1e-12)
                 break
             lm *= 10.0
         else:
             break
-    return v, lam, float(np.abs(gn).max()), c
+    return v, lam, res, c, steps
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +410,31 @@ def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
         return v
 
 
+def _graded_resample(v: np.ndarray, potential: Potential) -> np.ndarray:
+    """Resample toward the wells: monitor (F / max F + sqrt(h / d)) * L.
+
+    h is the mean segment length and d a segment midpoint's distance to
+    the nearest well.  A curve ending at a well spirals into it, turning
+    like 1/r, so spacing by F alone leaves the last decades of radius to
+    a few vertices.  The d^(-1/2) term is integrable at a well, so repeated
+    resampling settles; a 1/d term is not, and drives the innermost vertex
+    into the well at every pass.
+    """
+    geo = segment_geometry(v, potential)
+    monitor = geo.F / max(float(geo.F.max()), 1e-300)
+    if potential.wells:
+        wells = np.array([w.location for w in potential.wells])
+        d = np.linalg.norm(geo.mid[:, None, :] - wells[None], axis=2).min(1)
+        monitor = monitor + np.sqrt(geo.L.mean() / np.maximum(d, 1e-300))
+    return _resample_by_weight(Curve(v), monitor * geo.L,
+                               v.shape[0]).vertices
+
+
+def _polish_converged(res: float, c: float, tol_c: float) -> bool:
+    """Whether a polish ended within tenfold of _TOL_GRAD and on the area."""
+    return res <= max(10.0 * _TOL_GRAD, 1e-7) and abs(c) <= tol_c
+
+
 def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
                           mu0: float = 0.0
                           ) -> Tuple[np.ndarray, float, float, bool]:
@@ -392,30 +442,81 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
 
     The outer loop updates the multiplier mu around an L-BFGS-B inner solve
     of the penalized objective, raising the penalty rho whenever the area
-    gap fails to shrink fourfold, and remeshes between inner solves.  The
-    KKT Newton polish then drives the normal gradient and the area gap to
-    tolerance and returns the multiplier; `ok` says whether both got there.
+    gap fails to shrink fourfold, and remeshes between inner solves.  Once
+    the gap is below _HANDOFF_GAP relative to 1 + |A| (and again at each
+    further decade) it tries the KKT Newton polish on the remeshed curve
+    and stops at the first that converges; otherwise it polishes after the
+    last outer iteration.  A converged polish then runs _GRADED_ROUNDS
+    rounds of resampling toward the wells plus a polish that stops in
+    `el_residual`'s normalization, and keeps their result when the last
+    one converges.  `ok` says whether the polish got the normal gradient
+    and the area gap to tolerance.
     """
     v = v0.copy()
     mu, rho = mu0, _PENALTY_START
-    tol_c = _TOL_AREA * (1.0 + abs(A))
+    scale = 1.0 + abs(A)
+    tol_c = _TOL_AREA * scale
     c_prev = np.inf
-    for _ in range(_OUTER_ITERATIONS):
+    polished, tried = None, math.inf
+    for k in range(_OUTER_ITERATIONS):
         v, _ = _inner_solve(v, potential, A, mu, rho)
         c = area(Curve(v)) - A
         mu += rho * c
         if abs(c) <= tol_c:
             break
+        gap = abs(c) / scale
+        if gap <= _HANDOFF_GAP and math.floor(math.log10(gap)) < tried:
+            tried = math.floor(math.log10(gap))
+            try:
+                attempt = _newton_polish(_remesh(v, potential), potential, A,
+                                         mu)
+            except NonConvergence:
+                attempt = None
+            if (attempt is not None
+                    and _polish_converged(attempt[2], attempt[3], tol_c)):
+                log.debug("handoff at outer iteration %d, area gap %.3g: "
+                          "polish converged in %d steps", k, abs(c),
+                          attempt[4])
+                polished = attempt
+                break
         if abs(c) > 0.25 * abs(c_prev):
             # cap keeps mu updates sane if the constraint noise floors out
             rho = min(rho * _PENALTY_FACTOR, 1e8)
         c_prev = c
         v = _remesh(v, potential)
-    # remesh to a healthy spacing, then Newton on the KKT system in normal
-    # coordinates, which takes over the multiplier
-    v, mu, gmax, c = _newton_polish(_remesh(v, potential), potential, A, mu)
-    ok = gmax <= max(10.0 * _TOL_GRAD, 1e-7) and abs(c) <= tol_c
+    if polished is None:
+        # remesh to a healthy spacing, then Newton on the KKT system in
+        # normal coordinates, which takes over the multiplier
+        polished = _newton_polish(_remesh(v, potential), potential, A, mu)
+        log.debug("no handoff; polish after %d outer iterations took %d "
+                  "steps", k + 1, polished[4])
+    v, mu, res, c, _ = polished
+    ok = _polish_converged(res, c, tol_c)
+    graded = _graded_rounds(v, potential, A, mu) if ok else None
+    if graded is not None:
+        v, mu, c = graded
     return v, mu, c, ok
+
+
+def _graded_rounds(v: np.ndarray, potential: Potential, A: float, mu: float
+                   ) -> Optional[Tuple[np.ndarray, float, float]]:
+    """Resample toward the wells and polish, _GRADED_ROUNDS times.
+
+    Returns the last round's vertices, mu and area gap when its polish
+    reaches _TOL_EL in `el_residual`'s normalization, else None.
+    """
+    steps = 0
+    try:
+        for _ in range(_GRADED_ROUNDS):
+            v, mu, res, c, n = _newton_polish(_graded_resample(v, potential),
+                                              potential, A, mu, graded=True)
+            steps += n
+    except NonConvergence:
+        res = math.inf
+    kept = res <= _TOL_EL and abs(c) <= _TOL_AREA * (1.0 + abs(A))
+    log.debug("graded rounds %s after %d polish steps",
+              "kept" if kept else "fell back to the remeshed polish", steps)
+    return (v, mu, c) if kept else None
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +562,24 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
 # residuals, curvature, multiplier estimates
 # ---------------------------------------------------------------------------
 
+def _el_scale(v: np.ndarray, potential: Potential, lam: float
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """`el_residual`'s local scale at each interior vertex, and F there.
+
+    The scale is |grad F| + |lam| + F * (discrete turning rate), times the
+    mean spacing s of the two adjacent segments.
+    """
+    Fv, gFv = potential.density(v[1:-1])
+    geo = segment_geometry(v, floor=1e-300, tangents=True)
+    s = 0.5 * (geo.L[:-1] + geo.L[1:])
+    turn = np.linalg.norm(geo.T[1:] - geo.T[:-1], axis=1) / s
+    return s * (np.linalg.norm(gFv, axis=1) + abs(lam) + Fv * turn), Fv
+
+
 def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     """Normalized stationarity defect of the discrete Lagrange system.
 
-    Evaluated on the polyline as given (solver outputs arrive already
-    resampled by degenerate arclength): the defect at an interior vertex is
+    Evaluated on the polyline as given: the defect at an interior vertex is
     the normal component of grad_E - lam * grad_area against the natural
     local scale |grad F| + |lam| + F * (discrete turning rate), all per
     unit of parameter.  Only the normal component is the Lagrange
@@ -479,16 +593,12 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     v = curve.vertices
     if len(v) < 3:
         return 0.0
-    Fv, gFv = potential.density(v[1:-1])
+    denom, Fv = _el_scale(v, potential, lam)
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
-    _, gE, geo = _energy_gradient_geometry(v, potential)
-    L, T = geo.L, geo.T
+    _, gE = discrete_energy_gradient(v, potential)
     _, gA = discrete_area_gradient(v)
     r = gE[1:-1] - lam * gA[1:-1]
-    s = 0.5 * (L[:-1] + L[1:])
-    turn = np.linalg.norm(T[1:] - T[:-1], axis=1) / s
-    denom = s * (np.linalg.norm(gFv, axis=1) + abs(lam) + Fv * turn)
     rn = np.abs(np.einsum("ij,ij->i", r, vertex_normals(v)[1:-1]))
     out = np.where(denom > 0.0, rn / np.maximum(denom, 1e-300), 0.0)
     return float(out.max()) if out.size else 0.0
@@ -731,8 +841,8 @@ def minimize_unconstrained(p, q, potential: Potential,
     E, v, ok = best
     # remesh, then Newton in normal coordinates for tight stationarity
     v = _remesh(v, potential)
-    v, _, gmax, _ = _newton_polish(v, potential, None, 0.0)
-    ok = gmax <= max(10.0 * _TOL_GRAD, 1e-7)
+    v, _, gmax, _, _ = _newton_polish(v, potential, None, 0.0)
+    ok = _polish_converged(gmax, 0.0, 0.0)
     curve = Curve(v)
     return _finish(_result(curve, potential, area(curve), 0.0, ok),
                    potential, config)
@@ -746,15 +856,18 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
 
     Solves from each start with `_augmented_lagrangian`: the warm start
     `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
-    mu0) when given, then the bump starts.  The best result by feasibility,
-    then polish success, then energy wins, and the result is converged
-    only when the winner is both; a warm start that is feasible and
-    polished ends the search.  The returned multiplier is the negative of
-    the polish's mu, which matches the sign of d(energy)/d(area).  When it
-    nears the cheapest well's packing rate, or the solve fails, the packed
-    certificate competes; in the non-existence
-    regime the result is that certificate (`packed` set, not converged)
-    with the nonexistence flag instead of a fabricated minimizer.
+    mu0) when given, then the bump starts.  Each start runs the
+    augmented-Lagrangian loop until the KKT Newton polish converges, then
+    ends on a mesh graded toward the wells when the polish converges there
+    too, and on the remeshed polish otherwise.  The best result by
+    feasibility, then polish success, then energy wins, and the result is
+    converged only when the winner is both; a warm start that is feasible
+    and polished ends the search.  The returned multiplier is the negative
+    of the polish's mu, which matches the sign of d(energy)/d(area).  When
+    it nears the cheapest well's packing rate, or the solve fails, the
+    packed certificate competes; in the non-existence regime the result is
+    that certificate (`packed` set, not converged) with the nonexistence
+    flag instead of a fabricated minimizer.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
