@@ -51,13 +51,16 @@ _DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3)
 _TOL_GRAD = 1e-8
 # area-gap tolerance, relative to 1 + |A|
 _TOL_AREA = 1e-8
-# augmented-Lagrangian penalty: start, growth factor, outer iterations
+# augmented-Lagrangian penalty: start, growth factor, cap, outer iterations
 _PENALTY_START = 1.0
 _PENALTY_FACTOR = 10.0
+_PENALTY_CAP = 1e8
 _OUTER_ITERATIONS = 20
-# quasi-Newton budget per multiplier update; the gauge-degenerate tail
-# is left to the Newton polish, so large values just buy slow wandering
-_INNER_ITERATIONS = 500
+# quasi-Newton budget per multiplier update.  The inner solves only need to
+# bring a start near the KKT point: the handoff polish and the graded rounds
+# own the tight finish and the gauge-degenerate tail, so a larger budget
+# just buys slow wandering (every inner solve of a failed start runs to it)
+_INNER_ITERATIONS = 150
 # Newton steps of the polish
 _NEWTON_ITERATIONS = 150
 # the AL loop hands a start to the Newton polish once the area gap is this
@@ -349,13 +352,15 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
 # ---------------------------------------------------------------------------
 
 def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
-                 rho: float) -> Tuple[np.ndarray, bool]:
+                 rho: float) -> Tuple[np.ndarray, bool, int]:
     """One L-BFGS-B pass on E + mu*(area-A) + rho/2*(area-A)^2.
 
-    Runs in rescaled variables: the stiffness felt by vertex i is roughly
-    F(v_i) per unit of surrounding arclength, so without the diagonal
-    change of variables the iteration grinds to an ftol stall while
-    vertices near a well still carry real gradient.
+    Inexact: at most _INNER_ITERATIONS iterations, since the Newton polish
+    finishes the start.  Runs in rescaled variables: the stiffness felt by
+    vertex i is roughly F(v_i) per unit of surrounding arclength, so
+    without the diagonal change of variables the iteration grinds to an
+    ftol stall while vertices near a well still carry real gradient.
+    Returns the vertices, L-BFGS-B's success flag and its iteration count.
     """
     n = v0.shape[0]
     p0, p1 = v0[0].copy(), v0[-1].copy()
@@ -393,7 +398,7 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
         raise NonConvergence("inner minimization produced non-finite vertices")
     v = v0.copy()
     v[1:-1] = res.x.reshape(-1, 2) / sc
-    return v, bool(res.success)
+    return v, bool(res.success), int(res.nit)
 
 
 def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
@@ -440,17 +445,19 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
                           ) -> Tuple[np.ndarray, float, float, bool]:
     """Solve from one start; returns (vertices, mu, area gap, polish ok).
 
-    The outer loop updates the multiplier mu around an L-BFGS-B inner solve
-    of the penalized objective, raising the penalty rho whenever the area
-    gap fails to shrink fourfold, and remeshes between inner solves.  Once
-    the gap is below _HANDOFF_GAP relative to 1 + |A| (and again at each
-    further decade) it tries the KKT Newton polish on the remeshed curve
-    and stops at the first that converges; otherwise it polishes after the
-    last outer iteration.  A converged polish then runs _GRADED_ROUNDS
-    rounds of resampling toward the wells plus a polish that stops in
-    `el_residual`'s normalization, and keeps their result when the last
-    one converges.  `ok` says whether the polish got the normal gradient
-    and the area gap to tolerance.
+    The outer loop updates the multiplier mu around an inexact L-BFGS-B
+    inner solve of the penalized objective, raising the penalty rho
+    whenever the area gap fails to shrink fourfold, and remeshes between
+    inner solves.  Once the gap is below _HANDOFF_GAP relative to 1 + |A|
+    (and again at each further decade) it tries the KKT Newton polish on
+    the remeshed curve and stops at the first that converges.  Otherwise
+    it polishes after the last outer iteration, or after the first at
+    which the gap again fails to shrink with rho already at _PENALTY_CAP,
+    since more outer iterations would not move it.  A converged polish
+    then runs _GRADED_ROUNDS rounds of resampling toward the wells plus a
+    polish that stops in `el_residual`'s normalization, and keeps their
+    result when the last one converges.  `ok` says whether the polish got
+    the normal gradient and the area gap to tolerance.
     """
     v = v0.copy()
     mu, rho = mu0, _PENALTY_START
@@ -459,8 +466,10 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
     c_prev = np.inf
     polished, tried = None, math.inf
     for k in range(_OUTER_ITERATIONS):
-        v, _ = _inner_solve(v, potential, A, mu, rho)
+        v, _, nit = _inner_solve(v, potential, A, mu, rho)
         c = area(Curve(v)) - A
+        log.debug("outer iteration %d: mu %.6g, rho %.3g, area gap %.3g, "
+                  "%d inner iterations", k, mu, rho, abs(c), nit)
         mu += rho * c
         if abs(c) <= tol_c:
             break
@@ -480,8 +489,12 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
                 polished = attempt
                 break
         if abs(c) > 0.25 * abs(c_prev):
+            if rho >= _PENALTY_CAP:
+                log.debug("outer loop stalled at iteration %d: area gap "
+                          "%.3g at the penalty cap", k, abs(c))
+                break
             # cap keeps mu updates sane if the constraint noise floors out
-            rho = min(rho * _PENALTY_FACTOR, 1e8)
+            rho = min(rho * _PENALTY_FACTOR, _PENALTY_CAP)
         c_prev = c
         v = _remesh(v, potential)
     if polished is None:
@@ -833,7 +846,7 @@ def minimize_unconstrained(p, q, potential: Potential,
     best = None
     for amp in (0.0, 0.05 * scale, -0.05 * scale):
         v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
-        v, ok = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
+        v, ok, _ = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
         E, _ = discrete_energy_gradient(v, potential)
         if best is None or E < best[0] - 1e-10 or (abs(E - best[0]) <= 1e-10
                                                    and not best[2] and ok):

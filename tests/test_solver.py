@@ -233,6 +233,17 @@ def test_solve_logs_each_handoff_and_the_graded_rounds(caplog):
     handoffs = [m for m in messages if m.startswith("handoff at outer ")]
     graded = [m for m in messages if m.startswith("graded rounds ")]
     assert len(handoffs) == len(graded) == 3
+    outer = [m for m in messages if m.startswith("outer iteration ")]
+    # each start logs iterations 0, 1, ... up to its handoff
+    assert [m.split(":")[0] for m in outer].count("outer iteration 0") == 3
+    for m in outer:
+        rho = float(m.split("rho ")[1].split(",")[0])
+        nit = int(m.split(", ")[-1].split(" ")[0])
+        assert math.isfinite(float(m.split("mu ")[1].split(",")[0]))
+        assert solver._PENALTY_START <= rho <= solver._PENALTY_CAP
+        assert float(m.split("area gap ")[1].split(",")[0]) >= 0.0
+        assert 0 <= nit <= solver._INNER_ITERATIONS
+        assert m.endswith(" inner iterations")
     for m in handoffs:
         k = int(m.split("iteration ")[1].split(",")[0])
         gap = float(m.split("area gap ")[1].split(":")[0])
@@ -242,6 +253,41 @@ def test_solve_logs_each_handoff_and_the_graded_rounds(caplog):
     assert all(m.startswith(("graded rounds kept after ",
                              "graded rounds fell back "))
                and m.endswith(" polish steps") for m in graded)
+
+
+def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
+    # stubs: every inner solve returns the same curve, so the area gap never
+    # shrinks, and the polish never converges
+    pot = make_homogeneous(1.0, 2.0)
+    t = np.linspace(0.0, 1.0, 32)
+    v_stuck = np.stack([1.0 - t, 0.3 * t * (1.0 - t)], axis=1)
+    A = area(Curve(v_stuck)) - 1e-3
+    penalties = []
+
+    def stuck_inner(v, potential, A, mu, rho):
+        penalties.append(rho)
+        return v_stuck.copy(), False, solver._INNER_ITERATIONS
+
+    def failed_polish(v, potential, A, lam, graded=False):
+        return v, lam, math.inf, area(Curve(v)) - A, 0
+
+    monkeypatch.setattr(solver, "_inner_solve", stuck_inner)
+    monkeypatch.setattr(solver, "_newton_polish", failed_polish)
+    with caplog.at_level("DEBUG", logger="degeo.solver"):
+        assert not solver._augmented_lagrangian(v_stuck, pot, A)[3]
+    # one inner solve per penalty from 1 to the cap, plus the first, which
+    # has no earlier gap to compare with
+    assert penalties == [1.0] + [10.0 ** k for k in range(9)]
+    assert solver._PENALTY_CAP == penalties[-1]
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "degeo.solver"]
+    outer = [m for m in messages if m.startswith("outer iteration ")]
+    assert [m.split(":")[0] for m in outer] == [f"outer iteration {k}"
+                                                for k in range(10)]
+    assert all(f"rho {rho:.3g}, area gap 0.001, {solver._INNER_ITERATIONS} "
+               f"inner iterations" in m for m, rho in zip(outer, penalties))
+    assert [m for m in messages if "stalled" in m] == [
+        "outer loop stalled at iteration 9: area gap 0.001 at the penalty cap"]
 
 
 def _coil(center, r, turns, n_per_turn=60):
