@@ -8,14 +8,15 @@ optimality system is an honest finite-dimensional Lagrange system: at a
 stationary point grad(E) = lambda * grad(area) with lambda = -mu, the
 negative of the multiplier of E + mu * (area - A).
 
-An augmented-Lagrangian outer loop around an L-BFGS-B inner minimizer brings
-each start near feasibility and hands it to a damped Newton polish as soon
-as that polish converges; the polish solves the KKT system for the
+An augmented-Lagrangian outer loop around L-BFGS-B on the interior vertices
+brings each start near feasibility and hands it to a damped Newton polish as
+soon as that polish converges; the polish solves the KKT system for the
 vertex-normal offsets and mu, one tridiagonal solve with a scalar border per
-step.  A converged start then ends on a mesh graded toward the wells, so
-its accuracy is set by that mesh and not by the path the solve took: a
-curve that ends at a well spirals into it, and spacing by weighted length
-alone leaves those turns to a few vertices.
+step, and stops on the normal gradient in `el_residual`'s normalization.  A
+converged start then ends on a mesh graded toward the wells, so its accuracy
+is set by that mesh and not by the path the solve took: a curve that ends at
+a well spirals into it, and spacing by weighted length alone leaves those
+turns to a few vertices.
 
 When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,7 +49,7 @@ log = logging.getLogger("degeo.solver")
 
 _DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3)
 
-# normal-gradient tolerance of the inner and Newton loops
+# projected-gradient tolerance (gtol) of the L-BFGS-B inner solves
 _TOL_GRAD = 1e-8
 # area-gap tolerance, relative to 1 + |A|
 _TOL_AREA = 1e-8
@@ -66,9 +68,10 @@ _NEWTON_ITERATIONS = 150
 # the AL loop hands a start to the Newton polish once the area gap is this
 # small relative to 1 + |A|, trying again only when the gap falls a decade
 _HANDOFF_GAP = 1e-2
-# resample-and-polish rounds on the well-graded mesh, and their stopping
-# level in el_residual's normalization
+# resample-and-polish rounds on the well-graded mesh
 _GRADED_ROUNDS = 4
+# stopping level of every Newton polish: the normal gradient in
+# el_residual's normalization
 _TOL_EL = 1e-9
 
 
@@ -79,10 +82,16 @@ class SolverConfig:
     well_radius_schedule: Optional[Sequence[float]] = None
 
     def __post_init__(self):
+        if not isinstance(self.n_vertices, numbers.Integral):
+            raise ValueError("n_vertices must be an integer")
         if self.n_vertices < 3:
             raise ValueError("n_vertices must be at least 3")
         if self.well_radius_schedule is not None:
             sched = list(self.well_radius_schedule)
+            if not all(isinstance(r, numbers.Real) and math.isfinite(r)
+                       and r > 0.0 for r in sched):
+                raise ValueError("well_radius_schedule entries must be "
+                                 "finite and positive")
             if not sched or any(a <= b for a, b in zip(sched, sched[1:])):
                 raise ValueError("well_radius_schedule must be strictly decreasing")
 
@@ -256,8 +265,7 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
-                   lam: float, graded: bool = False
-                   ) -> Tuple[np.ndarray, float, float, float, int]:
+                   lam: float) -> Tuple[np.ndarray, float, float, float, int]:
     """Damped Newton on the KKT system of E + lam * (area - A).
 
     The full-coordinate problem is gauge degenerate: sliding vertices along
@@ -271,43 +279,37 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     Normals are recomputed after every accepted step.  A=None solves
     without the border (lam stays as given).
 
-    A step is accepted when it lowers max(|g_n|, |c|).  With `graded` (a
-    mesh graded toward the wells, whose small spacings shrink the natural
-    scale of g_n) it is accepted when it lowers the l1 merit
-    E + (|lam| + 1) |c| or halves max(|g_n|, |c|), and the residual is g_n
-    in `el_residual`'s normalization.  Returns the vertices, lam, the final
-    max over interior vertices of that residual, the area gap c (0 for
-    A=None) and the number of accepted steps.
+    A step is accepted when it lowers max(|g_n|, |c|), and the polish stops
+    by `_polish_converged`, on g_n in `el_residual`'s normalization.
+    Returns the vertices, lam, the final max over interior vertices of that
+    residual, the area gap c (0 for A=None) and the number of accepted
+    steps.
     """
     tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
-    tol_g = _TOL_EL if graded else _TOL_GRAD
 
     def evaluate(v, lam):
         N = vertex_normals(v)[1:-1]
-        E, gE = discrete_energy_gradient(v, potential)
+        _, gE = discrete_energy_gradient(v, potential)
         a, gA = discrete_area_gradient(v)
         gn = np.einsum("ij,ij->i", (gE + lam * gA)[1:-1], N)
         un = np.einsum("ij,ij->i", gA[1:-1], N)
-        res = np.abs(gn)
-        if graded:
-            res = res / np.maximum(_el_scale(v, potential, lam)[0], 1e-300)
-        return N, gn, un, 0.0 if A is None else a - A, E, float(res.max())
+        res = np.abs(gn) / np.maximum(_el_scale(v, potential, lam)[0], 1e-300)
+        return N, gn, un, 0.0 if A is None else a - A, float(res.max())
 
-    N, gn, un, c, E, res = evaluate(v, lam)
+    N, gn, un, c, res = evaluate(v, lam)
     lm = 1e-9
     steps = 0
     for _ in range(_NEWTON_ITERATIONS):
         err = max(float(np.abs(gn).max()), abs(c))
         if not math.isfinite(err):
             raise NonConvergence("newton polish produced non-finite values")
-        if res <= tol_g and abs(c) <= tol_c:
+        if _polish_converged(res, c, tol_c):
             break
         band = _normal_hessian(v, potential, lam, N)
         # keep each vertex within a fraction of its local spacing so
         # normal moves of neighbors cannot collide into a stack
         seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
         cap = 0.4 * np.minimum(seg[:-1], seg[1:])
-        nu = abs(lam) + 1.0
         for _ in range(25):
             band_lm = band.copy()
             band_lm[1] += lm
@@ -328,16 +330,10 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             vt = v.copy()
             vt[1:-1] += np.clip(d, -cap, cap)[:, None] * N
             trial = evaluate(vt, lam + dlam)
-            gnt, ct, Et = trial[1], trial[3], trial[4]
-            err_t = max(float(np.abs(gnt).max()), abs(ct))
-            if graded:
-                better = (Et + nu * abs(ct) < E + nu * abs(c)
-                          or err_t <= 0.5 * err)
-            else:
-                better = err_t < err
-            if better:
+            gnt, ct = trial[1], trial[3]
+            if max(float(np.abs(gnt).max()), abs(ct)) < err:
                 v, lam = vt, lam + dlam
-                N, gn, un, c, E, res = trial
+                N, gn, un, c, res = trial
                 steps += 1
                 lm = max(lm / 3.0, 1e-12)
                 break
@@ -355,38 +351,22 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
                  rho: float) -> Tuple[np.ndarray, bool, int]:
     """One L-BFGS-B pass on E + mu*(area-A) + rho/2*(area-A)^2.
 
-    Inexact: at most _INNER_ITERATIONS iterations, since the Newton polish
-    finishes the start.  Runs in rescaled variables: the stiffness felt by
-    vertex i is roughly F(v_i) per unit of surrounding arclength, so
-    without the diagonal change of variables the iteration grinds to an
-    ftol stall while vertices near a well still carry real gradient.
-    Returns the vertices, L-BFGS-B's success flag and its iteration count.
+    Runs on the interior vertices as they are.  Inexact: at most
+    _INNER_ITERATIONS iterations, since the Newton polish finishes the
+    start.  Returns the vertices, L-BFGS-B's success flag and its
+    iteration count.
     """
-    n = v0.shape[0]
-    p0, p1 = v0[0].copy(), v0[-1].copy()
-
-    L = segment_geometry(v0).L
-    Lmax = max(float(L.max()), 1e-12)
-    sbar = np.empty(n)
-    sbar[0], sbar[-1] = L[0], L[-1]
-    sbar[1:-1] = 0.5 * (L[:-1] + L[1:])
-    sbar = np.maximum(sbar, 1e-12 * Lmax)
-    F = potential.eval_F(v0)
-    F = np.maximum(F, 1e-3 * max(float(F.max()), 1e-12))
-    sc = np.sqrt(F / sbar)[1:-1, None]
+    v = v0.copy()
 
     def objective(x):
-        v = np.empty((n, 2))
-        v[0], v[-1] = p0, p1
-        v[1:-1] = x.reshape(-1, 2) / sc
+        v[1:-1] = x.reshape(-1, 2)
         E, gE = discrete_energy_gradient(v, potential)
         a, gA = discrete_area_gradient(v)
         c = a - A
         phi = E + mu * c + 0.5 * rho * c * c
-        g = (gE + (mu + rho * c) * gA)[1:-1] / sc
-        return phi, g.ravel()
+        return phi, (gE + (mu + rho * c) * gA)[1:-1].ravel()
 
-    res = _scipy_minimize(objective, (v0[1:-1] * sc).ravel(), jac=True,
+    res = _scipy_minimize(objective, v0[1:-1].ravel(), jac=True,
                           method="L-BFGS-B",
                           options={"maxiter": _INNER_ITERATIONS,
                                    "maxfun": 4 * _INNER_ITERATIONS,
@@ -396,8 +376,7 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
                                    "gtol": _TOL_GRAD})
     if not np.all(np.isfinite(res.x)):
         raise NonConvergence("inner minimization produced non-finite vertices")
-    v = v0.copy()
-    v[1:-1] = res.x.reshape(-1, 2) / sc
+    v[1:-1] = res.x.reshape(-1, 2)
     return v, bool(res.success), int(res.nit)
 
 
@@ -436,8 +415,9 @@ def _graded_resample(v: np.ndarray, potential: Potential) -> np.ndarray:
 
 
 def _polish_converged(res: float, c: float, tol_c: float) -> bool:
-    """Whether a polish ended within tenfold of _TOL_GRAD and on the area."""
-    return res <= max(10.0 * _TOL_GRAD, 1e-7) and abs(c) <= tol_c
+    """Whether a polish ended within _TOL_EL of stationarity in
+    `el_residual`'s normalization and on the area."""
+    return res <= _TOL_EL and abs(c) <= tol_c
 
 
 def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
@@ -454,10 +434,10 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
     it polishes after the last outer iteration, or after the first at
     which the gap again fails to shrink with rho already at _PENALTY_CAP,
     since more outer iterations would not move it.  A converged polish
-    then runs _GRADED_ROUNDS rounds of resampling toward the wells plus a
-    polish that stops in `el_residual`'s normalization, and keeps their
-    result when the last one converges.  `ok` says whether the polish got
-    the normal gradient and the area gap to tolerance.
+    then runs _GRADED_ROUNDS rounds of resampling toward the wells, each
+    followed by the same polish, and keeps their result when the last one
+    converges.  `ok` says whether the polish got the normal gradient and
+    the area gap to tolerance.
     """
     v = v0.copy()
     mu, rho = mu0, _PENALTY_START
@@ -516,17 +496,17 @@ def _graded_rounds(v: np.ndarray, potential: Potential, A: float, mu: float
     """Resample toward the wells and polish, _GRADED_ROUNDS times.
 
     Returns the last round's vertices, mu and area gap when its polish
-    reaches _TOL_EL in `el_residual`'s normalization, else None.
+    converges, else None.
     """
     steps = 0
     try:
         for _ in range(_GRADED_ROUNDS):
             v, mu, res, c, n = _newton_polish(_graded_resample(v, potential),
-                                              potential, A, mu, graded=True)
+                                              potential, A, mu)
             steps += n
     except NonConvergence:
         res = math.inf
-    kept = res <= _TOL_EL and abs(c) <= _TOL_AREA * (1.0 + abs(A))
+    kept = _polish_converged(res, c, _TOL_AREA * (1.0 + abs(A)))
     log.debug("graded rounds %s after %d polish steps",
               "kept" if kept else "fell back to the remeshed polish", steps)
     return (v, mu, c) if kept else None
@@ -854,8 +834,8 @@ def minimize_unconstrained(p, q, potential: Potential,
     E, v, ok = best
     # remesh, then Newton in normal coordinates for tight stationarity
     v = _remesh(v, potential)
-    v, _, gmax, _, _ = _newton_polish(v, potential, None, 0.0)
-    ok = _polish_converged(gmax, 0.0, 0.0)
+    v, _, res, _, _ = _newton_polish(v, potential, None, 0.0)
+    ok = _polish_converged(res, 0.0, 0.0)
     curve = Curve(v)
     return _finish(_result(curve, potential, area(curve), 0.0, ok),
                    potential, config)

@@ -215,6 +215,11 @@ def test_bad_configs_exit_1(tmp_path):
     assert main(["solve", two, "--out", str(out), "--quiet"]) == 1
     knob = _solve_cfg(tmp_path, solver={"tol_grad": 1e-9})
     assert main(["solve", knob, "--out", str(out), "--quiet"]) == 1
+    half = _solve_cfg(tmp_path, solver={"n_vertices": 64.5})
+    assert main(["solve", half, "--out", str(out), "--quiet"]) == 1
+    for sched in ([0.1, -0.2], [0.1, float("nan")]):
+        radii = _solve_cfg(tmp_path, solver={"well_radius_schedule": sched})
+        assert main(["solve", radii, "--out", str(out), "--quiet"]) == 1
     assert not (out / "result.json").exists()
 
 

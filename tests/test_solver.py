@@ -268,7 +268,7 @@ def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
         penalties.append(rho)
         return v_stuck.copy(), False, solver._INNER_ITERATIONS
 
-    def failed_polish(v, potential, A, lam, graded=False):
+    def failed_polish(v, potential, A, lam):
         return v, lam, math.inf, area(Curve(v)) - A, 0
 
     monkeypatch.setattr(solver, "_inner_solve", stuck_inner)
@@ -349,6 +349,20 @@ def test_nonexistence_run_packs_area_at_a_well():
     assert res.multiplier == pytest.approx(2.0, abs=1e-3)
     trapped = max(w["trapped_fraction"] for w in res.leakage_report["wells"])
     assert trapped > 0.9
+
+
+@pytest.mark.parametrize("A", [0.2, 0.3, 0.4])
+def test_two_well_below_the_packing_rate_is_not_flagged(A):
+    # a simple minimizer exists here, cheaper than the certificate's
+    # trunk + packing rate * A, and its multiplier is below that rate
+    pot = make_two_well_k(4.0)
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), A, pot, FAST)
+    assert res.converged
+    assert not res.nonexistence_suspected
+    assert res.packed is None
+    assert abs(res.area_achieved - A) <= _TOL_AREA * (1.0 + abs(A))
+    assert abs(res.multiplier) < 2.0
+    assert res.energy < 2.8 + 2.0 * A
 
 
 @pytest.mark.parametrize("q, A", [((1.0, 0.0), 6e-4), ((0.6, 0.5), -0.3)])
@@ -464,6 +478,12 @@ def test_solver_config_validation():
         SolverConfig(well_radius_schedule=[0.1, 0.2])
     with pytest.raises(ValueError):
         SolverConfig(n_vertices=2)
+    for n in (64.5, "96"):
+        with pytest.raises(ValueError):
+            SolverConfig(n_vertices=n)
+    for sched in ([0.1, -0.2], [0.1, 0.0], [math.inf, 0.1], [0.1, math.nan]):
+        with pytest.raises(ValueError):
+            SolverConfig(well_radius_schedule=sched)
     cfg = SolverConfig(well_radius_schedule=[0.2, 0.02])
     assert cfg.schedule(make_two_well_k(2.0), 1.0) == [0.2, 0.02]
 
