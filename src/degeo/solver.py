@@ -12,11 +12,11 @@ An augmented-Lagrangian outer loop around L-BFGS-B on the interior vertices
 brings each start near feasibility and hands it to a damped Newton polish as
 soon as that polish converges; the polish solves the KKT system for the
 vertex-normal offsets and mu, one tridiagonal solve with a scalar border per
-step, and stops on the normal gradient in `el_residual`'s normalization.  A
-converged start then ends on a mesh graded toward the wells, so its accuracy
-is set by that mesh and not by the path the solve took: a curve that ends at
-a well spirals into it, and spacing by weighted length alone leaves those
-turns to a few vertices.
+step, and stops on the normal gradient in `el_residual`'s normalization.
+Every resample, between inner solves and before each polish, grades the
+mesh toward the wells (`_remesh`), so a start ends on that mesh: a curve
+that ends at a well spirals into it, and spacing by weighted length alone
+leaves those turns to a few vertices.
 
 When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
@@ -42,7 +42,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonConvergence, ZeroDensityInterior
 from .functionals import (Curve, _resample_by_weight, area, energy,
-                          reparam_degenerate_arclength, segment_geometry)
+                          segment_geometry)
 from .potential import Potential
 
 log = logging.getLogger("degeo.solver")
@@ -59,17 +59,15 @@ _PENALTY_FACTOR = 10.0
 _PENALTY_CAP = 1e8
 _OUTER_ITERATIONS = 20
 # quasi-Newton budget per multiplier update.  The inner solves only need to
-# bring a start near the KKT point: the handoff polish and the graded rounds
-# own the tight finish and the gauge-degenerate tail, so a larger budget
-# just buys slow wandering (every inner solve of a failed start runs to it)
+# bring a start near the KKT point: the handoff polish owns the tight finish
+# and the gauge-degenerate tail, so a larger budget just buys slow wandering
+# (every inner solve of a failed start runs to it)
 _INNER_ITERATIONS = 150
 # Newton steps of the polish
 _NEWTON_ITERATIONS = 150
 # the AL loop hands a start to the Newton polish once the area gap is this
 # small relative to 1 + |A|, trying again only when the gap falls a decade
 _HANDOFF_GAP = 1e-2
-# resample-and-polish rounds on the well-graded mesh
-_GRADED_ROUNDS = 4
 # stopping level of every Newton polish: the normal gradient in
 # el_residual's normalization
 _TOL_EL = 1e-9
@@ -288,13 +286,8 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
 
     def evaluate(v, lam):
-        N = vertex_normals(v)[1:-1]
-        _, gE = discrete_energy_gradient(v, potential)
-        a, gA = discrete_area_gradient(v)
-        gn = np.einsum("ij,ij->i", (gE + lam * gA)[1:-1], N)
-        un = np.einsum("ij,ij->i", gA[1:-1], N)
-        res = np.abs(gn) / np.maximum(_el_scale(v, potential, lam)[0], 1e-300)
-        return N, gn, un, 0.0 if A is None else a - A, float(res.max())
+        N, gn, un, a, res, _ = _normal_residual(v, potential, lam)
+        return N, gn, un, 0.0 if A is None else a - A, res
 
     N, gn, un, c, res = evaluate(v, lam)
     lm = 1e-9
@@ -381,28 +374,16 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
 
 
 def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
-    """Resample by degenerate arclength; keep the input when that fails.
-
-    The discrete energy is blind to sliding vertices along the curve, so
-    inner iterations can pile vertices up and stall the line search; an
-    occasional remesh restores healthy spacing without moving the curve.
-    """
-    try:
-        return reparam_degenerate_arclength(Curve(v), potential,
-                                            v.shape[0]).vertices
-    except (ValueError, ZeroDensityInterior):
-        return v
-
-
-def _graded_resample(v: np.ndarray, potential: Potential) -> np.ndarray:
     """Resample toward the wells: monitor (F / max F + sqrt(h / d)) * L.
 
     h is the mean segment length and d a segment midpoint's distance to
-    the nearest well.  A curve ending at a well spirals into it, turning
-    like 1/r, so spacing by F alone leaves the last decades of radius to
-    a few vertices.  The d^(-1/2) term is integrable at a well, so repeated
-    resampling settles; a 1/d term is not, and drives the innermost vertex
-    into the well at every pass.
+    the nearest well.  The discrete energy is blind to sliding vertices
+    along the curve, so inner iterations can pile vertices up; a resample
+    restores healthy spacing without moving the curve.  A curve ending at
+    a well spirals into it, turning like 1/r, so spacing by F alone leaves
+    the last decades of radius to a few vertices.  The d^(-1/2) term is
+    integrable at a well, so repeated resampling settles; a 1/d term is
+    not, and drives the innermost vertex into the well at every pass.
     """
     geo = segment_geometry(v, potential)
     monitor = geo.F / max(float(geo.F.max()), 1e-300)
@@ -433,11 +414,10 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
     the remeshed curve and stops at the first that converges.  Otherwise
     it polishes after the last outer iteration, or after the first at
     which the gap again fails to shrink with rho already at _PENALTY_CAP,
-    since more outer iterations would not move it.  A converged polish
-    then runs _GRADED_ROUNDS rounds of resampling toward the wells, each
-    followed by the same polish, and keeps their result when the last one
-    converges.  `ok` says whether the polish got the normal gradient and
-    the area gap to tolerance.
+    since more outer iterations would not move it.  Every resample is the
+    graded `_remesh`, so the start ends on a mesh graded toward the wells.
+    `ok` says whether the polish got the normal gradient and the area gap
+    to tolerance.
     """
     v = v0.copy()
     mu, rho = mu0, _PENALTY_START
@@ -473,43 +453,20 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
                 log.debug("outer loop stalled at iteration %d: area gap "
                           "%.3g at the penalty cap", k, abs(c))
                 break
-            # cap keeps mu updates sane if the constraint noise floors out
+            # the cap bounds the penalty's ill-conditioning of the inner
+            # solves and, with the stall exit above, the outer iterations;
+            # it does not steady mu, which gap noise still moves by rho * c
             rho = min(rho * _PENALTY_FACTOR, _PENALTY_CAP)
         c_prev = c
         v = _remesh(v, potential)
     if polished is None:
-        # remesh to a healthy spacing, then Newton on the KKT system in
+        # remesh toward the wells, then Newton on the KKT system in
         # normal coordinates, which takes over the multiplier
         polished = _newton_polish(_remesh(v, potential), potential, A, mu)
         log.debug("no handoff; polish after %d outer iterations took %d "
                   "steps", k + 1, polished[4])
     v, mu, res, c, _ = polished
-    ok = _polish_converged(res, c, tol_c)
-    graded = _graded_rounds(v, potential, A, mu) if ok else None
-    if graded is not None:
-        v, mu, c = graded
-    return v, mu, c, ok
-
-
-def _graded_rounds(v: np.ndarray, potential: Potential, A: float, mu: float
-                   ) -> Optional[Tuple[np.ndarray, float, float]]:
-    """Resample toward the wells and polish, _GRADED_ROUNDS times.
-
-    Returns the last round's vertices, mu and area gap when its polish
-    converges, else None.
-    """
-    steps = 0
-    try:
-        for _ in range(_GRADED_ROUNDS):
-            v, mu, res, c, n = _newton_polish(_graded_resample(v, potential),
-                                              potential, A, mu)
-            steps += n
-    except NonConvergence:
-        res = math.inf
-    kept = _polish_converged(res, c, _TOL_AREA * (1.0 + abs(A)))
-    log.debug("graded rounds %s after %d polish steps",
-              "kept" if kept else "fell back to the remeshed polish", steps)
-    return (v, mu, c) if kept else None
+    return v, mu, c, _polish_converged(res, c, tol_c)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +512,30 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
 # residuals, curvature, multiplier estimates
 # ---------------------------------------------------------------------------
 
-def _el_scale(v: np.ndarray, potential: Potential, lam: float
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """`el_residual`'s local scale at each interior vertex, and F there.
+def _normal_residual(v: np.ndarray, potential: Potential, w: float
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float,
+                                float, np.ndarray]:
+    """Normal gradient of E + w * area at the interior vertices, and its
+    size in `el_residual`'s normalization.
 
-    The scale is |grad F| + |lam| + F * (discrete turning rate), times the
-    mean spacing s of the two adjacent segments.
+    The local scale is |grad F| + |w| + F * (discrete turning rate), times
+    the mean spacing s of the two adjacent segments.  Returns the interior
+    normals N, the normal gradient g_n, the normal area gradient, the area,
+    max |g_n| / scale (0 where the scale vanishes) and F at the interior
+    vertices.
     """
     Fv, gFv = potential.density(v[1:-1])
     geo = segment_geometry(v, floor=1e-300, tangents=True)
     s = 0.5 * (geo.L[:-1] + geo.L[1:])
     turn = np.linalg.norm(geo.T[1:] - geo.T[:-1], axis=1) / s
-    return s * (np.linalg.norm(gFv, axis=1) + abs(lam) + Fv * turn), Fv
+    scale = s * (np.linalg.norm(gFv, axis=1) + abs(w) + Fv * turn)
+    N = vertex_normals(v)[1:-1]
+    _, gE = discrete_energy_gradient(v, potential)
+    a, gA = discrete_area_gradient(v)
+    gn = np.einsum("ij,ij->i", (gE + w * gA)[1:-1], N)
+    un = np.einsum("ij,ij->i", gA[1:-1], N)
+    res = np.where(scale > 0.0, np.abs(gn) / np.maximum(scale, 1e-300), 0.0)
+    return N, gn, un, a, float(res.max()), Fv
 
 
 def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
@@ -586,15 +555,10 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     v = curve.vertices
     if len(v) < 3:
         return 0.0
-    denom, Fv = _el_scale(v, potential, lam)
+    *_, res, Fv = _normal_residual(v, potential, -lam)
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
-    _, gE = discrete_energy_gradient(v, potential)
-    _, gA = discrete_area_gradient(v)
-    r = gE[1:-1] - lam * gA[1:-1]
-    rn = np.abs(np.einsum("ij,ij->i", r, vertex_normals(v)[1:-1]))
-    out = np.where(denom > 0.0, rn / np.maximum(denom, 1e-300), 0.0)
-    return float(out.max()) if out.size else 0.0
+    return res
 
 
 def geodesic_curvature(curve: Curve, potential: Potential) -> np.ndarray:
@@ -832,7 +796,8 @@ def minimize_unconstrained(p, q, potential: Potential,
                                                    and not best[2] and ok):
             best = (E, v, ok)
     E, v, ok = best
-    # remesh, then Newton in normal coordinates for tight stationarity
+    # remesh toward the wells, then Newton in normal coordinates for tight
+    # stationarity
     v = _remesh(v, potential)
     v, _, res, _, _ = _newton_polish(v, potential, None, 0.0)
     ok = _polish_converged(res, 0.0, 0.0)
@@ -850,9 +815,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     Solves from each start with `_augmented_lagrangian`: the warm start
     `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
     mu0) when given, then the bump starts.  Each start runs the
-    augmented-Lagrangian loop until the KKT Newton polish converges, then
-    ends on a mesh graded toward the wells when the polish converges there
-    too, and on the remeshed polish otherwise.  The best result by
+    augmented-Lagrangian loop until the KKT Newton polish converges on a
+    mesh graded toward the wells, and ends there.  The best result by
     feasibility, then polish success, then energy wins, and the result is
     converged only when the winner is both; a warm start that is feasible
     and polished ends the search.  The returned multiplier is the negative

@@ -253,21 +253,13 @@ def _assemble_forms(profile: WaveProfile, potential: Potential):
     hess = potential.hess_W(U[1:-1])
     diag += mass_node[:, None, None] * hess
 
-    rows, cols, vals = [], [], []
-    for i in range(m):
-        for a in range(2):
-            for b in range(2):
-                if diag[i, a, b] != 0.0:
-                    rows.append(2 * i + a)
-                    cols.append(2 * i + b)
-                    vals.append(diag[i, a, b])
-    off = -inv_h[1:-1]
-    for i in range(m - 1):
-        for a in range(2):
-            rows.extend([2 * i + a, 2 * (i + 1) + a])
-            cols.extend([2 * (i + 1) + a, 2 * i + a])
-            vals.extend([off[i], off[i]])
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(2 * m, 2 * m))
+    # 2x2 blocks on the diagonal, -1/h coupling each component to the same
+    # component of the next node two rows on
+    blocks = sp.bsr_matrix((diag, np.arange(m), np.arange(m + 1)),
+                           shape=(2 * m, 2 * m))
+    off = np.repeat(-inv_h[1:-1], 2)
+    K = (blocks + sp.diags([off, off], [2, -2])).tocsr()
+    K.eliminate_zeros()
     M = np.repeat(mass_node, 2)
     return K, M
 

@@ -196,7 +196,7 @@ def test_graded_monitor_has_a_fixed_point(radial_solve):
     v = res.curve.vertices
     radii = []
     for _ in range(6):
-        v = solver._graded_resample(v, pot)
+        v = solver._remesh(v, pot)
         radii.append(np.linalg.norm(v[-2]))
     assert radii[-1] / radii[-2] >= 0.9
 
@@ -205,34 +205,46 @@ def test_graded_monitor_has_a_fixed_point(radial_solve):
 def test_each_start_hands_off_to_the_newton_early(case, monkeypatch):
     pot, A = {"radial": (make_radial_quartic(1.0), 0.1),
               "homogeneous": (make_homogeneous(1.0, 2.0), 0.05)}[case]
-    inner_solves = []
+    inner_solves, polishes = [], []
     inner, outer = solver._inner_solve, solver._augmented_lagrangian
+    polish = solver._newton_polish
 
     def counted_inner(*args, **kwargs):
         inner_solves[-1] += 1
         return inner(*args, **kwargs)
 
+    def counted_polish(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        polishes[-1].append(solver._polish_converged(out[2], out[3],
+                                                     solver._TOL_AREA
+                                                     * (1.0 + abs(A))))
+        return out
+
     def counted_outer(*args, **kwargs):
         inner_solves.append(0)
+        polishes.append([])
         return outer(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_inner_solve", counted_inner)
+    monkeypatch.setattr(solver, "_newton_polish", counted_polish)
     monkeypatch.setattr(solver, "_augmented_lagrangian", counted_outer)
     res = minimize_constrained((1.0, 0.0), (0.0, 0.0), A, pot, FAST)
     assert res.converged
     assert len(inner_solves) == 3
     assert max(inner_solves) <= 8
+    # a start ends at its first converged polish
+    for converged in polishes:
+        assert converged and converged.index(True) == len(converged) - 1
 
 
-def test_solve_logs_each_handoff_and_the_graded_rounds(caplog):
+def test_solve_logs_each_handoff(caplog):
     pot = make_homogeneous(1.0, 2.0)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
         minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.05, pot, FAST)
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "degeo.solver"]
     handoffs = [m for m in messages if m.startswith("handoff at outer ")]
-    graded = [m for m in messages if m.startswith("graded rounds ")]
-    assert len(handoffs) == len(graded) == 3
+    assert len(handoffs) == 3
     outer = [m for m in messages if m.startswith("outer iteration ")]
     # each start logs iterations 0, 1, ... up to its handoff
     assert [m.split(":")[0] for m in outer].count("outer iteration 0") == 3
@@ -250,9 +262,6 @@ def test_solve_logs_each_handoff_and_the_graded_rounds(caplog):
         assert 0 <= k < solver._OUTER_ITERATIONS
         assert 0.0 < gap <= solver._HANDOFF_GAP * 1.05
         assert m.endswith(" steps")
-    assert all(m.startswith(("graded rounds kept after ",
-                             "graded rounds fell back "))
-               and m.endswith(" polish steps") for m in graded)
 
 
 def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
