@@ -11,10 +11,14 @@ satisfies |V_beta| * F = 1 identically, and along its integral curves the
 level function rt decreases at the constant rate sin(beta).  Consequently an
 arc flowing from p0 into the well has weighted length exactly
 
-    L(beta) = rt(p0) / sin(beta),
+    L(beta) = rt(p0) / sin(beta).
 
-and the enclosed signed area is a continuous, strictly decreasing function
-of beta, which this module inverts numerically to hit a prescribed area.
+In the time dtau = dt / F^2 the field is linear, dp/dtau = M p, so the arc
+is exp(M tau) p0 and its enclosed signed area is the quadratic form
+p0^T X p0 of the 2x2 Lyapunov equation M^T X + X M = -Q.  That area is a
+continuous, strictly decreasing function of beta, which this module inverts
+with brentq to hit a prescribed area.
+
 The closed level set {rt = rt(p0)} is the area-minimizing loop; its weighted
 length per unit enclosed area is l1 + l2, which is also the cost rate of a
 purely vertical displacement of the lifted third coordinate.
@@ -27,13 +31,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.optimize import brentq
 
 from .errors import NoRoot, NonConvergence, ZeroBeta
-from .functionals import Curve, area, energy
+from .functionals import Curve, energy
 from .potential import make_homogeneous
 
 _ROOT_BUDGET = 200
+_STOP_RADIUS = 1e-6  # arcs are sampled until |p| <= _STOP_RADIUS |p0|
+_AREA_TOL = 1e-12    # per |p0|^2: areas this close to beta = pi/2's take it
+_BETA_XTOL = 1e-300  # brentq then stops at its relative tolerance, 4 eps
 
 
 def rtilde(p, lambda1: float, lambda2: float):
@@ -63,195 +71,119 @@ def vertical_fiber_distance(A: float, lambda1: float, lambda2: float) -> float:
     return (lambda1 + lambda2) * abs(A)
 
 
-def _integrate_with_area(p0, beta: float, lambda1: float, lambda2: float,
-                         stop_radius: Optional[float] = None,
-                         rtol: float = 1e-10,
-                         n_out: Optional[int] = None):
-    """Integrate the arc and the running area; returns (Curve, arc area).
-
-    The area rides along as a third state (the p1 dp2 form evaluated on the
-    actual velocity), so the reported value carries the integrator's
-    accuracy rather than the output polyline's quadrature error.  The tiny
-    closing segment to the appended origin vertex is accounted exactly.
-    """
+def _point(p0) -> np.ndarray:
+    """p0 as a float array, checked to be a finite point off the well."""
     p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (2,) or not np.all(np.isfinite(p0)):
+        raise ValueError("p0 must be a finite point (p1, p2)")
+    if not p0.any():
+        raise ValueError("p0 must differ from the well")
+    return p0
+
+
+def _flow_matrix(beta: float, lambda1: float, lambda2: float) -> np.ndarray:
+    """M with dp/dtau = M p for the arc's field in the time dtau = dt / F^2.
+
+    For beta < 0 the flow of V_beta leaves the well, so the field is
+    reversed; either way M has trace -|sin beta| (l1 + l2) and determinant
+    l1 l2, so exp(M tau) p0 runs into the well.
+    """
+    s, c = math.sin(beta), math.cos(beta)
+    return math.copysign(1.0, beta) * np.array([[-s * lambda1, -c * lambda2],
+                                                [c * lambda1, -s * lambda2]])
+
+
+def _arc_area(p0: np.ndarray, beta: float, lambda1: float,
+              lambda2: float) -> float:
+    """Enclosed area, the integral of p1 dp2 along the arc into the well.
+
+    Along p = exp(M tau) p0 the integrand p1 (M p)_2 is the quadratic form
+    p^T Q p with Q = e1 M[1]^T, so its integral over [0, inf) is
+    p0^T X p0, where X solves the Lyapunov equation M^T X + X M = -Q.
+    """
+    M = _flow_matrix(beta, lambda1, lambda2)
+    X = solve_continuous_lyapunov(M.T, -np.outer([1.0, 0.0], M[1]))
+    return float(p0 @ X @ p0)
+
+
+def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
+                             n_out: Optional[int] = None) -> Curve:
+    """Sample the arc from p0 toward the well and return it as a polyline.
+
+    The arc is exp(M tau) p0, sampled at n_out uniform steps of tau up to
+    the level of rt that certifies |p| <= 1e-6 |p0|; the returned polyline
+    then ends at an appended exact origin vertex.  Uniform tau is
+    near-uniform in the logarithm of rt, which equidistributes winding.  By
+    default n_out grows with the winding, one vertex per 2e-3 radians, and
+    lies between 4000 and 2e5.
+    """
+    p0 = _point(p0)
     if beta == 0.0:
         raise NonConvergence("beta = 0: the flow cycles on its level set and "
                              "never reaches the stop radius")
     if not (-math.pi / 2 <= beta <= math.pi / 2):
         raise ValueError("beta must lie in [-pi/2, pi/2]")
-    norm0 = float(np.linalg.norm(p0))
-    if norm0 == 0.0:
-        raise ValueError("p0 must differ from the well")
-    if stop_radius is None:
-        stop_radius = 1e-6 * norm0
+    if n_out is not None and n_out < 2:
+        raise ValueError("n_out must be at least 2")
+    M = _flow_matrix(beta, lambda1, lambda2)
     lam_min = min(lambda1, lambda2)
-    rt0 = float(rtilde(p0, lambda1, lambda2))
-    rt_stop = 0.5 * lam_min * stop_radius**2
-    if rt_stop >= rt0:
-        raise ValueError("stop_radius does not separate p0 from the well")
-
-    sign = 1.0 if beta > 0.0 else -1.0
-    s = abs(math.sin(beta))
-    t_end = (rt0 - rt_stop) / s
-
-    def rhs(_t, y):
-        f2 = lambda1**2 * y[0]**2 + lambda2**2 * y[1]**2
-        vx = math.cos(beta) * (-lambda2 * y[1]) - math.sin(beta) * lambda1 * y[0]
-        vy = math.cos(beta) * (lambda1 * y[0]) - math.sin(beta) * lambda2 * y[1]
-        dx, dy = sign * vx / f2, sign * vy / f2
-        return (dx, dy, y[0] * dy)
-
-    t_eval = None
-    if n_out is not None:
-        # log-spaced level values give near-uniform turning per sample
-        rts = rt0 * (rt_stop / rt0) ** (np.arange(n_out) / (n_out - 1))
-        t_eval = (rt0 - rts) / s
-        t_eval[0] = 0.0
-        t_eval[-1] = t_end
-
-    sol = solve_ivp(rhs, (0.0, t_end), (p0[0], p0[1], 0.0), method="RK45",
-                    rtol=rtol, atol=1e-13 * norm0, t_eval=t_eval,
-                    dense_output=False)
-    if not sol.success:
-        raise NonConvergence(f"integration failed: {sol.message}")
-    pts = sol.y.T[:, :2]
-    px, py = pts[-1]
-    arc_area = float(sol.y[2, -1]) - 0.5 * px * py
-    pts = np.vstack([pts, [0.0, 0.0]])
-    return Curve(pts), arc_area
-
-
-def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
-                             stop_radius: Optional[float] = None,
-                             rtol: float = 1e-10,
-                             n_out: Optional[int] = None) -> Curve:
-    """Integrate the arc from p0 toward the well and return it as a polyline.
-
-    For beta < 0 the flow of V_beta leaves the well, so the reversed field
-    is integrated instead; either way the returned polyline runs from p0 to
-    an appended exact origin vertex.  Integration stops once |p| is certified
-    below stop_radius (default 1e-6 |p0|) via the level function, whose decay
-    rate |sin beta| fixes the required time span in closed form.
-
-    n_out requests a denser output polyline sampled equidistributed in the
-    logarithm of the level function, which equidistributes winding.
-    """
-    curve, _ = _integrate_with_area(p0, beta, lambda1, lambda2,
-                                    stop_radius=stop_radius, rtol=rtol,
-                                    n_out=n_out)
-    return curve
-
-
-def _winding(curve: Curve) -> float:
-    v = curve.vertices[:-1]  # drop appended origin
-    ang = np.unwrap(np.arctan2(v[:, 1], v[:, 0]))
-    return float(np.abs(np.diff(ang)).sum())
-
-
-def _area_at(p0, beta, lambda1, lambda2, rtol):
-    c, a = _integrate_with_area(p0, beta, lambda1, lambda2, rtol=rtol)
-    return a, c
+    sin = abs(math.sin(beta))
+    rt_stop = 0.5 * lam_min * _STOP_RADIUS**2 * float(p0 @ p0)
+    # rt falls at the rate |sin beta| F^2 >= 2 lam_min |sin beta| rt, so the
+    # stop level is passed before tau_max
+    tau_max = (math.log(float(rtilde(p0, lambda1, lambda2)) / rt_stop)
+               / (2.0 * lam_min * sin))
+    tau_end = brentq(lambda tau: rtilde(expm(M * tau) @ p0, lambda1, lambda2)
+                     - rt_stop, 0.0, tau_max * 2.0)
+    if n_out is None:
+        # the flow turns at the imaginary part of M's eigenvalues
+        omega = math.sqrt(max(lambda1 * lambda2
+                              - (0.5 * sin * (lambda1 + lambda2))**2, 0.0))
+        n_out = int(min(2e5, max(4000, omega * tau_end / 2e-3)))
+    step = expm(M * (tau_end / (n_out - 1)))
+    pts = p0[None, :]
+    while len(pts) < n_out:
+        # step advances by len(pts) samples, so each pass doubles the samples
+        pts = np.vstack([pts, pts @ step.T])
+        step = step @ step
+    return Curve(np.vstack([pts[:n_out], [0.0, 0.0]]))
 
 
 def solve_beta_for_area(p0, A: float, lambda1: float, lambda2: float,
-                        tol_A: Optional[float] = None,
-                        beta_hint: Optional[float] = None,
-                        rtol: float = 1e-9) -> float:
+                        beta_hint: Optional[float] = None) -> float:
     """Invert the monotone map beta -> enclosed area of the arc to the well.
 
     The map decreases from +inf (beta -> 0+) through the beta = pi/2 value
-    and on down to -inf (beta -> 0-); both half-branches are searched with a
-    bracketing secant/bisection hybrid on the integrator-accurate running
-    area (the output polyline's own quadrature error does not enter).
+    and on down to -inf (beta -> 0-).  The half-branch that holds A is
+    bracketed by halving beta from +-pi/4, or taken from the +-0.05 window
+    around beta_hint when that brackets A, and the root is found by brentq
+    on the exact area.
     """
-    p0 = np.asarray(p0, dtype=float)
-    if tol_A is None:
-        tol_A = 1e-8 * (1.0 + abs(A))
-
-    a_mid, _ = _area_at(p0, math.pi / 2, lambda1, lambda2, rtol)
-    if abs(A - a_mid) <= tol_A:
-        return math.pi / 2
+    p0 = _point(p0)
+    A = float(A)
+    if not math.isfinite(A):
+        raise ValueError("the area A must be finite")
 
     def f(beta):
-        val, _ = _area_at(p0, beta, lambda1, lambda2, rtol)
-        return val - A
+        return _arc_area(p0, beta, lambda1, lambda2) - A
 
+    f_mid = f(math.pi / 2)
+    if abs(f_mid) <= _AREA_TOL * float(p0 @ p0):
+        return math.pi / 2
     if beta_hint is not None and beta_hint != 0.0:
         lo = max(-math.pi / 2, beta_hint - 0.05)
         hi = min(math.pi / 2, beta_hint + 0.05)
-        if lo != 0.0 and hi != 0.0 and np.sign(lo) == np.sign(hi):
-            flo, fhi = f(lo), f(hi)
-            if flo == 0.0:
-                return lo
-            if fhi == 0.0:
-                return hi
-            if flo * fhi < 0.0:
-                return _refine(f, lo, hi, flo, fhi, tol_A)
-
-    if A > a_mid:
-        # positive branch: area decreases from +inf at 0+ to a_mid at pi/2
-        hi = math.pi / 2
-        fhi = a_mid - A  # negative
-        lo = math.pi / 4
-        flo = f(lo)
-        budget = _ROOT_BUDGET
-        while flo < 0.0 and budget > 0:
-            hi, fhi = lo, flo
-            lo *= 0.5
-            flo = f(lo)
-            budget -= 1
-        if flo < 0.0:
-            raise NoRoot("failed to bracket the requested area above pi/2 value")
-        return _refine(f, lo, hi, flo, fhi, tol_A)
-
-    # negative branch: area decreases from the pi/2 value at -pi/2 to -inf at 0-
-    lo = -math.pi / 2
-    flo = a_mid - A  # positive
-    hi = -math.pi / 4
-    fhi = f(hi)
-    budget = _ROOT_BUDGET
-    while fhi > 0.0 and budget > 0:
-        lo, flo = hi, fhi
-        hi *= 0.5
-        fhi = f(hi)
-        budget -= 1
-    if fhi > 0.0:
-        raise NoRoot("failed to bracket the requested area below the -pi/2 value")
-    return _refine(f, lo, hi, flo, fhi, tol_A)
-
-
-def _refine(f, lo, hi, flo, fhi, ftol):
-    """Bracketing root refinement: secant steps with bisection fallback."""
-    width = abs(hi - lo)
+        if lo * hi > 0.0 and f(lo) * f(hi) <= 0.0:
+            return brentq(f, lo, hi, xtol=_BETA_XTOL)
+    # A above the pi/2 value lies on the positive half-branch, A below it on
+    # the negative one; halve beta toward 0 until the area passes A
+    outer = math.copysign(math.pi / 2, -f_mid)
     for _ in range(_ROOT_BUDGET):
-        if fhi != flo:
-            x = hi - fhi * (hi - lo) / (fhi - flo)
-        else:
-            x = 0.5 * (lo + hi)
-        pad = 0.01 * abs(hi - lo)
-        if not (min(lo, hi) + pad < x < max(lo, hi) - pad):
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) <= ftol:
-            return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        new_width = abs(hi - lo)
-        if new_width > 0.7 * width:
-            # force a bisection to keep the bracket shrinking
-            x = 0.5 * (lo + hi)
-            fx = f(x)
-            if abs(fx) <= ftol:
-                return x
-            if (fx > 0.0) == (flo > 0.0):
-                lo, flo = x, fx
-            else:
-                hi, fhi = x, fx
-        width = abs(hi - lo)
-    raise NonConvergence("area root refinement exhausted its budget")
+        inner = 0.5 * outer
+        if f(inner) * f_mid <= 0.0:
+            return brentq(f, inner, outer, xtol=_BETA_XTOL)
+        outer = inner
+    raise NoRoot("failed to bracket the requested area")
 
 
 def minimizing_ellipse(p0, lambda1: float, lambda2: float, n: int):
@@ -287,21 +219,15 @@ class HomogeneousSolution:
     lambda2: float
 
 
-def solve_homogeneous(p0, A: float, lambda1: float, lambda2: float,
-                      beta_hint: Optional[float] = None) -> HomogeneousSolution:
-    """Select beta for the requested area and return a finely sampled arc.
-
-    The output polyline is dense enough that its measured weighted length
-    reproduces rt(p0)/sin(beta) to about 1e-6 relative.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    beta = solve_beta_for_area(p0, A, lambda1, lambda2, beta_hint=beta_hint)
-    coarse = integrate_integral_curve(p0, beta, lambda1, lambda2)
-    wind = _winding(coarse)
-    n_out = int(min(2e5, max(4000, wind / 2e-3)))
-    fine = integrate_integral_curve(p0, beta, lambda1, lambda2,
-                                    rtol=1e-10, n_out=n_out)
-    pot = make_homogeneous(lambda1, lambda2)
-    return HomogeneousSolution(p0=p0, beta=beta, curve=fine,
-                               energy=energy(fine, pot), area=area(fine),
-                               lambda1=lambda1, lambda2=lambda2)
+def solve_homogeneous(p0, A: float, lambda1: float,
+                      lambda2: float) -> HomogeneousSolution:
+    """Select beta for the requested area and return the arc with its exact
+    weighted length rt(p0)/|sin beta| and exact enclosed area."""
+    p0 = _point(p0)
+    beta = solve_beta_for_area(p0, A, lambda1, lambda2)
+    return HomogeneousSolution(
+        p0=p0, beta=beta,
+        curve=integrate_integral_curve(p0, beta, lambda1, lambda2),
+        energy=homogeneous_length(p0, beta, lambda1, lambda2),
+        area=_arc_area(p0, beta, lambda1, lambda2),
+        lambda1=lambda1, lambda2=lambda2)

@@ -220,6 +220,13 @@ def test_bad_configs_exit_1(tmp_path):
     for sched in ([0.1, -0.2], [0.1, float("nan")]):
         radii = _solve_cfg(tmp_path, solver={"well_radius_schedule": sched})
         assert main(["solve", radii, "--out", str(out), "--quiet"]) == 1
+    for extra in ({"A": float("inf")}, {"A": float("nan")},
+                  {"A": 0.05, "p0": [1.0, 0.0, 3.0]},
+                  {"A": 0.05, "p0": [float("nan"), 0.0]},
+                  {"A": 0.05, "p0": [0.0, 0.0]}):
+        hom = _write(tmp_path, "hom.json",
+                     {"potential": HOM_POT, "mode": "solve", **extra})
+        assert main(["homogeneous", hom, "--out", str(out), "--quiet"]) == 1
     assert not (out / "result.json").exists()
 
 
