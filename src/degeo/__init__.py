@@ -11,15 +11,14 @@ from .errors import (BubbleDetected, DegenerateHessian, DegeoError,
 from .functionals import (Curve, Curve3, area, area_polar, curve3_to_csv,
                           curve_from_csv, curve_from_json,
                           curve_from_json_dict, curve_to_csv, curve_to_json,
-                          curve_to_json_dict, energy, euclid_length, lift,
-                          reparam_degenerate_arclength, reparam_equipartition)
+                          curve_to_json_dict, energy, euclid_length, lift)
 from .homogeneous import (HomogeneousSolution, field_V_beta,
                           homogeneous_length, integrate_integral_curve,
                           minimizing_ellipse, rtilde, solve_beta_for_area,
                           solve_homogeneous, vertical_fiber_distance)
 from .potential import (Potential, Well, from_json_dict, make_custom,
                         make_homogeneous, make_radial_quartic,
-                        make_two_well_k, well_frame)
+                        make_two_well_k)
 from .radial import (DesingularizedPath, compare_b_negative, delivered_area,
                      energy_RA, existence_threshold, figure1_bundle,
                      lagrange_multiplier_radial, parabola_energy,
@@ -60,9 +59,8 @@ __all__ = [
     "make_two_well_k", "minimize_constrained", "minimize_unconstrained",
     "minimizing_ellipse", "parabola_energy", "parabola_geodesic",
     "path_from_csv", "path_to_csv", "profile_from_csv", "profile_to_csv",
-    "reparam_degenerate_arclength", "reparam_equipartition", "rtilde",
-    "second_variation_spectrum", "solve_C1_for_area", "solve_beta_for_area",
-    "solve_homogeneous", "spiral_from_C1", "to_RA", "to_traveling_wave",
-    "vertex_normals", "vertical_fiber_distance", "vertical_segment_resolution",
-    "wave_residual", "well_frame", "zero_mode_alignment",
+    "rtilde", "second_variation_spectrum", "solve_C1_for_area",
+    "solve_beta_for_area", "solve_homogeneous", "spiral_from_C1", "to_RA",
+    "to_traveling_wave", "vertex_normals", "vertical_fiber_distance",
+    "vertical_segment_resolution", "wave_residual", "zero_mode_alignment",
 ]

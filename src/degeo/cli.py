@@ -50,8 +50,8 @@ from .errors import (BubbleDetected, DegeoError, GapTooLarge, NoRoot,
 from .functionals import Curve, area, curve_to_csv, energy
 from .homogeneous import minimizing_ellipse, solve_homogeneous
 from .potential import from_json_dict as potential_from_json
-from .radial import (existence_threshold, figure1_bundle, parabola_geodesic,
-                     path_to_csv, spiral_from_C1, vertical_segment_resolution)
+from .radial import (figure1_bundle, parabola_geodesic, path_to_csv,
+                     spiral_from_C1, vertical_segment_resolution)
 from .solver import SolverConfig, area_sweep, minimize_constrained
 from .wave import (hamiltonian_energy, hamiltonian_tail_estimate,
                    profile_to_csv, second_variation_spectrum,
@@ -213,7 +213,6 @@ def cmd_homogeneous(config: dict, args) -> int:
 
 
 def cmd_radial(config: dict, args) -> int:
-    out = _out_dir(config, args)
     pot = _potential(config)
     _require_kind(pot, "radial_quartic")
     b = pot.params["b"]
@@ -221,29 +220,34 @@ def cmd_radial(config: dict, args) -> int:
         raise ValueError("the figure bundle needs b > 0")
     R0 = float(config.get("R0", 1.0))
     A_tilde = float(config["A_tilde"])
-    bundle = figure1_bundle(R0, A_tilde, b)
-    _write_json(os.path.join(out, "figure1.json"), bundle)
-    _write_json(os.path.join(out, "result.json"),
-                {"bundle": bundle, "multiplier": 2.0 * bundle["C1"]})
-
-    thr = existence_threshold(R0, b)
-    above = abs(A_tilde) > thr
     n = int(config.get("n", 1024))
+    # every output is computed before any is written, so bad input leaves
+    # nothing behind
+    bundle = figure1_bundle(R0, A_tilde, b)
+    above = abs(A_tilde) > bundle["threshold"]
     if above:
         path, _extent = vertical_segment_resolution(R0, A_tilde, b, n)
     else:
         path = parabola_geodesic(bundle["C1"], b, R0, n)
-    path_to_csv(path, os.path.join(out, "table.csv"))
 
     r_outer = math.sqrt(R0)
     r_inner = float(config.get("r_inner", 1e-3 * r_outer))
+    if not 0.0 < r_inner < r_outer:
+        raise ValueError("need 0 < r_inner < sqrt(R0)")
     if bundle["C1"] != 0.0:
         curve = spiral_from_C1(bundle["C1"], b, r_outer, r_inner)
     else:
         curve = Curve(np.array([[r_outer, 0.0], [r_inner, 0.0]]))
+
+    out = _out_dir(config, args)
+    _write_json(os.path.join(out, "figure1.json"), bundle)
+    _write_json(os.path.join(out, "result.json"),
+                {"bundle": bundle, "multiplier": 2.0 * bundle["C1"]})
+    path_to_csv(path, os.path.join(out, "table.csv"))
     curve_to_csv(curve, os.path.join(out, "curve.csv"))
     if above:
-        log.info("requested area %g exceeds the cap %g", A_tilde, thr)
+        log.info("requested area %g exceeds the cap %g", A_tilde,
+                 bundle["threshold"])
         return 2
     return 0
 

@@ -21,11 +21,10 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .errors import ZeroDensityInterior
 from .potential import Potential
 
 
@@ -173,99 +172,6 @@ def lift(curve: Curve, p3_start: float = 0.0) -> Curve3:
     inc = _area_increments(curve)
     p3 = p3_start + np.concatenate([[0.0], np.cumsum(inc)])
     return Curve3(np.column_stack([curve.path(), p3]))
-
-
-# ---------------------------------------------------------------------------
-# reparametrization
-# ---------------------------------------------------------------------------
-
-def _resample_by_weight(curve: Curve, weights: np.ndarray, n_out: int) -> Curve:
-    """Place n_out vertices along the polyline equidistributed in the
-    cumulative weight (one weight per segment)."""
-    v = curve.path()
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
-    total = cum[-1]
-    if total <= 0.0:
-        raise ValueError("cannot resample a curve of zero total weight")
-    if curve.closed:
-        targets = np.linspace(0.0, total, n_out, endpoint=False)
-    else:
-        targets = np.linspace(0.0, total, n_out)
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0,
-                  len(weights) - 1)
-    w = weights[idx]
-    frac = np.where(w > 0.0, (targets - cum[idx]) / np.where(w > 0, w, 1.0), 0.0)
-    pts = v[idx] + frac[:, None] * (v[idx + 1] - v[idx])
-    if not curve.closed:
-        pts[0] = v[0]
-        pts[-1] = v[-1]
-    return Curve(pts, closed=curve.closed)
-
-
-def _check_interior_density(curve: Curve, potential: Potential):
-    """Interior vertices must not sit on a zero of F unless it is a well
-    (well endpoints are fine; the quadrature never evaluates F there)."""
-    interior = curve.vertices if curve.closed else curve.vertices[1:-1]
-    if interior.shape[0] == 0:
-        return
-    w = potential.eval_W(interior)
-    bad = np.flatnonzero(w <= 0.0)
-    for i in bad:
-        p = interior[i]
-        if not any(np.allclose(p, well.location, atol=1e-12)
-                   for well in potential.wells):
-            raise ZeroDensityInterior(
-                f"density vanishes at interior vertex {p}")
-
-
-def reparam_degenerate_arclength(curve: Curve, potential: Potential,
-                                 n_out: int) -> Curve:
-    """Resample so vertices are equidistributed in the weighted length F ds.
-
-    Endpoint segments touching a well get their one-sided midpoint weight,
-    which is positive, so curves ending at wells are handled naturally.
-    """
-    _check_interior_density(curve, potential)
-    geo = segment_geometry(curve.path(), potential)
-    return _resample_by_weight(curve, geo.F * geo.L, n_out)
-
-
-def reparam_equipartition(curve: Curve, potential: Potential, n_out: int,
-                          w_cut: Optional[float] = None
-                          ) -> Tuple[Curve, np.ndarray]:
-    """Resample in the parameter y defined by dy = ds / sqrt(2 W).
-
-    y diverges logarithmically into a well, so the curve is first truncated
-    where W < w_cut (default 1e-8 times the max of W over the curve); the
-    returned uniform y grid is centered so y = 0 sits mid-profile.  Doubling
-    the number of decades kept (squaring the cut radius) doubles the y span.
-    """
-    _check_interior_density(curve, potential)
-    v = curve.vertices
-    if curve.closed:
-        raise ValueError("equipartition reparametrization expects an arc")
-    w_vert = potential.eval_W(v)
-    if w_cut is None:
-        w_cut = 1e-8 * float(w_vert.max())
-
-    # Clip each end while its vertices sit below the cut.
-    lo = 0
-    while lo < len(v) - 1 and w_vert[lo] < w_cut:
-        lo += 1
-    hi = len(v) - 1
-    while hi > lo and w_vert[hi] < w_cut:
-        hi -= 1
-    if hi - lo < 1:
-        raise ValueError("w_cut removes the whole curve")
-    vv = v[lo:hi + 1]
-
-    geo = segment_geometry(vv)
-    w_mid = np.maximum(potential.eval_W(geo.mid), w_cut * 1e-6)
-    dy = geo.L / np.sqrt(2.0 * w_mid)
-    out = _resample_by_weight(Curve(vv.copy()), dy, n_out)
-    span = float(dy.sum())
-    y = np.linspace(-0.5 * span, 0.5 * span, n_out)
-    return out, y
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def rtilde(p, lambda1: float, lambda2: float):
 
 
 def field_V_beta(p, beta: float, lambda1: float, lambda2: float):
-    """The unit-degenerate-speed field; vectorized over points."""
+    """The unit-degenerate-speed field, at a point or a batch of points."""
     p = np.asarray(p, dtype=float)
     f2 = lambda1**2 * p[..., 0]**2 + lambda2**2 * p[..., 1]**2
     theta = np.stack([-lambda2 * p[..., 1], lambda1 * p[..., 0]], axis=-1)
@@ -192,10 +192,10 @@ def minimizing_ellipse(p0, lambda1: float, lambda2: float, n: int):
     Returns (curve, weighted length of the polyline).  The continuum loop
     earns exactly (l1 + l2) per unit enclosed area.
     """
-    p0 = np.asarray(p0, dtype=float)
+    p0 = _point(p0)
+    if n < 3:
+        raise ValueError("the ellipse needs n >= 3 vertices")
     rt0 = float(rtilde(p0, lambda1, lambda2))
-    if rt0 <= 0.0:
-        raise ValueError("p0 must differ from the well")
     ax = math.sqrt(2.0 * rt0 / lambda1)
     ay = math.sqrt(2.0 * rt0 / lambda2)
     phi0 = math.atan2(p0[1] / ay, p0[0] / ax)

@@ -2,8 +2,10 @@
 
 The conformal density of the degenerate metric is F = sqrt(W); every curve
 functional downstream evaluates W, its gradient, or its Hessian through the
-`Potential` wrapper defined here.  All evaluators are vectorized: they accept
-a single point of shape (2,) or a batch of shape (N, 2).
+`Potential` wrapper defined here.  All evaluators accept a single point of
+shape (2,) or a batch of shape (N, 2), and a custom callable must do the same,
+returning one value per point.  Family parameters must be finite; a bad one
+raises before anything is evaluated.
 
 Built-in families:
 
@@ -11,7 +13,9 @@ Built-in families:
 * radial quartic            W = r^2 + b r^4 about a center, single well
 * two-well composite        W = g(dist to nearest of (-1,0), (1,0)) with
                             g(r) = r^2 + (k^2-1) r^4 capped at k^2 for r >= 1
-* custom                    user callable, optional analytic derivatives
+* custom                    user callables on batches of points, optional
+                            analytic derivatives (else central finite
+                            differences)
 
 The two-well composite is Lipschitz but not C^1 across the unit circles and
 the vertical axis; derivative queries on those sets return the one-sided
@@ -20,6 +24,7 @@ value from inside the near disc.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -55,49 +60,48 @@ class Potential:
     """Bundle of W and its derivatives plus declared wells."""
 
     def __init__(self, kind, params, wells_locations, eval_W, grad_W=None,
-                 hess_W=None, vectorized=True):
+                 hess_W=None):
         self.kind = kind
         self.params = dict(params)
         self._eval = eval_W
         self._grad = grad_W
         self._hess = hess_W
-        self._vectorized = vectorized
         locs = [np.asarray(w, dtype=float) for w in wells_locations]
         self.wells = [self._make_well(loc) for loc in locs]
 
     # -- evaluation ---------------------------------------------------------
 
-    def _batched(self, fn, p, out_shape):
-        """Run a scalar-point callable over a batch."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return np.asarray(fn(p), dtype=float)
-        out = np.empty((p.shape[0],) + out_shape, dtype=float)
-        for i in range(p.shape[0]):
-            out[i] = fn(p[i])
+    def _call(self, fn, p, shape) -> np.ndarray:
+        """fn(p) as floats, checked to hold one value of `shape` per point."""
+        try:
+            out = np.asarray(fn(p), dtype=float)
+        except (IndexError, TypeError) as exc:
+            raise self._per_point_error(p) from exc
+        if out.shape != shape:
+            raise self._per_point_error(p)
         return out
+
+    def _per_point_error(self, p) -> ValueError:
+        return ValueError(f"{self.kind} potential: W and its derivatives "
+                          f"must take a batch of points and return one value "
+                          f"per point; they failed on points of shape "
+                          f"{p.shape}")
 
     def eval_W(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self._vectorized:
-            return np.asarray(self._eval(p), dtype=float)
-        return self._batched(self._eval, p, ())
+        return self._call(self._eval, p, p.shape[:-1])
 
     def grad_W(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self._grad is not None:
-            if self._vectorized:
-                return np.asarray(self._grad(p), dtype=float)
-            return self._batched(self._grad, p, (2,))
-        return self._fd_grad(p)
+        if self._grad is None:
+            return self._fd_grad(p)
+        return self._call(self._grad, p, p.shape)
 
     def hess_W(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self._hess is not None:
-            if self._vectorized:
-                return np.asarray(self._hess(p), dtype=float)
-            return self._batched(self._hess, p, (2, 2))
-        return self._fd_hess(p)
+        if self._hess is None:
+            return self._fd_hess(p)
+        return self._call(self._hess, p, p.shape + (2,))
 
     def eval_F(self, p) -> np.ndarray:
         """Conformal density sqrt(W); zero exactly at the wells."""
@@ -160,7 +164,7 @@ class Potential:
         hess = self.hess_W(loc)
         hess = 0.5 * (hess + hess.T)
         eigval, eigvec = np.linalg.eigh(hess)
-        if np.any(eigval <= 1e-10):
+        if not np.all(eigval > 1e-10):
             raise DegenerateHessian(
                 f"well at {loc}: Hessian eigenvalues {eigval} not positive")
         # W ~ l^2 q^2 along an eigendirection means the Hessian eigenvalue
@@ -230,8 +234,8 @@ def from_json_dict(data: dict) -> Potential:
 
 def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
     """W(p) = lambda1^2 p1^2 + lambda2^2 p2^2, single well at the origin."""
-    if lambda1 <= 0.0 or lambda2 <= 0.0:
-        raise NonPositiveEigenvalue("both rates must be positive")
+    if not (0.0 < lambda1 < math.inf and 0.0 < lambda2 < math.inf):
+        raise NonPositiveEigenvalue("both rates must be finite and positive")
     l1s, l2s = lambda1**2, lambda2**2
 
     def w(p):
@@ -260,11 +264,16 @@ def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Pote
     For b < 0 the density vanishes on the circle r = 1/sqrt(-b); the
     working disc of radius r_max must stay strictly inside it.
     """
-    b = float(b)
-    if b <= 0.0 and b <= -1.0 / r_max**2:
-        raise InvalidCoefficient(
-            f"b = {b} makes W vanish within the working disc of radius {r_max}")
+    b, r_max = float(b), float(r_max)
     c = np.asarray(center, dtype=float)
+    if c.shape != (2,) or not np.all(np.isfinite(c)):
+        raise ValueError("center must be a finite point (p1, p2)")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError("r_max must be finite and positive")
+    if not -1.0 / r_max**2 < b < math.inf:
+        raise InvalidCoefficient(
+            f"b = {b} is not finite or makes W vanish within the working "
+            f"disc of radius {r_max}")
 
     def w(p):
         p = np.asarray(p, dtype=float)
@@ -303,8 +312,9 @@ def make_two_well_k(k: float) -> Potential:
     disc this is the radial quartic with b = k^2 - 1.
     """
     k = float(k)
-    if k <= 1.0:
-        raise InvalidK("need k > 1 so the plateau sits above the quartic bowl")
+    if not 1.0 < k < math.inf:
+        raise InvalidK("need a finite k > 1 so the plateau sits above the "
+                       "quartic bowl")
     b = k * k - 1.0
 
     def split(p):
@@ -349,15 +359,11 @@ def make_two_well_k(k: float) -> Potential:
                      w, grad, hess)
 
 
-def make_custom(eval_W: Callable, wells=(), grad_W=None, hess_W=None,
-                vectorized: bool = True) -> Potential:
-    """Wrap a user potential; missing derivatives fall back to central
-    finite differences with step 1e-5 * max(1, |p|)."""
-    return Potential("custom", {}, list(wells), eval_W, grad_W, hess_W,
-                     vectorized=vectorized)
-
-
-def well_frame(potential: Potential, index: int) -> Well:
-    """Recompute the quadratic well data at wells[index] from the Hessian."""
-    loc = potential.wells[index].location
-    return potential._make_well(np.asarray(loc, dtype=float))
+def make_custom(eval_W: Callable, wells=(), grad_W=None,
+                hess_W=None) -> Potential:
+    """Wrap a user potential.  Every callable must work on batches like the
+    built-ins: points of shape (..., 2) give W of shape (...), grad W of
+    shape (..., 2) and hess W of shape (..., 2, 2); anything else raises
+    ValueError.  Missing derivatives fall back to central finite
+    differences with step 1e-5 * max(1, |p|)."""
+    return Potential("custom", {}, list(wells), eval_W, grad_W, hess_W)

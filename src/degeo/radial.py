@@ -86,8 +86,8 @@ def energy_RA(path: DesingularizedPath) -> float:
 
 def existence_threshold(R0: float, b: float) -> float:
     """Largest attainable |polar area| for a graph path hitting the axis."""
-    if b <= 0.0 or R0 <= 0.0:
-        raise InvalidCoefficient("threshold requires b > 0 and R0 > 0")
+    if not (0.0 < b < math.inf and 0.0 < R0 < math.inf):
+        raise InvalidCoefficient("threshold requires finite b > 0 and R0 > 0")
     return math.sqrt(R0) / (2.0 * math.sqrt(b))
 
 
@@ -122,6 +122,8 @@ def parabola_geodesic(C1: float, b: float, R0: float, n: int) -> DesingularizedP
 def solve_C1_for_area(R0: float, A_tilde: float, b: float) -> float:
     """Invert the odd, strictly increasing map C1 -> delivered polar area."""
     thr = existence_threshold(R0, b)
+    if not math.isfinite(A_tilde):
+        raise ValueError("A_tilde must be finite")
     if abs(A_tilde) > thr:
         raise NonExistence(
             f"|area| = {abs(A_tilde)} exceeds the attainable cap {thr}")
@@ -250,6 +252,8 @@ def vertical_segment_resolution(R0: float, A_tilde: float,
     position along the axis is cost-free.
     """
     thr = existence_threshold(R0, b)
+    if not math.isfinite(A_tilde):
+        raise ValueError("A_tilde must be finite")
     if abs(A_tilde) <= thr:
         raise NotInNonexistenceRegime(
             f"|area| = {abs(A_tilde)} is attainable (cap {thr})")
@@ -293,6 +297,8 @@ def figure1_bundle(R0: float, A_tilde: float, b: float) -> dict:
     carries the excess area at marginal cost 1/2 per unit of alpha.
     """
     thr = existence_threshold(R0, b)
+    if not math.isfinite(A_tilde):
+        raise ValueError("A_tilde must be finite")
     if abs(A_tilde) <= thr:
         c1 = solve_C1_for_area(R0, A_tilde, b)
         extent = 0.0

@@ -41,13 +41,10 @@ from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonConvergence, ZeroDensityInterior
-from .functionals import (Curve, _resample_by_weight, area, energy,
-                          segment_geometry)
+from .functionals import Curve, area, energy, segment_geometry
 from .potential import Potential
 
 log = logging.getLogger("degeo.solver")
-
-_DEFAULT_SCHEDULE = (1e-1, 1e-2, 1e-3)
 
 # projected-gradient tolerance (gtol) of the L-BFGS-B inner solves
 _TOL_GRAD = 1e-8
@@ -76,28 +73,12 @@ _TOL_EL = 1e-9
 @dataclass
 class SolverConfig:
     n_vertices: int = 256
-    # None: [1e-1, 1e-2, 1e-3] scaled by the well separation at solve time
-    well_radius_schedule: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if not isinstance(self.n_vertices, numbers.Integral):
             raise ValueError("n_vertices must be an integer")
         if self.n_vertices < 3:
             raise ValueError("n_vertices must be at least 3")
-        if self.well_radius_schedule is not None:
-            sched = list(self.well_radius_schedule)
-            if not all(isinstance(r, numbers.Real) and math.isfinite(r)
-                       and r > 0.0 for r in sched):
-                raise ValueError("well_radius_schedule entries must be "
-                                 "finite and positive")
-            if not sched or any(a <= b for a, b in zip(sched, sched[1:])):
-                raise ValueError("well_radius_schedule must be strictly decreasing")
-
-    def schedule(self, potential: Potential, fallback_scale: float) -> List[float]:
-        if self.well_radius_schedule is not None:
-            return list(self.well_radius_schedule)
-        sep = potential.well_separation() or fallback_scale
-        return [r * sep for r in _DEFAULT_SCHEDULE]
 
 
 @dataclass
@@ -391,8 +372,22 @@ def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
         wells = np.array([w.location for w in potential.wells])
         d = np.linalg.norm(geo.mid[:, None, :] - wells[None], axis=2).min(1)
         monitor = monitor + np.sqrt(geo.L.mean() / np.maximum(d, 1e-300))
-    return _resample_by_weight(Curve(v), monitor * geo.L,
-                               v.shape[0]).vertices
+    # equidistribute the cumulative weight monitor * L; the ends stay put
+    weights = monitor * geo.L
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    total = cum[-1]
+    if total <= 0.0:
+        raise ValueError("cannot resample a curve of zero total weight")
+    targets = np.linspace(0.0, total, v.shape[0])
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0,
+                  len(weights) - 1)
+    w = weights[idx]
+    frac = np.where(w > 0.0,
+                    (targets - cum[idx]) / np.where(w > 0, w, 1.0), 0.0)
+    out = v[idx] + frac[:, None] * (v[idx + 1] - v[idx])
+    out[0] = v[0]
+    out[-1] = v[-1]
+    return out
 
 
 def _polish_converged(res: float, c: float, tol_c: float) -> bool:
@@ -596,19 +591,26 @@ def estimate_multiplier(curve: Curve, potential: Potential
 # leakage diagnostics
 # ---------------------------------------------------------------------------
 
-def detect_area_leakage(result: SolveResult, potential: Potential,
-                        config: SolverConfig) -> dict:
+def _probe_radii(potential: Potential, chord: float) -> List[float]:
+    """The leakage probe radii of `detect_area_leakage`, largest first."""
+    sep = potential.well_separation() or chord
+    return [r * sep for r in (1e-1, 1e-2, 1e-3)]
+
+
+def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
     """Per-well, per-radius account of area and arclength near the wells.
 
-    Flags non-existence when the area parked inside a well neighborhood
-    refuses to shrink with the neighborhood (consecutive ratio > 0.5 down
-    the whole radius schedule) while the reported multiplier sits within
-    10 percent of that well's packing rate lambda1 + lambda2.  On a
-    certificate the loop's segments count `loop_count` times each.
+    The probe radii are 1e-1, 1e-2 and 1e-3 times the well separation, or
+    times the chord |p_plus - p_minus| with fewer than two wells.  Flags
+    non-existence when the area parked inside a well neighborhood refuses
+    to shrink with the neighborhood (consecutive ratio > 0.5 down all the
+    radii) while the reported multiplier sits within 10 percent of that
+    well's packing rate lambda1 + lambda2.  On a certificate the loop's
+    segments count `loop_count` times each.
     """
     v = result.curve.vertices
     scale = float(np.linalg.norm(v[-1] - v[0])) or 1.0
-    schedule = config.schedule(potential, scale)
+    radii = _probe_radii(potential, scale)
     geo = segment_geometry(v)
     seg, L, mid = geo.seg, geo.L, geo.mid
     mult = (np.ones(L.size) if result.packed is None
@@ -619,7 +621,7 @@ def detect_area_leakage(result: SolveResult, potential: Potential,
     for i, well in enumerate(potential.wells):
         d = np.linalg.norm(mid - well.location, axis=1)
         levels = []
-        for r in schedule:
+        for r in radii:
             inside = d < r
             # area form recentered on the well: exact for loops closed
             # around it and immune to the global choice of origin
@@ -657,8 +659,7 @@ def detect_area_leakage(result: SolveResult, potential: Potential,
 # ---------------------------------------------------------------------------
 
 def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
-                        potential: Potential, config: SolverConfig
-                        ) -> Optional[SolveResult]:
+                        potential: Potential) -> Optional[SolveResult]:
     """Trunk plus the whole area excess parked in loops at one well.
 
     Straight legs run from p to an anchor on the +x axis of the cheapest
@@ -678,7 +679,7 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     i_well = int(np.argmin(lam_sums))
     well = potential.wells[i_well]
     scale = float(np.linalg.norm(q - p)) or 1.0
-    rho = 0.85 * min(config.schedule(potential, scale))
+    rho = 0.85 * min(_probe_radii(potential, scale))
 
     n_leg = 2048
     leg_in = _straight(p, well.location + np.array([rho, 0.0]), n_leg)
@@ -738,15 +739,14 @@ def _result(curve: Curve, potential: Potential, A_target: float,
                        packed=packed)
 
 
-def _finish(result: SolveResult, potential: Potential,
-            config: SolverConfig) -> SolveResult:
+def _finish(result: SolveResult, potential: Potential) -> SolveResult:
     """Fill in the EL residual and the leakage report."""
     try:
         result.el_residual_max = el_residual(result.curve, potential,
                                              result.multiplier)
     except ZeroDensityInterior:
         result.el_residual_max = float("inf")
-    report = detect_area_leakage(result, potential, config)
+    report = detect_area_leakage(result, potential)
     result.leakage_report = report
     result.nonexistence_suspected = report["nonexistence_suspected"]
     return result
@@ -802,8 +802,7 @@ def minimize_unconstrained(p, q, potential: Potential,
     v, _, res, _, _ = _newton_polish(v, potential, None, 0.0)
     ok = _polish_converged(res, 0.0, 0.0)
     curve = Curve(v)
-    return _finish(_result(curve, potential, area(curve), 0.0, ok),
-                   potential, config)
+    return _finish(_result(curve, potential, area(curve), 0.0, ok), potential)
 
 
 def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
@@ -862,16 +861,16 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
 
     converged = not (infeasible or failed) and math.isfinite(mu)
     result = _finish(_result(Curve(v), potential, A, -mu, converged),
-                     potential, config)
+                     potential)
 
     # non-existence continuation: try parking the area surplus at a well
     if potential.wells:
         lam_gate = 0.8 * min(w.lambda1 + w.lambda2 for w in potential.wells)
         if abs(result.multiplier) >= lam_gate or not result.converged:
-            cand = _packed_certificate(p, q, A, potential, config)
+            cand = _packed_certificate(p, q, A, potential)
             if cand is not None and (cand.energy < result.energy
                                      or not result.converged):
-                cand = _finish(cand, potential, config)
+                cand = _finish(cand, potential)
                 # beat a converged minimizer outright, or replace a failed
                 # solve only with the full leakage signature; otherwise
                 # keep the failure visible

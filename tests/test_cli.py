@@ -158,6 +158,18 @@ def test_radial_below_threshold(tmp_path):
     assert spiral[0] == "p1,p2"
 
 
+def test_radial_bad_input_exits_1_writing_nothing(tmp_path):
+    out = tmp_path / "out"
+    for extra in ({"R0": float("nan")}, {"R0": float("inf")},
+                  {"A_tilde": float("inf")}, {"A_tilde": float("nan")},
+                  {"n": 1}, {"r_inner": 0.0}, {"r_inner": 1.5},
+                  {"A_tilde": 0.0, "r_inner": -0.5}):
+        cfg = _write(tmp_path, "radbad.json", {
+            "potential": RADIAL_POT, "R0": 1.0, "A_tilde": 0.3, **extra})
+        assert main(["radial", cfg, "--out", str(out), "--quiet"]) == 1
+        assert not out.exists() or not any(out.iterdir()), extra
+
+
 def test_radial_above_threshold_exits_2_with_bundle(tmp_path):
     cfg = _write(tmp_path, "radhi.json", {
         "potential": RADIAL_POT, "R0": 1.0, "A_tilde": 0.7})
@@ -227,6 +239,16 @@ def test_bad_configs_exit_1(tmp_path):
         hom = _write(tmp_path, "hom.json",
                      {"potential": HOM_POT, "mode": "solve", **extra})
         assert main(["homogeneous", hom, "--out", str(out), "--quiet"]) == 1
+    for extra in ({"p0": [float("nan"), 0.0]}, {"n": 2}):
+        ell = _write(tmp_path, "ell.json",
+                     {"potential": HOM_POT, "mode": "ellipse", **extra})
+        assert main(["homogeneous", ell, "--out", str(out), "--quiet"]) == 1
+    for pot in ({"kind": "homogeneous",
+                 "params": {"lambda1": float("nan"), "lambda2": 2.0}},
+                {"kind": "radial_quartic", "params": {"b": float("nan")}},
+                {"kind": "two_well", "params": {"k": float("inf")}}):
+        bad_pot = _solve_cfg(tmp_path, potential=pot)
+        assert main(["solve", bad_pot, "--out", str(out), "--quiet"]) == 1
     assert not (out / "result.json").exists()
 
 

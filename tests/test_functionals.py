@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from degeo import (Curve, Curve3, ZeroDensityInterior, area, area_polar,
-                   curve3_to_csv, curve_from_csv, curve_from_json,
-                   curve_from_json_dict, curve_to_csv, curve_to_json,
-                   curve_to_json_dict, energy, euclid_length, lift,
-                   make_homogeneous, make_two_well_k,
-                   reparam_degenerate_arclength, reparam_equipartition)
+from degeo import (Curve, Curve3, area, area_polar, curve3_to_csv,
+                   curve_from_csv, curve_from_json, curve_from_json_dict,
+                   curve_to_csv, curve_to_json, curve_to_json_dict, energy,
+                   euclid_length, lift, make_homogeneous)
 from degeo.functionals import segment_geometry, table_from_csv, table_to_csv
 from degeo.radial import path_from_csv
 from degeo.wave import profile_from_csv
@@ -107,59 +105,6 @@ def test_lift_accumulates_area():
     assert lifted.project().vertices.shape == (65, 2)
     open_c = Curve(RNG.normal(size=(10, 2)))
     assert lift(open_c).third_delta == pytest.approx(area(open_c), rel=1e-12)
-
-
-def test_reparam_degenerate_arclength_equalizes_weight():
-    pot = make_homogeneous(1.0, 1.0)
-    x = np.geomspace(0.1, 2.0, 400)
-    c = Curve(np.stack([x, np.full_like(x, 0.5)], axis=1))
-    out = reparam_degenerate_arclength(c, pot, 101)
-    v = out.vertices
-    assert v[0] == pytest.approx(c.vertices[0])
-    assert v[-1] == pytest.approx(c.vertices[-1])
-    seg = v[1:] - v[:-1]
-    w = pot.eval_F(0.5 * (v[1:] + v[:-1])) * np.linalg.norm(seg, axis=1)
-    assert w.max() / w.min() == pytest.approx(1.0, abs=0.05)
-
-
-def test_reparam_rejects_interior_zero_density():
-    # zero of F that is not a declared well
-    from degeo import make_custom
-    pot = make_custom(lambda p: np.asarray(p)[..., 0] ** 2, wells=())
-    v = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ZeroDensityInterior):
-        reparam_degenerate_arclength(Curve(v), pot, 16)
-    # interior vertex sitting exactly at a well is allowed
-    two = make_two_well_k(2.0)
-    ok = np.array([[-1.5, 0.0], [-1.0, 0.0], [0.5, 0.0]])
-    reparam_degenerate_arclength(Curve(ok), two, 16)
-
-
-def test_reparam_equipartition_basics():
-    pot = make_two_well_k(2.0)
-    x = np.linspace(-1.0, 1.0, 401)
-    c = Curve(np.stack([x, np.zeros_like(x)], axis=1))
-    out, y = reparam_equipartition(c, pot, 65)
-    assert len(y) == 65
-    assert y[0] == pytest.approx(-y[-1])  # centered window
-    assert np.all(np.diff(y) > 0)
-    h = np.diff(y)
-    assert h.max() == pytest.approx(h.min())  # uniform y grid
-    with pytest.raises(ValueError):
-        reparam_equipartition(_circle(1.0, 32), pot, 16)
-
-
-def test_reparam_equipartition_logarithmic_tail_growth():
-    # near a well with unit rates, dy = ds / sqrt(2 W) ~ dr / (sqrt(2) r),
-    # so shrinking the cut radius by 1e4 on both ends adds sqrt(2) ln(1e4)
-    pot = make_two_well_k(2.0)
-    r = np.geomspace(1e-10, 1.0, 3000)
-    x = np.concatenate([-1.0 + r, (1.0 - r)[::-1]])
-    c = Curve(np.stack([x, np.zeros_like(x)], axis=1))
-    _, y1 = reparam_equipartition(c, pot, 33, w_cut=1e-8)
-    _, y2 = reparam_equipartition(c, pot, 33, w_cut=1e-16)
-    delta = (y2[-1] - y2[0]) - (y1[-1] - y1[0])
-    assert delta == pytest.approx(math.sqrt(2.0) * math.log(1e4), rel=1e-2)
 
 
 def test_csv_roundtrip():

@@ -124,6 +124,11 @@ def test_bad_input_raises_value_error():
             integrate_integral_curve(bad_p0, 0.5, 1.0, 2.0)
         with pytest.raises(ValueError):
             solve_homogeneous(bad_p0, 0.1, 1.0, 2.0)
+        with pytest.raises(ValueError):
+            minimizing_ellipse(bad_p0, 1.0, 2.0, 64)
+    for n in (2, 1, 0):
+        with pytest.raises(ValueError):
+            minimizing_ellipse([1.0, 0.0], 1.0, 2.0, n)
     for bad_A in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             solve_beta_for_area([1.0, 0.0], bad_A, 1.0, 2.0)

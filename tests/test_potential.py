@@ -3,8 +3,7 @@ import pytest
 
 from degeo import (DegenerateHessian, InvalidCoefficient, InvalidK,
                    NonPositiveEigenvalue, from_json_dict, make_custom,
-                   make_homogeneous, make_radial_quartic, make_two_well_k,
-                   well_frame)
+                   make_homogeneous, make_radial_quartic, make_two_well_k)
 
 RNG = np.random.default_rng(7)
 
@@ -119,15 +118,42 @@ def test_custom_finite_difference_fallback():
         assert pot_fd.hess_W(p) == pytest.approx(h_exact, rel=1e-4, abs=1e-4)
 
 
-def test_custom_scalar_callable_path():
+def test_custom_scalar_callable_rejected():
     def W(p):
         return float(p[0] ** 2 + 4.0 * p[1] ** 2)
 
-    pot = make_custom(W, wells=[(0.0, 0.0)], vectorized=False)
-    pts = RNG.normal(size=(6, 2))
-    assert pot.eval_W(pts) == pytest.approx(pts[:, 0] ** 2 + 4 * pts[:, 1] ** 2)
-    assert pot.grad_W(pts).shape == (6, 2)
-    assert pot.wells[0].lambda2 == pytest.approx(2.0, rel=1e-4)
+    # the well's finite-difference Hessian asks W for a batch of points
+    with pytest.raises(ValueError, match="one value per point"):
+        make_custom(W, wells=[(0.0, 0.0)])
+    pot = make_custom(W, wells=())
+    with pytest.raises(ValueError, match="one value per point"):
+        pot.eval_W(RNG.normal(size=(6, 2)))
+    quad = make_custom(lambda p: np.sum(np.asarray(p) ** 2, axis=-1),
+                       grad_W=lambda p: np.zeros(2))
+    with pytest.raises(ValueError, match="one value per point"):
+        quad.grad_W(RNG.normal(size=(6, 2)))
+
+
+def test_non_finite_parameters_rejected():
+    nan, inf = np.nan, np.inf
+    for rates in ((nan, 2.0), (1.0, inf)):
+        with pytest.raises(NonPositiveEigenvalue):
+            make_homogeneous(*rates)
+    for b in (nan, inf):
+        with pytest.raises(InvalidCoefficient):
+            make_radial_quartic(b)
+    for kwargs in ({"center": (nan, 0.0)}, {"center": (0.0, 0.0, 1.0)},
+                   {"r_max": nan}, {"r_max": inf}, {"r_max": 0.0}):
+        with pytest.raises(ValueError):
+            make_radial_quartic(1.0, **kwargs)
+    for k in (nan, inf):
+        with pytest.raises(InvalidK):
+            make_two_well_k(k)
+    # NaN Hessian eigenvalues at a declared well are not positive
+    with pytest.raises(DegenerateHessian):
+        make_custom(lambda p: np.sum(np.asarray(p) ** 2, axis=-1),
+                    wells=[(0.0, 0.0)],
+                    hess_W=lambda p: np.full(np.shape(p) + (2,), nan))
 
 
 def test_degenerate_well_rejected():
@@ -170,15 +196,6 @@ def test_json_roundtrip_builtin_kinds():
         from_json_dict({"kind": "nope", "params": {}})
     with pytest.raises(ValueError):
         make_custom(lambda p: 1.0, wells=()).to_json_dict()
-
-
-def test_well_frame_matches_stored_well():
-    pot = make_two_well_k(2.0)
-    w = well_frame(pot, 1)
-    assert w.location == pytest.approx(pot.wells[1].location)
-    assert w.lambda1 == pytest.approx(pot.wells[1].lambda1)
-    with pytest.raises(IndexError):
-        well_frame(pot, 5)
 
 
 def test_well_separation_and_far_circle():

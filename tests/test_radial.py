@@ -23,6 +23,20 @@ def test_existence_threshold_values():
         existence_threshold(1.0, -1.0)
     with pytest.raises(InvalidCoefficient):
         existence_threshold(0.0, 1.0)
+    for R0, b in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                  (1.0, math.inf)):
+        with pytest.raises(InvalidCoefficient):
+            existence_threshold(R0, b)
+
+
+def test_non_finite_area_rejected():
+    for A in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            figure1_bundle(1.0, A, 1.0)
+        with pytest.raises(ValueError):
+            solve_C1_for_area(1.0, A, 1.0)
+        with pytest.raises(ValueError):
+            vertical_segment_resolution(1.0, A, 1.0)
 
 
 def test_threshold_is_tangent_parabola_area():

@@ -5,14 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from degeo import (Curve, Potential, SolveResult, SolverConfig, area,
-                   area_sweep, detect_area_leakage, discrete_area_gradient,
-                   discrete_energy_gradient, el_residual, energy,
-                   estimate_multiplier, geodesic_curvature, make_custom,
-                   make_homogeneous, make_radial_quartic, make_two_well_k,
-                   minimize_constrained, minimize_unconstrained,
-                   parabola_energy, solve_C1_for_area, solve_homogeneous,
-                   spiral_from_C1, vertex_normals)
+from degeo import (Curve, Potential, SolveResult, SolverConfig,
+                   ZeroDensityInterior, area, area_sweep, detect_area_leakage,
+                   discrete_area_gradient, discrete_energy_gradient,
+                   el_residual, energy, estimate_multiplier,
+                   geodesic_curvature, make_custom, make_homogeneous,
+                   make_radial_quartic, make_two_well_k, minimize_constrained,
+                   minimize_unconstrained, parabola_energy, solve_C1_for_area,
+                   solve_homogeneous, spiral_from_C1, vertex_normals)
 from degeo import solver
 from degeo.solver import _TOL_AREA, _packed_certificate
 
@@ -117,6 +117,16 @@ def test_geodesic_curvature_euclidean_circle():
     c = Curve(np.stack([R * np.cos(th), R * np.sin(th)], axis=1), closed=True)
     kg = geodesic_curvature(c, flat)
     assert np.median(kg) == pytest.approx(1.0 / R, rel=1e-3)
+
+
+def test_zero_density_at_an_interior_vertex_raises():
+    # W = p1^2 vanishes on the p2 axis, where no well is declared
+    pot = make_custom(lambda p: np.asarray(p)[..., 0] ** 2, wells=())
+    c = Curve(np.array([[-1.0, 0.0], [0.0, 0.5], [1.0, 1.0]]))
+    with pytest.raises(ZeroDensityInterior):
+        el_residual(c, pot, 0.0)
+    with pytest.raises(ZeroDensityInterior):
+        geodesic_curvature(c, pot)
 
 
 def test_estimate_multiplier_on_exact_spiral():
@@ -316,12 +326,11 @@ def _fake_result(curve, multiplier, A_target):
 
 def test_leakage_flags_persistent_coil_at_packing_rate():
     pot = make_two_well_k(4.0)
-    cfg = SolverConfig(n_vertices=64)
     # trunk plus a coil tighter than the smallest probe radius
     trunk = np.linspace([-1.0, 0.0], [1.0 - 1e-3, 0.0], 50)
     coil = _coil((1.0, 0.0), 8e-4, 3)
     v = np.vstack([trunk, coil])
-    report = detect_area_leakage(_fake_result(v, 2.0, 0.5), pot, cfg)
+    report = detect_area_leakage(_fake_result(v, 2.0, 0.5), pot)
     assert report["nonexistence_suspected"]
     flagged = report["wells"][1]
     assert flagged["flagged"]
@@ -331,20 +340,18 @@ def test_leakage_flags_persistent_coil_at_packing_rate():
 
 def test_leakage_not_flagged_when_multiplier_low():
     pot = make_two_well_k(4.0)
-    cfg = SolverConfig(n_vertices=64)
     trunk = np.linspace([-1.0, 0.0], [1.0 - 1e-3, 0.0], 50)
     v = np.vstack([trunk, _coil((1.0, 0.0), 8e-4, 3)])
-    report = detect_area_leakage(_fake_result(v, 0.9, 0.5), pot, cfg)
+    report = detect_area_leakage(_fake_result(v, 0.9, 0.5), pot)
     assert not report["nonexistence_suspected"]
 
 
 def test_leakage_not_flagged_when_area_escapes_shrinking_radii():
     pot = make_two_well_k(4.0)
-    cfg = SolverConfig(n_vertices=64)
     # coil radius sits between the first and second probe radii
     trunk = np.linspace([-1.0, 0.0], [0.95, 0.0], 50)
     v = np.vstack([trunk, _coil((1.0, 0.0), 0.05, 2)])
-    report = detect_area_leakage(_fake_result(v, 2.0, 0.5), pot, cfg)
+    report = detect_area_leakage(_fake_result(v, 2.0, 0.5), pot)
     assert not report["nonexistence_suspected"]
 
 
@@ -377,9 +384,7 @@ def test_two_well_below_the_packing_rate_is_not_flagged(A):
 @pytest.mark.parametrize("q, A", [((1.0, 0.0), 6e-4), ((0.6, 0.5), -0.3)])
 def test_certificate_totals_equal_the_literal_polyline(q, A):
     pot = make_two_well_k(4.0)
-    cfg = SolverConfig(n_vertices=64)
-    cert = _packed_certificate(np.array([-1.0, 0.0]), np.array(q), A, pot,
-                               cfg)
+    cert = _packed_certificate(np.array([-1.0, 0.0]), np.array(q), A, pot)
     packed = cert.packed
     assert packed.orientation == math.copysign(1, A)
     # write every loop out: the polyline the certificate stands for
@@ -390,9 +395,9 @@ def test_certificate_totals_equal_the_literal_polyline(q, A):
     assert energy(literal, pot) == pytest.approx(cert.energy, rel=1e-12)
     assert area(literal) == pytest.approx(cert.area_achieved, rel=1e-12)
     assert abs(area(literal) - A) <= _TOL_AREA * (1.0 + abs(A))
-    report = detect_area_leakage(cert, pot, cfg)
+    report = detect_area_leakage(cert, pot)
     ref_report = detect_area_leakage(
-        dataclasses.replace(cert, curve=literal, packed=None), pot, cfg)
+        dataclasses.replace(cert, curve=literal, packed=None), pot)
     levels = [(mine, ref)
               for w_mine, w_ref in zip(report["wells"], ref_report["wells"])
               for mine, ref in zip(w_mine["levels"], w_ref["levels"])]
@@ -484,17 +489,10 @@ def test_solver_config_validation():
     with pytest.raises(TypeError):
         SolverConfig(tol_grad=1e-9)
     with pytest.raises(ValueError):
-        SolverConfig(well_radius_schedule=[0.1, 0.2])
-    with pytest.raises(ValueError):
         SolverConfig(n_vertices=2)
     for n in (64.5, "96"):
         with pytest.raises(ValueError):
             SolverConfig(n_vertices=n)
-    for sched in ([0.1, -0.2], [0.1, 0.0], [math.inf, 0.1], [0.1, math.nan]):
-        with pytest.raises(ValueError):
-            SolverConfig(well_radius_schedule=sched)
-    cfg = SolverConfig(well_radius_schedule=[0.2, 0.02])
-    assert cfg.schedule(make_two_well_k(2.0), 1.0) == [0.2, 0.02]
 
 
 def test_energy_gradient_evaluates_W_once(monkeypatch):
