@@ -84,6 +84,13 @@ def euclid_length(curve: Curve) -> float:
     return float(np.linalg.norm(curve.segments(), axis=1).sum())
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows of an (N, 2) array: the arithmetic of
+    np.linalg.norm(x, axis=1), bit for bit, without its call overhead."""
+    sq = x * x
+    return np.sqrt(sq[:, 0] + sq[:, 1])
+
+
 @dataclass
 class SegmentGeometry:
     """Per-segment data of a polyline; see segment_geometry."""
@@ -110,7 +117,7 @@ def segment_geometry(vertices, potential: Optional[Potential] = None, *,
     """
     v = np.asarray(vertices, dtype=float)
     seg = v[1:] - v[:-1]
-    L = np.linalg.norm(seg, axis=1)
+    L = row_norms(seg)
     if rel_floor:
         floor = rel_floor * max(float(L.max()), rel_floor)
     if floor:

@@ -15,7 +15,8 @@ arc flowing from p0 into the well has weighted length exactly
 
 In the time dtau = dt / F^2 the field is linear, dp/dtau = M p, so the arc
 is exp(M tau) p0 and its enclosed signed area is the quadratic form
-p0^T X p0 of the 2x2 Lyapunov equation M^T X + X M = -Q.  That area is a
+p0^T X p0 of the 2x2 Lyapunov equation M^T X + X M = -Q, solved in closed
+form: (rt(p0) cot(beta) - l2 p1 p2) / (l1 + l2).  That area is a
 continuous, strictly decreasing function of beta, which this module inverts
 with brentq to hit a prescribed area.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from .errors import NoRoot, NonConvergence, ZeroBeta
@@ -99,11 +100,20 @@ def _arc_area(p0: np.ndarray, beta: float, lambda1: float,
 
     Along p = exp(M tau) p0 the integrand p1 (M p)_2 is the quadratic form
     p^T Q p with Q = e1 M[1]^T, so its integral over [0, inf) is
-    p0^T X p0, where X solves the Lyapunov equation M^T X + X M = -Q.
+    p0^T X p0, where X solves the Lyapunov equation M^T X + X M = -Q.  For
+    the symmetric part of Q and the 2x2 M of `_flow_matrix` the solution is
+    X = [[-M10, -M11], [-M11, M01]] / (2 tr M), free of det M, and with
+    tr M = -|sin beta| (l1 + l2) the area is
+
+        (rt(p0) cos(beta) / sin(beta) - l2 p1 p2) / (l1 + l2).
+
+    The 1 / tr M factor is divided out here rather than left to a linear
+    solve, which is nearly singular as beta -> 0, where the area is large.
     """
-    M = _flow_matrix(beta, lambda1, lambda2)
-    X = solve_continuous_lyapunov(M.T, -np.outer([1.0, 0.0], M[1]))
-    return float(p0 @ X @ p0)
+    p1, p2 = p0
+    rt0 = float(rtilde(p0, lambda1, lambda2))
+    return ((rt0 * math.cos(beta) / math.sin(beta) - lambda2 * p1 * p2)
+            / (lambda1 + lambda2))
 
 
 def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,

@@ -2,7 +2,10 @@
 
 The conformal density of the degenerate metric is F = sqrt(W); every curve
 functional downstream evaluates W, its gradient, or its Hessian through the
-`Potential` wrapper defined here.  All evaluators accept a single point of
+`Potential` wrapper defined here.  W and grad W come together from one pass
+(`Potential.W_and_grad`): each built-in family writes them in one function
+with one shared preamble, and a custom potential composes the user's W and
+grad W (or finite differences).  All evaluators accept a single point of
 shape (2,) or a batch of shape (N, 2), and a custom callable must do the same,
 returning one value per point.  Family parameters must be finite; a bad one
 raises before anything is evaluated.
@@ -24,6 +27,7 @@ value from inside the near disc.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -57,106 +61,52 @@ class Well:
 
 
 class Potential:
-    """Bundle of W and its derivatives plus declared wells."""
+    """Bundle of W and its derivatives plus declared wells.
 
-    def __init__(self, kind, params, wells_locations, eval_W, grad_W=None,
-                 hess_W=None):
+    `w_grad(p)` returns (W, grad W) at p from one pass over the points,
+    `eval_W(p)` W alone and `hess_W(p)` the Hessian of W; each takes float
+    points of shape (2,) or (N, 2).
+    """
+
+    def __init__(self, kind, params, wells_locations, eval_W, w_grad,
+                 hess_W):
         self.kind = kind
         self.params = dict(params)
         self._eval = eval_W
-        self._grad = grad_W
+        self._w_grad = w_grad
         self._hess = hess_W
         locs = [np.asarray(w, dtype=float) for w in wells_locations]
         self.wells = [self._make_well(loc) for loc in locs]
 
     # -- evaluation ---------------------------------------------------------
 
-    def _call(self, fn, p, shape) -> np.ndarray:
-        """fn(p) as floats, checked to hold one value of `shape` per point."""
-        try:
-            out = np.asarray(fn(p), dtype=float)
-        except (IndexError, TypeError) as exc:
-            raise self._per_point_error(p) from exc
-        if out.shape != shape:
-            raise self._per_point_error(p)
-        return out
-
-    def _per_point_error(self, p) -> ValueError:
-        return ValueError(f"{self.kind} potential: W and its derivatives "
-                          f"must take a batch of points and return one value "
-                          f"per point; they failed on points of shape "
-                          f"{p.shape}")
-
     def eval_W(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return self._call(self._eval, p, p.shape[:-1])
+        return self._eval(np.asarray(p, dtype=float))
+
+    def W_and_grad(self, p) -> Tuple[np.ndarray, np.ndarray]:
+        """(W, grad W) at p from one evaluation."""
+        return self._w_grad(np.asarray(p, dtype=float))
 
     def grad_W(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self._grad is None:
-            return self._fd_grad(p)
-        return self._call(self._grad, p, p.shape)
+        return self.W_and_grad(p)[1]
 
     def hess_W(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self._hess is None:
-            return self._fd_hess(p)
-        return self._call(self._hess, p, p.shape + (2,))
+        return self._hess(np.asarray(p, dtype=float))
 
     def eval_F(self, p) -> np.ndarray:
         """Conformal density sqrt(W); zero exactly at the wells."""
         return np.sqrt(np.maximum(self.eval_W(p), 0.0))
 
     def density(self, p) -> Tuple[np.ndarray, np.ndarray]:
-        """(F, grad F) from one evaluation of W and one of grad W.
+        """(F, grad F) from one evaluation of W and grad W.
 
         grad F = grad W / (2 sqrt W) is guarded against W = 0, so it stays
         bounded at the wells.
         """
-        w = self.eval_W(p)
+        w, g = self.W_and_grad(p)
         F = np.sqrt(np.maximum(w, 0.0))
         denom = 2.0 * np.sqrt(np.maximum(w, 1e-300))
-        return F, self.grad_W(p) / denom[..., None]
-
-    # -- finite differences -------------------------------------------------
-
-    def _fd_step(self, p):
-        norm = np.linalg.norm(p, axis=-1)
-        return FD_STEP_SCALE * np.maximum(1.0, norm)
-
-    def _fd_grad(self, p):
-        single = p.ndim == 1
-        pts = p[None, :] if single else p
-        h = self._fd_step(pts)
-        out = np.empty_like(pts)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = 1.0
-            out[:, j] = (self.eval_W(pts + h[:, None] * e)
-                         - self.eval_W(pts - h[:, None] * e)) / (2.0 * h)
-        return out[0] if single else out
-
-    def _fd_hess(self, p):
-        single = p.ndim == 1
-        pts = p[None, :] if single else p
-        h = self._fd_step(pts)
-        n = pts.shape[0]
-        out = np.empty((n, 2, 2))
-        w0 = self.eval_W(pts)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = 1.0
-            wp = self.eval_W(pts + h[:, None] * e)
-            wm = self.eval_W(pts - h[:, None] * e)
-            out[:, j, j] = (wp - 2.0 * w0 + wm) / h**2
-        ex = np.array([1.0, 0.0])
-        ey = np.array([0.0, 1.0])
-        wpp = self.eval_W(pts + h[:, None] * (ex + ey))
-        wpm = self.eval_W(pts + h[:, None] * (ex - ey))
-        wmp = self.eval_W(pts - h[:, None] * (ex - ey))
-        wmm = self.eval_W(pts - h[:, None] * (ex + ey))
-        out[:, 0, 1] = out[:, 1, 0] = (wpp - wpm - wmp + wmm) / (4.0 * h**2)
-        return out[0] if single else out
+        return F, g / denom[..., None]
 
     # -- wells --------------------------------------------------------------
 
@@ -232,30 +182,32 @@ def from_json_dict(data: dict) -> Potential:
 # built-in families
 # ---------------------------------------------------------------------------
 
+def _family(kind, params, wells, w_grad, hess) -> Potential:
+    """A built-in potential: W alone is the first half of its one-pass
+    (W, grad W), so each formula is written once."""
+    return Potential(kind, params, wells, lambda p: w_grad(p)[0], w_grad,
+                     hess)
+
+
 def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
     """W(p) = lambda1^2 p1^2 + lambda2^2 p2^2, single well at the origin."""
     if not (0.0 < lambda1 < math.inf and 0.0 < lambda2 < math.inf):
         raise NonPositiveEigenvalue("both rates must be finite and positive")
     l1s, l2s = lambda1**2, lambda2**2
+    rates = np.array([2.0 * l1s, 2.0 * l2s])
 
-    def w(p):
-        p = np.asarray(p, dtype=float)
-        return l1s * p[..., 0]**2 + l2s * p[..., 1]**2
-
-    def grad(p):
-        p = np.asarray(p, dtype=float)
-        return np.stack([2.0 * l1s * p[..., 0], 2.0 * l2s * p[..., 1]], axis=-1)
+    def w_grad(p):
+        return l1s * p[..., 0]**2 + l2s * p[..., 1]**2, rates * p
 
     def hess(p):
-        p = np.asarray(p, dtype=float)
-        base = np.array([[2.0 * l1s, 0.0], [0.0, 2.0 * l2s]])
+        base = np.diag(rates)
         if p.ndim == 1:
             return base
         return np.broadcast_to(base, (p.shape[0], 2, 2)).copy()
 
-    return Potential("homogeneous",
-                     {"lambda1": float(lambda1), "lambda2": float(lambda2)},
-                     [(0.0, 0.0)], w, grad, hess)
+    return _family("homogeneous",
+                   {"lambda1": float(lambda1), "lambda2": float(lambda2)},
+                   [(0.0, 0.0)], w_grad, hess)
 
 
 def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Potential:
@@ -275,19 +227,13 @@ def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Pote
             f"b = {b} is not finite or makes W vanish within the working "
             f"disc of radius {r_max}")
 
-    def w(p):
-        p = np.asarray(p, dtype=float)
-        r2 = (p[..., 0] - c[0])**2 + (p[..., 1] - c[1])**2
-        return r2 + b * r2**2
-
-    def grad(p):
-        p = np.asarray(p, dtype=float)
+    def w_grad(p):
         q = p - c
-        r2 = q[..., 0]**2 + q[..., 1]**2
-        return (2.0 + 4.0 * b * r2)[..., None] * q
+        qq = q * q
+        r2 = qq[..., 0] + qq[..., 1]
+        return r2 + b * r2**2, (2.0 + 4.0 * b * r2)[..., None] * q
 
     def hess(p):
-        p = np.asarray(p, dtype=float)
         single = p.ndim == 1
         q = np.atleast_2d(p) - c
         r2 = q[:, 0]**2 + q[:, 1]**2
@@ -298,10 +244,10 @@ def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Pote
         out[:, 0, 1] = out[:, 1, 0] = 8.0 * b * q[:, 0] * q[:, 1]
         return out[0] if single else out
 
-    return Potential("radial_quartic",
-                     {"b": b, "center": [float(c[0]), float(c[1])],
-                      "r_max": float(r_max)},
-                     [tuple(c)], w, grad, hess)
+    return _family("radial_quartic",
+                   {"b": b, "center": [float(c[0]), float(c[1])],
+                    "r_max": float(r_max)},
+                   [tuple(c)], w_grad, hess)
 
 
 def make_two_well_k(k: float) -> Potential:
@@ -318,34 +264,21 @@ def make_two_well_k(k: float) -> Potential:
     b = k * k - 1.0
 
     def split(p):
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        cx = np.where(p[:, 0] <= 0.0, -1.0, 1.0)
+        """Offsets q from the nearer well (p1 = 0 belongs to the left one)
+        and their squared lengths."""
         q = p.copy()
-        q[:, 0] -= cx
-        return q, cx
+        q[..., 0] -= np.where(p[..., 0] <= 0.0, -1.0, 1.0)
+        qq = q * q
+        return q, qq[..., 0] + qq[..., 1]
 
-    def w(p):
-        arr = np.asarray(p, dtype=float)
-        single = arr.ndim == 1
-        q, _ = split(arr)
-        r2 = q[:, 0]**2 + q[:, 1]**2
-        out = np.where(r2 >= 1.0, k * k, r2 + b * r2**2)
-        return out[0] if single else out
-
-    def grad(p):
-        arr = np.asarray(p, dtype=float)
-        single = arr.ndim == 1
-        q, _ = split(arr)
-        r2 = q[:, 0]**2 + q[:, 1]**2
-        scale = np.where(r2 <= 1.0, 2.0 + 4.0 * b * r2, 0.0)
-        out = scale[:, None] * q
-        return out[0] if single else out
+    def w_grad(p):
+        q, r2 = split(p)
+        return (np.where(r2 >= 1.0, k * k, r2 + b * r2**2),
+                np.where(r2 <= 1.0, 2.0 + 4.0 * b * r2, 0.0)[..., None] * q)
 
     def hess(p):
-        arr = np.asarray(p, dtype=float)
-        single = arr.ndim == 1
-        q, _ = split(arr)
-        r2 = q[:, 0]**2 + q[:, 1]**2
+        single = p.ndim == 1
+        q, r2 = split(np.atleast_2d(p))
         inside = r2 <= 1.0
         out = np.zeros((q.shape[0], 2, 2))
         iso = np.where(inside, 2.0 + 4.0 * b * r2, 0.0)
@@ -355,8 +288,75 @@ def make_two_well_k(k: float) -> Potential:
         out[:, 0, 1] = out[:, 1, 0] = quart * q[:, 0] * q[:, 1]
         return out[0] if single else out
 
-    return Potential("two_well", {"k": k}, [(-1.0, 0.0), (1.0, 0.0)],
-                     w, grad, hess)
+    return _family("two_well", {"k": k}, [(-1.0, 0.0), (1.0, 0.0)],
+                   w_grad, hess)
+
+
+# ---------------------------------------------------------------------------
+# custom potentials
+# ---------------------------------------------------------------------------
+
+def _per_point(fn, trailing):
+    """fn as floats, checked to return one value of shape p.shape[:-1] +
+    trailing per point of p."""
+    def checked(p):
+        try:
+            out = np.asarray(fn(p), dtype=float)
+        except (IndexError, TypeError) as exc:
+            raise _per_point_error(p) from exc
+        if out.shape != p.shape[:-1] + trailing:
+            raise _per_point_error(p)
+        return out
+    return checked
+
+
+def _per_point_error(p) -> ValueError:
+    return ValueError(f"custom potential: W and its derivatives must take a "
+                      f"batch of points and return one value per point; "
+                      f"they failed on points of shape {p.shape}")
+
+
+def _fd_step(p):
+    norm = np.linalg.norm(p, axis=-1)
+    return FD_STEP_SCALE * np.maximum(1.0, norm)
+
+
+def _fd_grad(eval_W, p):
+    """Central-difference gradient of eval_W."""
+    single = p.ndim == 1
+    pts = p[None, :] if single else p
+    h = _fd_step(pts)
+    out = np.empty_like(pts)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = 1.0
+        out[:, j] = (eval_W(pts + h[:, None] * e)
+                     - eval_W(pts - h[:, None] * e)) / (2.0 * h)
+    return out[0] if single else out
+
+
+def _fd_hess(eval_W, p):
+    """Central-difference Hessian of eval_W."""
+    single = p.ndim == 1
+    pts = p[None, :] if single else p
+    h = _fd_step(pts)
+    n = pts.shape[0]
+    out = np.empty((n, 2, 2))
+    w0 = eval_W(pts)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = 1.0
+        wp = eval_W(pts + h[:, None] * e)
+        wm = eval_W(pts - h[:, None] * e)
+        out[:, j, j] = (wp - 2.0 * w0 + wm) / h**2
+    ex = np.array([1.0, 0.0])
+    ey = np.array([0.0, 1.0])
+    wpp = eval_W(pts + h[:, None] * (ex + ey))
+    wpm = eval_W(pts + h[:, None] * (ex - ey))
+    wmp = eval_W(pts - h[:, None] * (ex - ey))
+    wmm = eval_W(pts - h[:, None] * (ex + ey))
+    out[:, 0, 1] = out[:, 1, 0] = (wpp - wpm - wmp + wmm) / (4.0 * h**2)
+    return out[0] if single else out
 
 
 def make_custom(eval_W: Callable, wells=(), grad_W=None,
@@ -366,4 +366,10 @@ def make_custom(eval_W: Callable, wells=(), grad_W=None,
     shape (..., 2) and hess W of shape (..., 2, 2); anything else raises
     ValueError.  Missing derivatives fall back to central finite
     differences with step 1e-5 * max(1, |p|)."""
-    return Potential("custom", {}, list(wells), eval_W, grad_W, hess_W)
+    W = _per_point(eval_W, ())
+    grad = (functools.partial(_fd_grad, W) if grad_W is None
+            else _per_point(grad_W, (2,)))
+    hess = (functools.partial(_fd_hess, W) if hess_W is None
+            else _per_point(hess_W, (2, 2)))
+    return Potential("custom", {}, list(wells), W,
+                     lambda p: (W(p), grad(p)), hess)

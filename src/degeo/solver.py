@@ -8,6 +8,14 @@ optimality system is an honest finite-dimensional Lagrange system: at a
 stationary point grad(E) = lambda * grad(area) with lambda = -mu, the
 negative of the multiplier of E + mu * (area - A).
 
+Each iterate is evaluated in one pass (`_one_pass`): the chords, lengths and
+midpoints are formed once, W and grad W come from one call at the
+midpoints, and E, the area and both interior gradients follow, bit for bit
+equal to `discrete_energy_gradient` and `discrete_area_gradient`.  The
+L-BFGS-B objective, every polish evaluation, `el_residual` and the start
+energies use it, and the polish Hessian reuses the geometry and density of
+the evaluation it was accepted at.
+
 An augmented-Lagrangian outer loop around L-BFGS-B on the interior vertices
 brings each start near feasibility and hands it to a damped Newton polish as
 soon as that polish converges; the polish solves the KKT system for the
@@ -34,14 +42,15 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonConvergence, ZeroDensityInterior
-from .functionals import Curve, area, energy, segment_geometry
+from .functionals import (Curve, SegmentGeometry, area, energy, row_norms,
+                          segment_geometry)
 from .potential import Potential
 
 log = logging.getLogger("degeo.solver")
@@ -179,20 +188,54 @@ def discrete_area_gradient(vertices: np.ndarray) -> Tuple[float, np.ndarray]:
     return A, g
 
 
-def _lagrangian_hessian(v: np.ndarray, potential: Potential, w: float
+class _Pass(NamedTuple):
+    """One evaluation of the discrete functionals at a vertex array."""
+
+    E: float
+    area: float
+    gE: np.ndarray   # gradient of E at the interior vertices
+    gA: np.ndarray   # gradient of the area at the interior vertices
+    geo: SegmentGeometry
+
+
+def _one_pass(v: np.ndarray, potential: Potential) -> _Pass:
+    """E, the area and their interior gradients from one pass over v.
+
+    The chords, lengths and midpoints are formed once and W and grad W come
+    from one evaluation at the midpoints.  Every value equals, bit for bit,
+    the one `discrete_energy_gradient` and `discrete_area_gradient` give,
+    so callers may form the gradient of E + w * area as gE + w * gA.
+    """
+    geo = segment_geometry(v, potential, floor=1e-300, tangents=True,
+                           gradient=True)
+    half = 0.5 * geo.gF * geo.L[:, None]
+    FT = geo.F[:, None] * geo.T
+    gE = (half - FT)[1:] + (half + FT)[:-1]
+    seg2, mid1 = geo.seg[:, 1], geo.mid[:, 0]
+    half2 = 0.5 * seg2
+    gA = np.empty_like(gE)
+    gA[:, 0] = half2[1:] + half2[:-1]
+    gA[:, 1] = mid1[:-1] - mid1[1:]
+    return _Pass(float((geo.F * geo.L).sum()),
+                 float((mid1 * seg2).cumsum()[-1]), gE, gA, geo)
+
+
+def _lagrangian_hessian(geo: SegmentGeometry, potential: Potential, w: float
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment 2x2 Hessian blocks of energy + w * area.
 
     Segment k joins vertices k and k+1; `aa` holds its second derivatives
     in vertex k twice, `bb` in vertex k+1 twice and `ab` in k, then k+1.
     Built from the exact second derivatives of F(mid)*L and of the
-    midpoint area rule; the sqrt in F = sqrt(W) gives
-    hess F = (hess W / 2 - grad F grad F^T) / F, so F is floored away from
-    zero (the Newton loop is damped anyway, inexactness there is harmless).
+    midpoint area rule, on the chords, midpoints, F and grad F of `geo`
+    (from `_one_pass`); the sqrt in F = sqrt(W) gives
+    hess F = (hess W / 2 - grad F grad F^T) / F, so L and F are floored
+    away from zero (the Newton loop is damped anyway, inexactness there is
+    harmless).
     """
-    geo = segment_geometry(v, potential, rel_floor=1e-12, tangents=True,
-                           gradient=True)
-    L, T, gF = geo.L, geo.T, geo.gF
+    L = np.maximum(geo.L, 1e-12 * max(float(geo.L.max()), 1e-12))
+    T = geo.seg / L[:, None]
+    gF = geo.gF
     F = np.maximum(geo.F, 1e-12 * max(float(geo.F.max()), 1e-12))
     HW = potential.hess_W(geo.mid)
     HF = (0.5 * HW - gF[:, :, None] * gF[:, None, :]) / F[:, None, None]
@@ -212,7 +255,7 @@ def _lagrangian_hessian(v: np.ndarray, potential: Potential, w: float
             core + asym - FPL + w * ab)
 
 
-def _normal_hessian(v: np.ndarray, potential: Potential, w: float,
+def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
                     N: np.ndarray) -> np.ndarray:
     """Hessian of energy + w * area along the interior normals N.
 
@@ -221,7 +264,7 @@ def _normal_hessian(v: np.ndarray, potential: Potential, w: float,
     off-diagonal N_i^T ab[i] N_{i+1}.  Returned in the (3, n-2) band
     layout of `scipy.linalg.solve_banded((1, 1), ...)`.
     """
-    aa, bb, ab = _lagrangian_hessian(v, potential, w)
+    aa, bb, ab = _lagrangian_hessian(geo, potential, w)
     band = np.zeros((3, N.shape[0]))
     band[1] = np.einsum("ij,ijk,ik->i", N, bb[:-1] + aa[1:], N)
     off = np.einsum("ij,ijk,ik->i", N[:-1], ab[1:-1], N[1:])
@@ -237,7 +280,7 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
     t[0] = v[1] - v[0]
     t[-1] = v[-1] - v[-2]
     t[1:-1] = v[2:] - v[:-2]
-    nrm = np.linalg.norm(t, axis=1)
+    nrm = row_norms(t)
     nrm = np.maximum(nrm, 1e-300)
     t /= nrm[:, None]
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
@@ -267,10 +310,10 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
 
     def evaluate(v, lam):
-        N, gn, un, a, res, _ = _normal_residual(v, potential, lam)
-        return N, gn, un, 0.0 if A is None else a - A, res
+        N, gn, un, a, res, _, geo = _normal_residual(v, potential, lam)
+        return N, gn, un, 0.0 if A is None else a - A, res, geo
 
-    N, gn, un, c, res = evaluate(v, lam)
+    N, gn, un, c, res, geo = evaluate(v, lam)
     lm = 1e-9
     steps = 0
     for _ in range(_NEWTON_ITERATIONS):
@@ -279,10 +322,10 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             raise NonConvergence("newton polish produced non-finite values")
         if _polish_converged(res, c, tol_c):
             break
-        band = _normal_hessian(v, potential, lam, N)
+        band = _normal_hessian(geo, potential, lam, N)
         # keep each vertex within a fraction of its local spacing so
         # normal moves of neighbors cannot collide into a stack
-        seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
+        seg = row_norms(geo.seg)
         cap = 0.4 * np.minimum(seg[:-1], seg[1:])
         for _ in range(25):
             band_lm = band.copy()
@@ -307,7 +350,7 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             gnt, ct = trial[1], trial[3]
             if max(float(np.abs(gnt).max()), abs(ct)) < err:
                 v, lam = vt, lam + dlam
-                N, gn, un, c, res = trial
+                N, gn, un, c, res, geo = trial
                 steps += 1
                 lm = max(lm / 3.0, 1e-12)
                 break
@@ -334,11 +377,10 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
 
     def objective(x):
         v[1:-1] = x.reshape(-1, 2)
-        E, gE = discrete_energy_gradient(v, potential)
-        a, gA = discrete_area_gradient(v)
+        E, a, gE, gA, _ = _one_pass(v, potential)
         c = a - A
         phi = E + mu * c + 0.5 * rho * c * c
-        return phi, (gE + (mu + rho * c) * gA)[1:-1].ravel()
+        return phi, (gE + (mu + rho * c) * gA).ravel()
 
     res = _scipy_minimize(objective, v0[1:-1].ravel(), jac=True,
                           method="L-BFGS-B",
@@ -509,28 +551,26 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
 
 def _normal_residual(v: np.ndarray, potential: Potential, w: float
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float,
-                                float, np.ndarray]:
+                                float, np.ndarray, SegmentGeometry]:
     """Normal gradient of E + w * area at the interior vertices, and its
     size in `el_residual`'s normalization.
 
     The local scale is |grad F| + |w| + F * (discrete turning rate), times
     the mean spacing s of the two adjacent segments.  Returns the interior
     normals N, the normal gradient g_n, the normal area gradient, the area,
-    max |g_n| / scale (0 where the scale vanishes) and F at the interior
-    vertices.
+    max |g_n| / scale (0 where the scale vanishes), F at the interior
+    vertices and the segment geometry of `_one_pass`.
     """
     Fv, gFv = potential.density(v[1:-1])
-    geo = segment_geometry(v, floor=1e-300, tangents=True)
+    _, a, gE, gA, geo = _one_pass(v, potential)
     s = 0.5 * (geo.L[:-1] + geo.L[1:])
-    turn = np.linalg.norm(geo.T[1:] - geo.T[:-1], axis=1) / s
-    scale = s * (np.linalg.norm(gFv, axis=1) + abs(w) + Fv * turn)
+    turn = row_norms(geo.T[1:] - geo.T[:-1]) / s
+    scale = s * (row_norms(gFv) + abs(w) + Fv * turn)
     N = vertex_normals(v)[1:-1]
-    _, gE = discrete_energy_gradient(v, potential)
-    a, gA = discrete_area_gradient(v)
-    gn = np.einsum("ij,ij->i", (gE + w * gA)[1:-1], N)
-    un = np.einsum("ij,ij->i", gA[1:-1], N)
+    gn = np.einsum("ij,ij->i", gE + w * gA, N)
+    un = np.einsum("ij,ij->i", gA, N)
     res = np.where(scale > 0.0, np.abs(gn) / np.maximum(scale, 1e-300), 0.0)
-    return N, gn, un, a, float(res.max()), Fv
+    return N, gn, un, a, float(res.max()), Fv, geo
 
 
 def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
@@ -550,7 +590,7 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     v = curve.vertices
     if len(v) < 3:
         return 0.0
-    *_, res, Fv = _normal_residual(v, potential, -lam)
+    *_, res, Fv, _ = _normal_residual(v, potential, -lam)
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
     return res
@@ -791,7 +831,7 @@ def minimize_unconstrained(p, q, potential: Potential,
     for amp in (0.0, 0.05 * scale, -0.05 * scale):
         v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
         v, ok, _ = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
-        E, _ = discrete_energy_gradient(v, potential)
+        E = _one_pass(v, potential).E
         if best is None or E < best[0] - 1e-10 or (abs(E - best[0]) <= 1e-10
                                                    and not best[2] and ok):
             best = (E, v, ok)
@@ -839,7 +879,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     for j, v0 in enumerate(inits):
         v, mu, c, ok = _augmented_lagrangian(v0, potential, A,
                                              mu0=mu0 if j == 0 else 0.0)
-        E, _ = discrete_energy_gradient(v, potential)
+        E = _one_pass(v, potential).E
         feasible = abs(c) <= tol_c
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
                   j, E, feasible, ok)

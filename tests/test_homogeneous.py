@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_solve_beta_for_area_roundtrip():
         assert math.copysign(1.0, beta) == math.copysign(1.0, A) or A == 0
         c = integrate_integral_curve(p0, beta, 1.0, 2.0, n_out=40000)
         assert area(c) == pytest.approx(A, abs=2e-6)
+
+
+def test_huge_areas_solve_without_warning():
+    # the root beta ~ rt(p0) / ((l1 + l2) A) is as small as 1.7e-19 here;
+    # a numerical Lyapunov solve perturbed M and lost the bracket
+    p0 = np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (1e15, -1e15, 1e18, -1e18):
+            beta = solve_beta_for_area(p0, A, 1.0, 2.0)
+            assert beta == pytest.approx(0.5 / (3.0 * A), rel=1e-10)
+            assert _arc_area(p0, beta, 1.0, 2.0) == pytest.approx(A,
+                                                                rel=1e-10)
 
 
 def test_beta_area_map_is_monotone():

@@ -183,6 +183,86 @@ def test_density_is_F_and_grad_F_bounded_at_well():
     assert F0 == 0.0 and np.array_equal(g0, np.zeros(2))
 
 
+def _reference_W_and_grad(pot):
+    """A built-in's W and grad W as two separate evaluations, each with its
+    own preamble, in the arithmetic the one-pass evaluation must keep."""
+    if pot.kind == "homogeneous":
+        l1s, l2s = pot.params["lambda1"] ** 2, pot.params["lambda2"] ** 2
+        return (lambda p: l1s * p[..., 0] ** 2 + l2s * p[..., 1] ** 2,
+                lambda p: np.stack([2.0 * l1s * p[..., 0],
+                                    2.0 * l2s * p[..., 1]], axis=-1))
+    if pot.kind == "radial_quartic":
+        b, c = pot.params["b"], np.array(pot.params["center"])
+
+        def W(p):
+            r2 = (p[..., 0] - c[0]) ** 2 + (p[..., 1] - c[1]) ** 2
+            return r2 + b * r2 ** 2
+
+        def grad(p):
+            q = p - c
+            r2 = q[..., 0] ** 2 + q[..., 1] ** 2
+            return (2.0 + 4.0 * b * r2)[..., None] * q
+        return W, grad
+    k = pot.params["k"]
+    b = k * k - 1.0
+
+    def split(p):
+        q = np.atleast_2d(p).copy()
+        q[:, 0] -= np.where(q[:, 0] <= 0.0, -1.0, 1.0)
+        return q, q[:, 0] ** 2 + q[:, 1] ** 2
+
+    def W(p):
+        q, r2 = split(p)
+        out = np.where(r2 >= 1.0, k * k, r2 + b * r2 ** 2)
+        return out[0] if p.ndim == 1 else out
+
+    def grad(p):
+        q, r2 = split(p)
+        out = np.where(r2 <= 1.0, 2.0 + 4.0 * b * r2, 0.0)[:, None] * q
+        return out[0] if p.ndim == 1 else out
+    return W, grad
+
+
+@pytest.mark.parametrize("pot", [
+    make_homogeneous(1.3, 2.2),
+    make_radial_quartic(0.8, center=(0.5, -0.25), r_max=1.1),
+    make_two_well_k(3.0)], ids=["homogeneous", "radial", "two_well"])
+def test_one_pass_W_and_grad_bit_for_bit(pot):
+    W_ref, grad_ref = _reference_W_and_grad(pot)
+    # wells, the centre, the p1 = 0 split and the unit circles r = 1
+    special = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, -0.25],
+                        [0.0, 0.7], [-0.0, -2.0], [2.0, 0.0], [-2.0, 0.0],
+                        [1.0, 1.0], [-1.0, -1.0], [1.6, 0.8]])
+    for pts in (RNG.normal(scale=1.5, size=(64, 2)), special):
+        w, g = pot.W_and_grad(pts)
+        assert np.array_equal(w, W_ref(pts)) and np.array_equal(g,
+                                                                grad_ref(pts))
+        assert np.array_equal(w, pot.eval_W(pts))
+        assert np.array_equal(g, pot.grad_W(pts))
+        for p in pts:
+            w1, g1 = pot.W_and_grad(p)
+            assert np.shape(w1) == () and g1.shape == (2,)
+            assert w1 == W_ref(p) and np.array_equal(g1, grad_ref(p))
+            assert w1 == pot.eval_W(p) and np.array_equal(g1, pot.grad_W(p))
+
+
+def test_one_pass_keeps_the_per_point_check():
+    def W(p):
+        return np.sum(np.asarray(p) ** 2, axis=-1)
+
+    bad_W = make_custom(lambda p: 1.0, wells=())
+    bad_grad = make_custom(W, grad_W=lambda p: np.zeros(2))
+    pts = RNG.normal(size=(6, 2))
+    for pot in (bad_W, bad_grad):
+        with pytest.raises(ValueError, match="one value per point"):
+            pot.W_and_grad(pts)
+        with pytest.raises(ValueError, match="one value per point"):
+            pot.density(pts)
+    good = make_custom(W, grad_W=lambda p: 2.0 * np.asarray(p))
+    w, g = good.W_and_grad(pts)
+    assert np.array_equal(w, W(pts)) and np.array_equal(g, 2.0 * pts)
+
+
 def test_json_roundtrip_builtin_kinds():
     originals = [make_homogeneous(1.3, 2.2),
                  make_radial_quartic(0.8, center=(0.5, 0.0), r_max=2.0),

@@ -66,6 +66,54 @@ def test_area_gradient_matches_finite_differences():
         assert g[idx] == pytest.approx(fd, rel=1e-7, abs=1e-12)
 
 
+def _double_well_W(p):
+    p = np.asarray(p, dtype=float)
+    return (np.sum((p - [-1.0, 0.0]) ** 2, axis=-1)
+            * np.sum((p - [1.0, 0.0]) ** 2, axis=-1))
+
+
+def _double_well_grad(p):
+    p = np.asarray(p, dtype=float)
+    d0, d1 = p - [-1.0, 0.0], p - [1.0, 0.0]
+    return (2.0 * d0 * np.sum(d1 * d1, axis=-1)[..., None]
+            + 2.0 * d1 * np.sum(d0 * d0, axis=-1)[..., None])
+
+
+def _kernel_curves():
+    """Perturbed arcs across both wells, plus the special cases."""
+    t = np.linspace(0.0, 1.0, 41)
+    base = np.stack([-1.5 + 3.0 * t, 0.6 * np.sin(np.pi * t)], axis=1)
+    curves = [base + 0.05 * RNG.normal(size=base.shape) for _ in range(4)]
+    on_well = curves[0].copy()
+    on_well[10], on_well[20], on_well[30] = (-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)
+    repeated = curves[1].copy()
+    repeated[16] = repeated[15]
+    # midpoints exactly on the well (1, 0), on p1 = 0 and on the unit
+    # circles r = 1 of the two-well's split
+    seams = np.array([[-2.5, 0.5], [-1.5, -0.5], [-0.25, 0.25], [0.25, -0.25],
+                      [0.75, 0.25], [1.25, -0.25], [1.75, 0.5], [2.25, -0.5],
+                      [3.0, 0.0]])
+    return curves + [on_well, repeated, seams]
+
+
+@pytest.mark.parametrize("pot", [
+    make_homogeneous(1.0, 2.0), make_radial_quartic(1.0), make_two_well_k(4.0),
+    make_custom(_double_well_W, wells=[(-1.0, 0.0), (1.0, 0.0)],
+                grad_W=_double_well_grad),
+    make_custom(_double_well_W, wells=[(-1.0, 0.0), (1.0, 0.0)])],
+    ids=["homogeneous", "radial", "two_well", "custom", "custom_fd"])
+def test_one_pass_equals_the_reference_bit_for_bit(pot):
+    # the reference is the composition the solver used before the one-pass
+    # kernel: energy and area gradients in every vertex, then E + w * area
+    for v in _kernel_curves():
+        E, gE = discrete_energy_gradient(v, pot)
+        a, gA = discrete_area_gradient(v)
+        one = solver._one_pass(v, pot)
+        assert one.E == E and one.area == a
+        for w in (0.0, -0.7, 1.3 + 10.0 * (a - 0.25)):
+            assert np.array_equal(one.gE + w * one.gA, (gE + w * gA)[1:-1])
+
+
 @pytest.mark.parametrize("pot, center", [
     (make_homogeneous(1.0, 2.0), (0.0, 0.0)),
     (make_radial_quartic(1.0), (0.0, 0.0)),
@@ -88,7 +136,7 @@ def test_normal_hessian_matches_finite_differences(pot, center):
              + w * discrete_area_gradient(vv)[1])
         return np.einsum("ij,ij->i", g[1:-1], N)
 
-    band = solver._normal_hessian(v, pot, w, N)
+    band = solver._normal_hessian(solver._one_pass(v, pot).geo, pot, w, N)
     H = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
     h = 1e-6
     fd = np.empty_like(H)
@@ -498,7 +546,7 @@ def test_solver_config_validation():
 def test_energy_gradient_evaluates_W_once(monkeypatch):
     pot = make_radial_quartic(1.0)  # its well set-up evaluates hess W
     calls = Counter()
-    for name in ("eval_W", "grad_W", "hess_W"):
+    for name in ("eval_W", "grad_W", "hess_W", "W_and_grad"):
         def counted(self, p, _name=name, _method=getattr(Potential, name)):
             calls[_name] += 1
             return _method(self, p)
@@ -506,8 +554,8 @@ def test_energy_gradient_evaluates_W_once(monkeypatch):
     t = np.linspace(0.0, 1.0, 40)
     v = np.stack([1.0 - t, 0.3 * t * (1.0 - t)], axis=1)
     discrete_energy_gradient(v, pot)
-    assert calls == {"eval_W": 1, "grad_W": 1}
+    assert calls == {"W_and_grad": 1}
     # one density call at the midpoints, one at the interior vertices
     calls.clear()
     el_residual(Curve(v), pot, 0.5)
-    assert calls == {"eval_W": 2, "grad_W": 2}
+    assert calls == {"W_and_grad": 2}
