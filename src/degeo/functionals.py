@@ -84,13 +84,6 @@ def euclid_length(curve: Curve) -> float:
     return float(np.linalg.norm(curve.segments(), axis=1).sum())
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the rows of an (N, 2) array: the arithmetic of
-    np.linalg.norm(x, axis=1), bit for bit, without its call overhead."""
-    sq = x * x
-    return np.sqrt(sq[:, 0] + sq[:, 1])
-
-
 @dataclass
 class SegmentGeometry:
     """Per-segment data of a polyline; see segment_geometry."""
@@ -104,22 +97,19 @@ class SegmentGeometry:
 
 
 def segment_geometry(vertices, potential: Optional[Potential] = None, *,
-                     floor: float = 0.0, rel_floor: float = 0.0,
-                     tangents: bool = False, gradient: bool = False
-                     ) -> SegmentGeometry:
+                     floor: float = 0.0, tangents: bool = False,
+                     gradient: bool = False) -> SegmentGeometry:
     """Chords, lengths and midpoints of the segments joining consecutive
     vertices, plus what the caller asks for.
 
-    Lengths are floored at `floor`, or at rel_floor * max(Lmax, rel_floor);
-    `tangents` adds the unit chords T = seg / L (with the floored L).  With
-    a potential the density F at the midpoints is added, and `gradient`
-    adds grad F there from the same evaluation of W.
+    Lengths are floored at `floor`; `tangents` adds the unit chords
+    T = seg / L (with the floored L).  With a potential the density F at
+    the midpoints is added, and `gradient` adds grad F there from the same
+    evaluation of W.
     """
     v = np.asarray(vertices, dtype=float)
     seg = v[1:] - v[:-1]
-    L = row_norms(seg)
-    if rel_floor:
-        floor = rel_floor * max(float(L.max()), rel_floor)
+    L = np.linalg.norm(seg, axis=1)
     if floor:
         L = np.maximum(L, floor)
     geo = SegmentGeometry(seg=seg, L=L, mid=0.5 * (v[1:] + v[:-1]))

@@ -63,12 +63,13 @@ class Well:
 class Potential:
     """Bundle of W and its derivatives plus declared wells.
 
+    Build one through the make_* factories; the constructor is internal.
     `w_grad(p)` returns (W, grad W) at p from one pass over the points,
     `eval_W(p)` W alone and `hess_W(p)` the Hessian of W; each takes float
-    points of shape (2,) or (N, 2).
+    points of shape (2,) or (N, 2) and is called unchecked.
     """
 
-    def __init__(self, kind, params, wells_locations, eval_W, w_grad,
+    def __init__(self, kind, params, wells_locations, eval_W, *, w_grad,
                  hess_W):
         self.kind = kind
         self.params = dict(params)
@@ -185,8 +186,8 @@ def from_json_dict(data: dict) -> Potential:
 def _family(kind, params, wells, w_grad, hess) -> Potential:
     """A built-in potential: W alone is the first half of its one-pass
     (W, grad W), so each formula is written once."""
-    return Potential(kind, params, wells, lambda p: w_grad(p)[0], w_grad,
-                     hess)
+    return Potential(kind, params, wells, lambda p: w_grad(p)[0],
+                     w_grad=w_grad, hess_W=hess)
 
 
 def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
@@ -372,4 +373,4 @@ def make_custom(eval_W: Callable, wells=(), grad_W=None,
     hess = (functools.partial(_fd_hess, W) if hess_W is None
             else _per_point(hess_W, (2, 2)))
     return Potential("custom", {}, list(wells), W,
-                     lambda p: (W(p), grad(p)), hess)
+                     w_grad=lambda p: (W(p), grad(p)), hess_W=hess)

@@ -49,7 +49,7 @@ from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonConvergence, ZeroDensityInterior
-from .functionals import (Curve, SegmentGeometry, area, energy, row_norms,
+from .functionals import (Curve, SegmentGeometry, area, energy,
                           segment_geometry)
 from .potential import Potential
 
@@ -280,7 +280,7 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
     t[0] = v[1] - v[0]
     t[-1] = v[-1] - v[-2]
     t[1:-1] = v[2:] - v[:-2]
-    nrm = row_norms(t)
+    nrm = np.linalg.norm(t, axis=1)
     nrm = np.maximum(nrm, 1e-300)
     t /= nrm[:, None]
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
@@ -325,7 +325,7 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
         band = _normal_hessian(geo, potential, lam, N)
         # keep each vertex within a fraction of its local spacing so
         # normal moves of neighbors cannot collide into a stack
-        seg = row_norms(geo.seg)
+        seg = np.linalg.norm(geo.seg, axis=1)
         cap = 0.4 * np.minimum(seg[:-1], seg[1:])
         for _ in range(25):
             band_lm = band.copy()
@@ -564,8 +564,8 @@ def _normal_residual(v: np.ndarray, potential: Potential, w: float
     Fv, gFv = potential.density(v[1:-1])
     _, a, gE, gA, geo = _one_pass(v, potential)
     s = 0.5 * (geo.L[:-1] + geo.L[1:])
-    turn = row_norms(geo.T[1:] - geo.T[:-1]) / s
-    scale = s * (row_norms(gFv) + abs(w) + Fv * turn)
+    turn = np.linalg.norm(geo.T[1:] - geo.T[:-1], axis=1) / s
+    scale = s * (np.linalg.norm(gFv, axis=1) + abs(w) + Fv * turn)
     N = vertex_normals(v)[1:-1]
     gn = np.einsum("ij,ij->i", gE + w * gA, N)
     un = np.einsum("ij,ij->i", gA, N)

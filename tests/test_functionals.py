@@ -164,7 +164,5 @@ def test_segment_geometry_floors_and_options():
     assert geo.L[0] == 1e-300 and np.array_equal(geo.T[0], [0.0, 0.0])
     F, gF = pot.density(geo.mid)
     assert np.array_equal(geo.F, F) and np.array_equal(geo.gF, gF)
-    rel = segment_geometry(v, rel_floor=1e-12)
-    assert rel.L[0] == 1e-12 * math.sqrt(2.0)
     only_F = segment_geometry(v, pot)
     assert only_F.gF is None and np.array_equal(only_F.F, F)
