@@ -317,8 +317,10 @@ def main(argv: Optional[list] = None) -> int:
     except _FLAG_ERRORS as exc:
         print(f"degeo: {exc}", file=sys.stderr)
         return 2
-    except (DegeoError, KeyError, ValueError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    # OverflowError: a config number no float holds (an integer past
+    # 1.8e308, an infinite count)
+    except (DegeoError, KeyError, ValueError, TypeError, OverflowError,
+            OSError, json.JSONDecodeError) as exc:
         print(f"degeo: {exc}", file=sys.stderr)
         return 1
 

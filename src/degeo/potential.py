@@ -43,6 +43,8 @@ from .errors import (
 
 # Step used by the finite-difference fallback of custom potentials.
 FD_STEP_SCALE = 1e-5
+# floor of F in the denominator of grad F = grad W / (2 F)
+_SQRT_FLOOR = math.sqrt(1e-300)
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,9 @@ class Potential:
         """
         w, g = self.W_and_grad(p)
         F = np.sqrt(np.maximum(w, 0.0))
-        denom = 2.0 * np.sqrt(np.maximum(w, 1e-300))
+        # equal to 2 sqrt(max(W, 1e-300)): a correctly rounded sqrt is
+        # monotone, so flooring F at sqrt(1e-300) saves the second root
+        denom = 2.0 * np.maximum(F, _SQRT_FLOOR)
         return F, g / denom[..., None]
 
     # -- wells --------------------------------------------------------------
@@ -192,8 +196,11 @@ def _family(kind, params, wells, w_grad, hess) -> Potential:
 
 def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
     """W(p) = lambda1^2 p1^2 + lambda2^2 p2^2, single well at the origin."""
-    if not (0.0 < lambda1 < math.inf and 0.0 < lambda2 < math.inf):
-        raise NonPositiveEigenvalue("both rates must be finite and positive")
+    lambda1, lambda2 = float(lambda1), float(lambda2)
+    if not all(0.0 < lam and 2.0 * lam * lam < math.inf
+               for lam in (lambda1, lambda2)):
+        raise NonPositiveEigenvalue("both rates must be positive, with the "
+                                    "Hessian rates 2 lambda^2 finite")
     l1s, l2s = lambda1**2, lambda2**2
     rates = np.array([2.0 * l1s, 2.0 * l2s])
 
@@ -223,9 +230,10 @@ def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Pote
         raise ValueError("center must be a finite point (p1, p2)")
     if not 0.0 < r_max < math.inf:
         raise ValueError("r_max must be finite and positive")
-    if not -1.0 / r_max**2 < b < math.inf:
+    # 1 + b r_max^2 > 0, and the Hessian's 8 b finite
+    if not (-1.0 < b * r_max * r_max and 8.0 * b < math.inf):
         raise InvalidCoefficient(
-            f"b = {b} is not finite or makes W vanish within the working "
+            f"b = {b} is too large or makes W vanish within the working "
             f"disc of radius {r_max}")
 
     def w_grad(p):
@@ -259,10 +267,11 @@ def make_two_well_k(k: float) -> Potential:
     disc this is the radial quartic with b = k^2 - 1.
     """
     k = float(k)
-    if not 1.0 < k < math.inf:
-        raise InvalidK("need a finite k > 1 so the plateau sits above the "
-                       "quartic bowl")
     b = k * k - 1.0
+    # the Hessian's 8 b must be finite too
+    if not (1.0 < k and 8.0 * b < math.inf):
+        raise InvalidK("need k > 1 so the plateau sits above the quartic "
+                       "bowl, and 8 (k^2 - 1) finite")
 
     def split(p):
         """Offsets q from the nearer well (p1 = 0 belongs to the left one)

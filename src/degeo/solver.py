@@ -14,13 +14,16 @@ midpoints, and E, the area and both interior gradients follow, bit for bit
 equal to `discrete_energy_gradient` and `discrete_area_gradient`.  The
 L-BFGS-B objective, every polish evaluation, `el_residual` and the start
 energies use it, and the polish Hessian reuses the geometry and density of
-the evaluation it was accepted at.
+the evaluation it was accepted at.  A polish trial evaluates only what its
+acceptance test reads (`_normal_gradient`); the residual's scale
+(`_scaled_residual`) is formed once a trial is accepted.
 
 An augmented-Lagrangian outer loop around L-BFGS-B on the interior vertices
 brings each start near feasibility and hands it to a damped Newton polish as
 soon as that polish converges; the polish solves the KKT system for the
-vertex-normal offsets and mu, one tridiagonal solve with a scalar border per
-step, and stops on the normal gradient in `el_residual`'s normalization.
+vertex-normal offsets and mu, one tridiagonal solve (LAPACK's dgtsv) with a
+scalar border per trial, and stops on the normal gradient in
+`el_residual`'s normalization.
 Every resample, between inner solves and before each polish, grades the
 mesh toward the wells (`_remesh`), so a start ends on that mesh: a curve
 that ends at a well spirals into it, and spacing by weighted length alone
@@ -45,11 +48,11 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonConvergence, ZeroDensityInterior
-from .functionals import (Curve, SegmentGeometry, area, energy,
+from .functionals import (Curve, SegmentGeometry, _row_norms, area, energy,
                           segment_geometry)
 from .potential import Potential
 
@@ -262,7 +265,8 @@ def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
     Moving interior vertex i along N_i only couples it to its neighbors,
     so the matrix is tridiagonal: diagonal N_i^T (bb[i-1] + aa[i]) N_i and
     off-diagonal N_i^T ab[i] N_{i+1}.  Returned in the (3, n-2) band
-    layout of `scipy.linalg.solve_banded((1, 1), ...)`.
+    layout of `scipy.linalg.solve_banded((1, 1), ...)`: superdiagonal
+    (from column 1), diagonal, subdiagonal (to column n-4).
     """
     aa, bb, ab = _lagrangian_hessian(geo, potential, w)
     band = np.zeros((3, N.shape[0]))
@@ -280,8 +284,7 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
     t[0] = v[1] - v[0]
     t[-1] = v[-1] - v[-2]
     t[1:-1] = v[2:] - v[:-2]
-    nrm = np.linalg.norm(t, axis=1)
-    nrm = np.maximum(nrm, 1e-300)
+    nrm = np.maximum(_row_norms(t), 1e-300)
     t /= nrm[:, None]
     return np.stack([-t[:, 1], t[:, 0]], axis=1)
 
@@ -295,14 +298,21 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     into stacks and never reach tight stationarity.  Each step moves every
     interior vertex along its normal only, which removes the gauge modes
     and leaves the tridiagonal Hessian H of `_normal_hessian`; the area
-    constraint borders it with the normal area gradient u.  One banded
-    solve gives H d0 = -g_n and H d_u = u; the border row u.d = -c then
-    fixes dlam = (u.d0 + c) / (u.d_u) and the step d = d0 - dlam d_u.
-    Normals are recomputed after every accepted step.  A=None solves
-    without the border (lam stays as given).
+    constraint borders it with the normal area gradient u.  One call of
+    LAPACK's dgtsv on H + lm I gives H d0 = -g_n and H d_u = u; the border
+    row u.d = -c then fixes dlam = (u.d0 + c) / (u.d_u) and the step
+    d = d0 - dlam d_u.  The Levenberg-Marquardt shift lm grows tenfold
+    after each rejected trial (and on a singular or non-finite solve), and
+    the band and right-hand side are formed, and checked finite, once per
+    step.  Normals are recomputed after every accepted step.  A=None
+    solves without the border (lam stays as given).
 
-    A step is accepted when it lowers max(|g_n|, |c|), and the polish stops
-    by `_polish_converged`, on g_n in `el_residual`'s normalization.
+    A trial is accepted when it lowers max(|g_n|, |c|), which is all it
+    evaluates (`_normal_gradient`); the residual's scale is formed only
+    for an accepted one.  The polish stops by `_polish_converged`, on g_n
+    in `el_residual`'s normalization.  A non-finite Hessian or gradient
+    raises ValueError.
+
     Returns the vertices, lam, the final max over interior vertices of that
     residual, the area gap c (0 for A=None) and the number of accepted
     steps.
@@ -310,10 +320,11 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
 
     def evaluate(v, lam):
-        N, gn, un, a, res, _, geo = _normal_residual(v, potential, lam)
-        return N, gn, un, 0.0 if A is None else a - A, res, geo
+        N, gn, one = _normal_gradient(v, potential, lam)
+        return N, gn, one, 0.0 if A is None else one.area - A
 
-    N, gn, un, c, res, geo = evaluate(v, lam)
+    N, gn, one, c = evaluate(v, lam)
+    res, _ = _scaled_residual(v, potential, lam, gn, one.geo)
     lm = 1e-9
     steps = 0
     for _ in range(_NEWTON_ITERATIONS):
@@ -322,20 +333,23 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             raise NonConvergence("newton polish produced non-finite values")
         if _polish_converged(res, c, tol_c):
             break
-        band = _normal_hessian(geo, potential, lam, N)
+        band = _normal_hessian(one.geo, potential, lam, N)
+        un = np.einsum("ij,ij->i", one.gA, N)
+        rhs = np.stack([-gn, un], axis=1)
+        if not (np.all(np.isfinite(band)) and np.all(np.isfinite(rhs))):
+            raise ValueError("newton polish: non-finite Hessian or gradient")
+        lower, upper = band[2, :-1], band[0, 1:]
         # keep each vertex within a fraction of its local spacing so
         # normal moves of neighbors cannot collide into a stack
-        seg = np.linalg.norm(geo.seg, axis=1)
+        seg = _row_norms(one.geo.seg)
         cap = 0.4 * np.minimum(seg[:-1], seg[1:])
         for _ in range(25):
-            band_lm = band.copy()
-            band_lm[1] += lm
-            try:
-                d0, du = solve_banded((1, 1), band_lm,
-                                      np.stack([-gn, un], axis=1)).T
-            except LinAlgError:
+            *_, x, info = dgtsv(lower, band[1] + lm, upper, rhs,
+                                overwrite_d=1)
+            if info > 0:  # singular
                 lm *= 10.0
                 continue
+            d0, du = x.T
             dlam = 0.0
             if A is not None:
                 s = float(un @ du)
@@ -350,7 +364,8 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             gnt, ct = trial[1], trial[3]
             if max(float(np.abs(gnt).max()), abs(ct)) < err:
                 v, lam = vt, lam + dlam
-                N, gn, un, c, res, geo = trial
+                N, gn, one, c = trial
+                res, _ = _scaled_residual(v, potential, lam, gn, one.geo)
                 steps += 1
                 lm = max(lm / 3.0, 1e-12)
                 break
@@ -411,8 +426,8 @@ def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
     geo = segment_geometry(v, potential)
     monitor = geo.F / max(float(geo.F.max()), 1e-300)
     if potential.wells:
-        wells = np.array([w.location for w in potential.wells])
-        d = np.linalg.norm(geo.mid[:, None, :] - wells[None], axis=2).min(1)
+        d = np.min([_row_norms(geo.mid - w.location)
+                    for w in potential.wells], axis=0)
         monitor = monitor + np.sqrt(geo.L.mean() / np.maximum(d, 1e-300))
     # equidistribute the cumulative weight monitor * L; the ends stay put
     weights = monitor * geo.L
@@ -549,28 +564,32 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
 # residuals, curvature, multiplier estimates
 # ---------------------------------------------------------------------------
 
-def _normal_residual(v: np.ndarray, potential: Potential, w: float
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float,
-                                float, np.ndarray, SegmentGeometry]:
-    """Normal gradient of E + w * area at the interior vertices, and its
-    size in `el_residual`'s normalization.
+def _normal_gradient(v: np.ndarray, potential: Potential, w: float
+                     ) -> Tuple[np.ndarray, np.ndarray, _Pass]:
+    """Interior normals N, the normal gradient g_n of E + w * area at the
+    interior vertices, and the `_one_pass` evaluation of v."""
+    one = _one_pass(v, potential)
+    N = vertex_normals(v)[1:-1]
+    return N, np.einsum("ij,ij->i", one.gE + w * one.gA, N), one
+
+
+def _scaled_residual(v: np.ndarray, potential: Potential, w: float,
+                     gn: np.ndarray, geo: SegmentGeometry
+                     ) -> Tuple[float, np.ndarray]:
+    """Size of the normal gradient gn of `_normal_gradient` in
+    `el_residual`'s normalization, and F at the interior vertices.
 
     The local scale is |grad F| + |w| + F * (discrete turning rate), times
-    the mean spacing s of the two adjacent segments.  Returns the interior
-    normals N, the normal gradient g_n, the normal area gradient, the area,
-    max |g_n| / scale (0 where the scale vanishes), F at the interior
-    vertices and the segment geometry of `_one_pass`.
+    the mean spacing s of the two adjacent segments; the size is
+    max |g_n| / scale over the interior vertices (0 where the scale
+    vanishes).
     """
     Fv, gFv = potential.density(v[1:-1])
-    _, a, gE, gA, geo = _one_pass(v, potential)
     s = 0.5 * (geo.L[:-1] + geo.L[1:])
-    turn = np.linalg.norm(geo.T[1:] - geo.T[:-1], axis=1) / s
-    scale = s * (np.linalg.norm(gFv, axis=1) + abs(w) + Fv * turn)
-    N = vertex_normals(v)[1:-1]
-    gn = np.einsum("ij,ij->i", gE + w * gA, N)
-    un = np.einsum("ij,ij->i", gA, N)
+    turn = _row_norms(geo.T[1:] - geo.T[:-1]) / s
+    scale = s * (_row_norms(gFv) + abs(w) + Fv * turn)
     res = np.where(scale > 0.0, np.abs(gn) / np.maximum(scale, 1e-300), 0.0)
-    return N, gn, un, a, float(res.max()), Fv, geo
+    return float(res.max()), Fv
 
 
 def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
@@ -590,7 +609,8 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     v = curve.vertices
     if len(v) < 3:
         return 0.0
-    *_, res, Fv, _ = _normal_residual(v, potential, -lam)
+    _, gn, one = _normal_gradient(v, potential, -lam)
+    res, Fv = _scaled_residual(v, potential, -lam, gn, one.geo)
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
     return res

@@ -266,3 +266,82 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "wave" in proc.stdout
+
+
+# one valid config per command, at sizes that run in milliseconds
+_FUZZ_BASES = {
+    "solve": {"potential": RADIAL_POT, "endpoints": [[1.0, 0.0], [0.0, 0.0]],
+              "A": 0.1, "solver": {"n_vertices": 8}},
+    "sweep": {"potential": RADIAL_POT, "endpoints": [[1.0, 0.0], [0.0, 0.0]],
+              "A_list": [0.1], "solver": {"n_vertices": 8}},
+    "homogeneous": {"potential": HOM_POT, "mode": "solve", "p0": [1.0, 0.0],
+                    "A": 0.05},
+    "radial": {"potential": RADIAL_POT, "R0": 1.0, "A_tilde": 0.3, "n": 16},
+    "wave": {"potential": {"kind": "two_well", "params": {"k": 4.0}},
+             "endpoints": [[-1.0, 0.0], [1.0, 0.0]], "A": 0.0, "n_modes": 2,
+             "solver": {"n_vertices": 8}},
+}
+# no number at all, or none a float holds (10**400 is a JSON integer)
+_NOT_NUMBERS = (None, "x", [], {}, [1.0], float("nan"), float("inf"),
+                float("-inf"), 10**400)
+# (potential, parameter, values it must reject), tried under every command
+_BAD_POTENTIALS = (
+    ("homogeneous", "lambda1", _NOT_NUMBERS + (0.0, -1.0, 2e154, 1e308)),
+    ("homogeneous", "lambda2", _NOT_NUMBERS + (-0.0, 9.5e153, 1e200)),
+    ("radial_quartic", "b", _NOT_NUMBERS + (-1.0, -1e308, 2.3e307, 1e308)),
+    ("radial_quartic", "r_max", _NOT_NUMBERS + (0.0, -1.0)),
+    ("radial_quartic", "center", _NOT_NUMBERS + ([0.0, float("nan")],
+                                                 [0.0, 0.0, 0.0])),
+    ("two_well", "k", _NOT_NUMBERS + (1.0, 0.5, -4.0, 5e153, 1e200)),
+)
+# (command, field, values it must reject)
+_BAD_FIELDS = (
+    ("solve", "A", _NOT_NUMBERS),
+    ("solve", "endpoints", _NOT_NUMBERS + ([[1.0, 0.0], [1.0, 0.0]],
+                                           [[1.0, 0.0], [10**400, 0.0]],
+                                           [[1.0, 0.0]])),
+    ("solve", "solver", (None, "x", [], {"n_vertices": 2},
+                         {"n_vertices": 8.5}, {"n_vertices": float("inf")},
+                         {"typo": 1})),
+    ("sweep", "A_list", (None, "x", [], {}, [None], ["x"], [[0.1]],
+                         [float("nan")], [float("inf")], [10**400])),
+    ("homogeneous", "A", _NOT_NUMBERS),
+    ("homogeneous", "p0", _NOT_NUMBERS + ([0.0, 0.0], [1.0, 0.0, 0.0])),
+    ("homogeneous", "mode", (None, "x", [], 1.0)),
+    ("radial", "R0", _NOT_NUMBERS),
+    ("radial", "A_tilde", _NOT_NUMBERS),
+    ("radial", "n", (None, "x", [], float("nan"), float("inf"), 1)),
+    ("radial", "r_inner", _NOT_NUMBERS + (0.0, -1.0, 2.0)),
+    ("wave", "A", _NOT_NUMBERS),
+    ("wave", "n_modes", (None, "x", [], float("nan"), float("inf"))),
+)
+
+
+def _fuzz_cases():
+    for kind, name, values in _BAD_POTENTIALS:
+        params = next(b["potential"]["params"] for b in _FUZZ_BASES.values()
+                      if b["potential"]["kind"] == kind)
+        for value in values:
+            for command, base in _FUZZ_BASES.items():
+                yield command, {**base, "potential": {
+                    "kind": kind, "params": {**params, name: value}}}
+    for command, field, values in _BAD_FIELDS:
+        for value in values:
+            yield command, {**_FUZZ_BASES[command], field: value}
+
+
+def test_malformed_configs_exit_with_a_message(tmp_path, capsys):
+    # every command, fed a config with one field broken, ends in exit 1 (or
+    # the flag exit 2) with a one-line "degeo:" message: no traceback, no
+    # RuntimeWarning (an error under the CI's warning filter)
+    path = tmp_path / "fuzz.json"
+    out = str(tmp_path / "out")
+    n = 0
+    for command, cfg in _fuzz_cases():
+        path.write_text(json.dumps(cfg))
+        code = main([command, str(path), "--out", out, "--quiet"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code in (1, 2) and err and err[-1].startswith("degeo: "), \
+            (command, cfg, code, err)
+        n += 1
+    assert n > 400

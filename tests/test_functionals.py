@@ -8,7 +8,8 @@ from degeo import (Curve, Curve3, area, area_polar, curve3_to_csv,
                    curve_from_csv, curve_from_json, curve_from_json_dict,
                    curve_to_csv, curve_to_json, curve_to_json_dict, energy,
                    euclid_length, lift, make_homogeneous)
-from degeo.functionals import segment_geometry, table_from_csv, table_to_csv
+from degeo.functionals import (_row_norms, segment_geometry, table_from_csv,
+                               table_to_csv)
 from degeo.radial import path_from_csv
 from degeo.wave import profile_from_csv
 
@@ -166,3 +167,24 @@ def test_segment_geometry_floors_and_options():
     assert np.array_equal(geo.F, F) and np.array_equal(geo.gF, gF)
     only_F = segment_geometry(v, pot)
     assert only_F.gF is None and np.array_equal(only_F.F, F)
+
+
+def test_row_norms_equal_numpy_norm_bit_for_bit():
+    # the reference is np.linalg.norm(x, axis=1), which the segment
+    # lengths, the vertex normals and the polish used before the helper
+    tiny, inf, nan = 5e-324, math.inf, math.nan
+    special = np.array([[0.0, 0.0], [-0.0, 0.0], [3.0, -4.0], [tiny, 0.0],
+                        [tiny, -tiny], [1e-310, 2e-310], [1e-160, 1e-160],
+                        [1e-150, -3e-150], [1e150, 1e150], [-2e154, 0.0],
+                        [1e200, 1.0], [inf, 0.0], [nan, 1.0]])
+    scales = 10.0 ** RNG.integers(-150, 151, size=(512, 1))
+    v = np.cumsum(RNG.normal(size=(40, 2)), axis=0)
+    v[12] = v[11]
+    v[25:28] = v[24]
+    for x in (special, RNG.normal(size=(512, 2)) * scales, v[1:] - v[:-1]):
+        # squares past 1.8e308 overflow to inf on both sides
+        with np.errstate(over="ignore"):
+            assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1),
+                                  equal_nan=True)
+    assert np.array_equal(segment_geometry(v).L,
+                          np.linalg.norm(v[1:] - v[:-1], axis=1))

@@ -183,6 +183,25 @@ def test_density_is_F_and_grad_F_bounded_at_well():
     assert F0 == 0.0 and np.array_equal(g0, np.zeros(2))
 
 
+def test_density_takes_one_root_bit_for_bit():
+    # the reference is the two-root formula grad W / (2 sqrt(max(W, 1e-300)));
+    # W = p1, so each point picks its W: negative, zero, subnormal, below
+    # and around the 1e-300 floor, normal, huge and non-finite
+    pot = make_custom(lambda p: np.asarray(p)[..., 0],
+                      grad_W=lambda p: np.asarray(p)[..., 1:] + [1.0, -2.0])
+    w = np.concatenate([
+        [-1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-305, 1e-301,
+         np.nextafter(1e-300, 0.0), 1e-300, np.nextafter(1e-300, 1.0),
+         2e-300, 1e-150, 0.25, 1.0, 3e10, 1e300, np.inf, np.nan],
+        10.0 ** RNG.uniform(-320.0, 300.0, size=256)])
+    pts = np.stack([w, RNG.normal(size=w.size)], axis=1)
+    g = pts[:, 1:] + [1.0, -2.0]
+    F, gF = pot.density(pts)
+    assert np.array_equal(F, np.sqrt(np.maximum(w, 0.0)), equal_nan=True)
+    ref = g / (2.0 * np.sqrt(np.maximum(w, 1e-300)))[:, None]
+    assert np.array_equal(gF, ref, equal_nan=True)
+
+
 def _reference_W_and_grad(pot):
     """A built-in's W and grad W as two separate evaluations, each with its
     own preamble, in the arithmetic the one-pass evaluation must keep."""

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from degeo import (Curve, Potential, SolveResult, SolverConfig,
                    ZeroDensityInterior, area, area_sweep, detect_area_leakage,
@@ -14,6 +16,7 @@ from degeo import (Curve, Potential, SolveResult, SolverConfig,
                    minimize_unconstrained, parabola_energy, solve_C1_for_area,
                    solve_homogeneous, spiral_from_C1, vertex_normals)
 from degeo import solver
+from degeo.functionals import SegmentGeometry
 from degeo.solver import _TOL_AREA, _packed_certificate
 
 RNG = np.random.default_rng(31)
@@ -559,3 +562,196 @@ def test_energy_gradient_evaluates_W_once(monkeypatch):
     calls.clear()
     el_residual(Curve(v), pot, 0.5)
     assert calls == {"W_and_grad": 2}
+
+
+@pytest.mark.parametrize("case", ["dominant", "indefinite", "zero_column",
+                                  "zero_pivot"])
+def test_dgtsv_equals_solve_banded_bit_for_bit(case):
+    # the polish hands the band's three rows to LAPACK's dgtsv, the routine
+    # solve_banded((1, 1), ...) dispatches to; a singular band must raise
+    # LinAlgError there and report info > 0 here (both: lm *= 10)
+    m = 48
+    band = RNG.normal(size=(3, m))
+    band[0, 0] = band[2, -1] = 0.0
+    if case == "dominant":
+        band[1] = 2.5 + np.abs(band[1])
+    elif case == "zero_column":
+        band[1, 0] = band[2, 0] = 0.0
+    elif case == "zero_pivot":
+        # rows 0 and 1 start [1, 1, 0 ...] and [1, 1, 0 ...]: elimination
+        # leaves an exact zero on the diagonal
+        band[:, :2] = [[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
+    rhs = RNG.normal(size=(m, 2))
+    for lm in ((0.0,) if case.startswith("zero") else (0.0, 1e-9, 10.0)):
+        band_lm = band.copy()
+        band_lm[1] += lm
+        try:
+            ref = solve_banded((1, 1), band_lm, rhs)
+        except LinAlgError:
+            ref = None
+        *_, x, info = dgtsv(band[2, :-1], band[1] + lm, band[0, 1:], rhs,
+                            overwrite_d=1)
+        assert (ref is None) == case.startswith("zero")
+        if ref is None:
+            assert info > 0
+        else:
+            assert info == 0 and np.array_equal(x, ref)
+
+
+def _reference_geometry(v, potential):
+    """The per-segment data before the row-norm helper and the one-root
+    density: lengths by np.linalg.norm, grad F with a second sqrt."""
+    seg = v[1:] - v[:-1]
+    L = np.maximum(np.linalg.norm(seg, axis=1), 1e-300)
+    mid = 0.5 * (v[1:] + v[:-1])
+    w, g = potential.W_and_grad(mid)
+    F = np.sqrt(np.maximum(w, 0.0))
+    gF = g / (2.0 * np.sqrt(np.maximum(w, 1e-300)))[:, None]
+    return SegmentGeometry(seg=seg, L=L, mid=mid, T=seg / L[:, None], F=F,
+                           gF=gF)
+
+
+def _reference_residual(v, potential, w):
+    """The unsplit normal residual, in the arithmetic of the reference
+    geometry: (N, g_n, u_n, area, max |g_n| / scale, geometry)."""
+    geo = _reference_geometry(v, potential)
+    wv, g = potential.W_and_grad(v[1:-1])
+    Fv = np.sqrt(np.maximum(wv, 0.0))
+    gFv = g / (2.0 * np.sqrt(np.maximum(wv, 1e-300)))[:, None]
+    half = 0.5 * geo.gF * geo.L[:, None]
+    FT = geo.F[:, None] * geo.T
+    gE = (half - FT)[1:] + (half + FT)[:-1]
+    seg2, mid1 = geo.seg[:, 1], geo.mid[:, 0]
+    gA = np.empty_like(gE)
+    gA[:, 0] = 0.5 * seg2[1:] + 0.5 * seg2[:-1]
+    gA[:, 1] = mid1[:-1] - mid1[1:]
+    a = float((mid1 * seg2).cumsum()[-1])
+    s = 0.5 * (geo.L[:-1] + geo.L[1:])
+    turn = np.linalg.norm(geo.T[1:] - geo.T[:-1], axis=1) / s
+    scale = s * (np.linalg.norm(gFv, axis=1) + abs(w) + Fv * turn)
+    t = np.empty_like(v)
+    t[0], t[-1], t[1:-1] = v[1] - v[0], v[-1] - v[-2], v[2:] - v[:-2]
+    t /= np.maximum(np.linalg.norm(t, axis=1), 1e-300)[:, None]
+    N = np.stack([-t[:, 1], t[:, 0]], axis=1)[1:-1]
+    gn = np.einsum("ij,ij->i", gE + w * gA, N)
+    un = np.einsum("ij,ij->i", gA, N)
+    res = np.where(scale > 0.0, np.abs(gn) / np.maximum(scale, 1e-300), 0.0)
+    return N, gn, un, a, float(res.max()), geo
+
+
+def _reference_polish(v, potential, A, lam):
+    """The polish before dgtsv and the split residual: every trial copies
+    the band, solves with solve_banded and evaluates the whole residual."""
+    tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
+
+    def evaluate(v, lam):
+        N, gn, un, a, res, geo = _reference_residual(v, potential, lam)
+        return N, gn, un, 0.0 if A is None else a - A, res, geo
+
+    N, gn, un, c, res, geo = evaluate(v, lam)
+    lm = 1e-9
+    steps = 0
+    for _ in range(solver._NEWTON_ITERATIONS):
+        err = max(float(np.abs(gn).max()), abs(c))
+        assert math.isfinite(err)
+        if solver._polish_converged(res, c, tol_c):
+            break
+        band = solver._normal_hessian(geo, potential, lam, N)
+        seg = np.linalg.norm(geo.seg, axis=1)
+        cap = 0.4 * np.minimum(seg[:-1], seg[1:])
+        for _ in range(25):
+            band_lm = band.copy()
+            band_lm[1] += lm
+            try:
+                d0, du = solve_banded((1, 1), band_lm,
+                                      np.stack([-gn, un], axis=1)).T
+            except LinAlgError:
+                lm *= 10.0
+                continue
+            dlam = 0.0
+            if A is not None:
+                s = float(un @ du)
+                dlam = (float(un @ d0) + c) / s if s else math.inf
+            d = d0 - dlam * du
+            if not (math.isfinite(dlam) and np.all(np.isfinite(d))):
+                lm *= 10.0
+                continue
+            vt = v.copy()
+            vt[1:-1] += np.clip(d, -cap, cap)[:, None] * N
+            trial = evaluate(vt, lam + dlam)
+            if max(float(np.abs(trial[1]).max()), abs(trial[3])) < err:
+                v, lam = vt, lam + dlam
+                N, gn, un, c, res, geo = trial
+                steps += 1
+                lm = max(lm / 3.0, 1e-12)
+                break
+            lm *= 10.0
+        else:
+            break
+    return v, lam, res, c, steps
+
+
+class _Captured(Exception):
+    pass
+
+
+def _polish_inputs(monkeypatch, solve, calls):
+    """Arguments of the first `calls` polishes of `solve()`."""
+    seen = []
+    polish = solver._newton_polish
+
+    def capture(v, potential, A, lam):
+        seen.append((v.copy(), potential, A, lam))
+        if len(seen) == calls:
+            raise _Captured
+        return polish(v, potential, A, lam)
+
+    monkeypatch.setattr(solver, "_newton_polish", capture)
+    with pytest.raises(_Captured):
+        solve()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("case", ["two_well_nonexistence", "radial_handoff",
+                                  "homogeneous_geodesic",
+                                  "two_well_geodesic"])
+def test_newton_polish_equals_the_reference_bit_for_bit(case, monkeypatch):
+    config = SolverConfig(n_vertices=64)
+    if case == "two_well_nonexistence":
+        pot, calls = make_two_well_k(4.0), 3
+        solve = lambda: minimize_constrained((-1.0, 0.0), (1.0, 0.0), 2.0,
+                                             pot, config)
+    elif case == "radial_handoff":
+        pot, calls = make_radial_quartic(1.0), 2
+        solve = lambda: minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.25,
+                                             pot, config)
+    elif case == "homogeneous_geodesic":
+        pot, calls = make_homogeneous(1.0, 2.0), 1
+        solve = lambda: minimize_unconstrained((1.0, 0.5), (0.0, 0.0), pot,
+                                               config)
+    else:
+        # a polish that fails: it runs its 150 steps without converging
+        pot, calls = make_two_well_k(4.0), 1
+        solve = lambda: minimize_unconstrained((-1.0, 0.3), (1.0, 0.2), pot,
+                                               config)
+    inputs = _polish_inputs(monkeypatch, solve, calls)
+    assert len(inputs) == calls
+    total_steps = 0
+    for v, potential, A, lam in inputs:
+        got = solver._newton_polish(v, potential, A, lam)
+        ref = _reference_polish(v, potential, A, lam)
+        assert np.array_equal(got[0], ref[0])
+        assert got[1:] == ref[1:]
+        total_steps += got[4]
+    assert total_steps > 0
+
+
+def test_non_finite_hessian_raises_value_error():
+    # a user Hessian returning NaN must stop the solve, not steer it
+    pot = make_custom(lambda p: 1.0 + np.sum(np.asarray(p) ** 2, axis=-1),
+                      grad_W=lambda p: 2.0 * np.asarray(p),
+                      hess_W=lambda p: np.full(np.shape(p) + (2,), np.nan))
+    with pytest.raises(ValueError):
+        minimize_constrained((1.0, 0.0), (-1.0, 0.0), 0.3, pot,
+                             SolverConfig(n_vertices=16))
