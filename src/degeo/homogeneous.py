@@ -188,6 +188,12 @@ def solve_beta_for_area(p0, A: float, lambda1: float, lambda2: float,
     # A above the pi/2 value lies on the positive half-branch, A below it on
     # the negative one; halve beta toward 0 until the area passes A
     outer = math.copysign(math.pi / 2, -f_mid)
+    # the area at the smallest beta the halving reaches bounds what it can
+    # bracket; past it, A times f_mid may also overflow
+    reach = _arc_area(p0, math.ldexp(outer, -_ROOT_BUDGET), lambda1, lambda2)
+    if abs(A) > abs(reach):
+        raise ValueError(f"the area {A:g} is beyond the {reach:.3g} the arc "
+                         f"from p0 is solved for")
     for _ in range(_ROOT_BUDGET):
         inner = 0.5 * outer
         if f(inner) * f_mid <= 0.0:

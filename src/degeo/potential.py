@@ -283,8 +283,11 @@ def make_two_well_k(k: float) -> Potential:
 
     def w_grad(p):
         q, r2 = split(p)
-        return (np.where(r2 >= 1.0, k * k, r2 + b * r2**2),
-                np.where(r2 <= 1.0, 2.0 + 4.0 * b * r2, 0.0)[..., None] * q)
+        # the quartic is read inside the unit disc only; clipping r2 keeps
+        # it from overflowing far out on the plateau
+        r2in = np.minimum(r2, 1.0)
+        return (np.where(r2 >= 1.0, k * k, r2in + b * r2in**2),
+                np.where(r2 <= 1.0, 2.0 + 4.0 * b * r2in, 0.0)[..., None] * q)
 
     def hess(p):
         single = p.ndim == 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -31,6 +32,9 @@ from .errors import (GapTooLarge, InvalidC1, InvalidCoefficient,
                      InvalidDensity, NonExistence, NotInNonexistenceRegime)
 from .functionals import (Curve, segment_geometry, table_from_csv,
                           table_to_csv)
+
+# the smallest positive normal float
+_NORMAL = sys.float_info.min
 
 
 @dataclass
@@ -86,8 +90,10 @@ def energy_RA(path: DesingularizedPath) -> float:
 
 def existence_threshold(R0: float, b: float) -> float:
     """Largest attainable |polar area| for a graph path hitting the axis."""
-    if not (0.0 < b < math.inf and 0.0 < R0 < math.inf):
-        raise InvalidCoefficient("threshold requires finite b > 0 and R0 > 0")
+    # a subnormal b or R0 has lost precision, and 1 / b overflows
+    if not (_NORMAL <= b < math.inf and _NORMAL <= R0 < math.inf):
+        raise InvalidCoefficient("threshold requires finite b > 0 and R0 > 0, "
+                                 "neither subnormal")
     return math.sqrt(R0) / (2.0 * math.sqrt(b))
 
 

@@ -20,10 +20,13 @@ acceptance test reads (`_normal_gradient`); the residual's scale
 
 An augmented-Lagrangian outer loop around L-BFGS-B on the interior vertices
 brings each start near feasibility and hands it to a damped Newton polish as
-soon as that polish converges; the polish solves the KKT system for the
-vertex-normal offsets and mu, one tridiagonal solve (LAPACK's dgtsv) with a
-scalar border per trial, and stops on the normal gradient in
-`el_residual`'s normalization.
+soon as that polish converges.  The inner solves drive scipy's L-BFGS-B
+routine `setulb` themselves, with the settings and stopping rule of
+`scipy.optimize.minimize`, so the iterates are the ones it gives, without
+its per-evaluation wrapper; `setulb` moves the vertices in place.  The
+polish solves the KKT system for the vertex-normal offsets and mu, one
+tridiagonal solve (LAPACK's dgtsv) with a scalar border per trial, and
+stops on the normal gradient in `el_residual`'s normalization.
 Every resample, between inner solves and before each polish, grades the
 mesh toward the wells (`_remesh`), so a start ends on that mesh: a curve
 that ends at a well spirals into it, and spacing by weighted length alone
@@ -49,7 +52,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize._lbfgsb import setulb as _setulb
 
 from .errors import NonConvergence, ZeroDensityInterior
 from .functionals import (Curve, SegmentGeometry, _row_norms, area, energy,
@@ -72,6 +75,13 @@ _OUTER_ITERATIONS = 20
 # and the gauge-degenerate tail, so a larger budget just buys slow wandering
 # (every inner solve of a failed start runs to it)
 _INNER_ITERATIONS = 150
+# L-BFGS-B: corrections kept, factr (ftol 1e-13 over machine epsilon) and
+# line-search steps per iteration
+_LBFGS_MEMORY = 20
+_LBFGS_FACTR = 1e-13 / np.finfo(float).eps
+_LBFGS_MAXLS = 40
+# setulb's stop codes for the two budgets of an inner solve
+_BUDGETS = {504: "iteration budget", 502: "evaluation budget"}
 # Newton steps of the polish
 _NEWTON_ITERATIONS = 150
 # the AL loop hands a start to the Newton polish once the area gap is this
@@ -387,28 +397,56 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
     _INNER_ITERATIONS iterations, since the Newton polish finishes the
     start.  Returns the vertices, L-BFGS-B's success flag and its
     iteration count.
+
+    Drives L-BFGS-B's reverse-communication routine `setulb` directly, with
+    the settings and the stopping rule of scipy's
+    `minimize(method="L-BFGS-B")` at maxcor=20, ftol=1e-13, gtol=_TOL_GRAD,
+    maxls=40, maxiter=_INNER_ITERATIONS and maxfun=4*_INNER_ITERATIONS, so
+    the iterates are those `minimize` gives, bit for bit.  The interior
+    rows of the returned vertices are the array `setulb` updates, and a
+    point is evaluated only when it differs from the last one evaluated.
     """
     v = v0.copy()
-
-    def objective(x):
-        v[1:-1] = x.reshape(-1, 2)
-        E, a, gE, gA, _ = _one_pass(v, potential)
-        c = a - A
-        phi = E + mu * c + 0.5 * rho * c * c
-        return phi, (gE + (mu + rho * c) * gA).ravel()
-
-    res = _scipy_minimize(objective, v0[1:-1].ravel(), jac=True,
-                          method="L-BFGS-B",
-                          options={"maxiter": _INNER_ITERATIONS,
-                                   "maxfun": 4 * _INNER_ITERATIONS,
-                                   "maxcor": 20,
-                                   "maxls": 40,
-                                   "ftol": 1e-13,
-                                   "gtol": _TOL_GRAD})
-    if not np.all(np.isfinite(res.x)):
+    x = v[1:-1].reshape(-1)  # a view: setulb moves the interior vertices
+    n, m = x.size, _LBFGS_MEMORY
+    f, g = 0.0, np.zeros(n)
+    free = np.zeros(n)       # bounds, unread: nbd 0 leaves x unbounded
+    nbd = np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
+                           np.zeros(29))
+    x_eval, nit, nfev = None, 0, 0
+    while True:
+        _setulb(m, x, free, free, nbd, f, g, _LBFGS_FACTR, _TOL_GRAD, wa, iwa,
+                task, lsave, isave, dsave, _LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                E, a, gE, gA, _ = _one_pass(v, potential)
+                c = a - A
+                f_eval = E + mu * c + 0.5 * rho * c * c
+                g_eval = (gE + (mu + rho * c) * gA).ravel()
+                nfev += 1
+            # setulb may overwrite g, so it gets a copy
+            f = f_eval
+            g[:] = g_eval
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= _INNER_ITERATIONS:
+                task[:] = 5, 504
+            elif nfev > 4 * _INNER_ITERATIONS:
+                task[:] = 5, 502
+        else:
+            break
+    log.debug("inner solve: %d iterations, %d evaluations, %s", nit, nfev,
+              "converged" if task[0] == 4 else
+              _BUDGETS.get(int(task[1]), f"abnormal stop ({task[0]}, "
+                                         f"{task[1]})"))
+    if not np.all(np.isfinite(x)):
         raise NonConvergence("inner minimization produced non-finite vertices")
-    v[1:-1] = res.x.reshape(-1, 2)
-    return v, bool(res.success), int(res.nit)
+    return v, bool(task[0] == 4), nit
 
 
 def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
@@ -554,10 +592,23 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
     for shape in (t * (1.0 - t), t * t * (1.0 - t), t * (1.0 - t) ** 2):
         cand = base + shape[:, None] * nrm
         a1, _ = discrete_area_gradient(cand)
-        if a1 != a0:
-            h = (A - a0) / (a1 - a0)
+        h = (A - a0) / (a1 - a0) if a1 != a0 else math.inf
+        if math.isfinite(h):
             inits.append(base + (h * shape)[:, None] * nrm)
     return inits or [base]
+
+
+def _finite_start(v: np.ndarray, potential: Potential, A: float) -> bool:
+    """Whether the penalized objective at mu = 0, rho = 1 and its gradient
+    evaluate at v without overflow, as the first inner solve needs."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            E, a, gE, gA, _ = _one_pass(v, potential)
+            c = a - A
+            return (math.isfinite(E + 0.5 * c * c)
+                    and bool(np.all(np.isfinite(gE + c * gA))))
+    except FloatingPointError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -894,11 +945,20 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     inits = _bump_inits(p, q, A, config.n_vertices)
     if init_curve is not None:
         inits.insert(0, _warm_start(init_curve, p, q))
+    # an area past floating-point reach overflows the bump starts or the
+    # penalty at the warm start; such starts are dropped
+    kept = [_finite_start(v0, potential, A) for v0 in inits]
+    if not any(kept):
+        raise ValueError(f"no start curve for the area {A:g} can be "
+                         f"evaluated in floating point")
+    # mu0 and the early exit belong to the first start, the warm one if any
+    first = kept[0]
+    inits = [v0 for v0, k in zip(inits, kept) if k]
 
     best, energies = None, []
     for j, v0 in enumerate(inits):
-        v, mu, c, ok = _augmented_lagrangian(v0, potential, A,
-                                             mu0=mu0 if j == 0 else 0.0)
+        v, mu, c, ok = _augmented_lagrangian(
+            v0, potential, A, mu0=mu0 if j == 0 and first else 0.0)
         E = _one_pass(v, potential).E
         feasible = abs(c) <= tol_c
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
@@ -907,7 +967,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         key = (not feasible, not ok, E)
         if best is None or key < best[0]:
             best = (key, j, v, mu)
-        if j == 0 and init_curve is not None and feasible and ok:
+        if (j == 0 and first and init_curve is not None and feasible
+                and ok):
             break
     (infeasible, failed, _), j, v, mu = best
     others = energies[:j] + energies[j + 1:]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -294,8 +295,22 @@ _BAD_POTENTIALS = (
                                                  [0.0, 0.0, 0.0])),
     ("two_well", "k", _NOT_NUMBERS + (1.0, 0.5, -4.0, 5e153, 1e200)),
 )
+# finite areas no start curve (or, for the closed form, no bracket) reaches
+# in floating point
+_HUGE_AREAS = (1e200, -1e200, 1e308)
+# (command, field, values out of the solvers' floating-point reach); each
+# must exit 1 within milliseconds
+_OUT_OF_RANGE = (
+    ("solve", "A", _HUGE_AREAS),
+    ("sweep", "A_list", ([1e200], [0.0, 1e200])),
+    ("homogeneous", "A", _HUGE_AREAS),
+    ("wave", "A", _HUGE_AREAS),
+    ("radial", "R0", (1e-320,)),
+    ("radial", "potential", ({"kind": "radial_quartic",
+                              "params": {"b": 1e-320}},)),
+)
 # (command, field, values it must reject)
-_BAD_FIELDS = (
+_BAD_FIELDS = _OUT_OF_RANGE + (
     ("solve", "A", _NOT_NUMBERS),
     ("solve", "endpoints", _NOT_NUMBERS + ([[1.0, 0.0], [1.0, 0.0]],
                                            [[1.0, 0.0], [10**400, 0.0]],
@@ -345,3 +360,21 @@ def test_malformed_configs_exit_with_a_message(tmp_path, capsys):
             (command, cfg, code, err)
         n += 1
     assert n > 400
+
+
+def test_out_of_range_values_exit_1_fast(tmp_path, capsys):
+    # values past the floating-point reach of a solver are config errors:
+    # exit 1 before any overflow, not a flag exit 2 after seconds of work
+    path = tmp_path / "range.json"
+    out = str(tmp_path / "out")
+    for command, field, values in _OUT_OF_RANGE:
+        for value in values:
+            path.write_text(json.dumps({**_FUZZ_BASES[command],
+                                        field: value}))
+            start = time.perf_counter()
+            code = main([command, str(path), "--out", out, "--quiet"])
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 1 and err[-1].startswith("degeo: "), \
+                (command, field, value, code, err)
+            assert elapsed < 2.0, (command, field, value, elapsed)

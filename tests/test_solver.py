@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 from scipy.linalg.lapack import dgtsv
+from scipy.optimize import minimize
 
 from degeo import (Curve, Potential, SolveResult, SolverConfig,
                    ZeroDensityInterior, area, area_sweep, detect_area_leakage,
@@ -358,6 +359,145 @@ def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
                f"inner iterations" in m for m, rho in zip(outer, penalties))
     assert [m for m in messages if "stalled" in m] == [
         "outer loop stalled at iteration 9: area gap 0.001 at the penalty cap"]
+
+
+def _minimize_reference(v0, potential, A, mu, rho):
+    """The inner solve through scipy's minimize(method="L-BFGS-B"), with the
+    settings `_inner_solve` drives setulb with."""
+    v = v0.copy()
+
+    def objective(x):
+        v[1:-1] = x.reshape(-1, 2)
+        E, a, gE, gA, _ = solver._one_pass(v, potential)
+        c = a - A
+        return (E + mu * c + 0.5 * rho * c * c,
+                (gE + (mu + rho * c) * gA).ravel())
+
+    res = minimize(objective, v0[1:-1].ravel(), jac=True, method="L-BFGS-B",
+                   options={"maxiter": solver._INNER_ITERATIONS,
+                            "maxfun": 4 * solver._INNER_ITERATIONS,
+                            "maxcor": 20, "maxls": 40, "ftol": 1e-13,
+                            "gtol": solver._TOL_GRAD})
+    v[1:-1] = res.x.reshape(-1, 2)
+    return v, res
+
+
+def _nan_after(calls):
+    """A smooth custom potential whose W turns NaN after `calls` calls."""
+    count = [0]
+
+    def W(p):
+        count[0] += 1
+        w = 1.0 + np.sum(np.asarray(p) ** 2, axis=-1)
+        return w * np.nan if count[0] > calls else w
+
+    return make_custom(W, grad_W=lambda p: 2.0 * np.asarray(p))
+
+
+def _terraced():
+    """W in steps of height 1 every 0.01 of |p2|, with a zero gradient:
+    line searches fail often enough to reach the evaluation budget."""
+    return make_custom(
+        lambda p: 1.0 + np.floor(100.0 * np.abs(np.asarray(p)[..., 1])),
+        grad_W=lambda p: np.zeros(np.shape(p)))
+
+
+def _first_start(p, q, A, n):
+    return solver._bump_inits(np.array(p), np.array(q), A, n)[0]
+
+
+def _arched(p, q, n, amp):
+    t = np.linspace(0.0, 1.0, n)
+    return solver._straight(np.array(p), np.array(q), n) + np.outer(
+        amp * t * (1.0 - t), [-(q[1] - p[1]), q[0] - p[0]])
+
+
+# (potential factory, start, A, mu, rho, scipy's message, the logged stop)
+_INNER_CASES = {
+    # the first inner solve of a start: mu = 0, rho = 1
+    "radial": (lambda: make_radial_quartic(1.0),
+               _first_start((1.0, 0.0), (0.0, 0.0), 0.1, 64), 0.1, 0.0, 1.0,
+               "STOP: TOTAL NO. OF ITERATIONS", "iteration budget"),
+    "homogeneous": (lambda: make_homogeneous(1.0, 2.0),
+                    _first_start((1.0, 0.0), (0.0, 0.0), 0.05, 96), 0.05,
+                    0.0, 1.0, "STOP: TOTAL NO. OF ITERATIONS",
+                    "iteration budget"),
+    "two_well": (lambda: make_two_well_k(4.0),
+                 _first_start((-1.0, 0.0), (1.0, 0.0), 0.3, 128), 0.3, 0.0,
+                 1.0, "STOP: TOTAL NO. OF ITERATIONS", "iteration budget"),
+    # minimize_unconstrained's inner solve, converged within the budget
+    "geodesic": (lambda: make_homogeneous(1.0, 2.0),
+                 _arched((1.0, 0.0), (0.0, 0.0), 32, 0.2), 0.0, 0.0, 0.0,
+                 "CONVERGENCE", "converged"),
+    "nan_partway": (lambda: _nan_after(20),
+                    _arched((-1.0, 0.0), (1.0, 0.0), 32, 0.15), 0.5, 0.0,
+                    1.0, "ABNORMAL", "abnormal stop (8, 0)"),
+    "evaluation_budget": (_terraced,
+                          _arched((-1.0, 0.0), (1.0, 0.0), 24, 0.15), 0.5,
+                          0.0, 1.0, "STOP: TOTAL NO. OF F,G",
+                          "evaluation budget"),
+    # with a budget of 51 iterations, 204 evaluations: this solve has made
+    # exactly that many when its 11th iteration ends, and goes on, since
+    # the stop needs more evaluations than that
+    "evaluation_budget_met": (_terraced,
+                              _arched((-1.0, 0.0), (1.0, 0.0), 24, 0.15),
+                              0.5, 0.0, 1.0, "STOP: TOTAL NO. OF F,G",
+                              "evaluation budget"),
+}
+_INNER_BUDGETS = {"evaluation_budget_met": 51}
+
+
+@pytest.mark.parametrize("case", list(_INNER_CASES))
+def test_inner_solve_matches_scipy_minimize_bit_for_bit(case, monkeypatch,
+                                                       caplog):
+    # the setulb driver keeps minimize's iterates, stopping rule and
+    # evaluation count; a change in the private setulb signature fails here
+    make_pot, v0, A, mu, rho, message, stop = _INNER_CASES[case]
+    if case in _INNER_BUDGETS:
+        monkeypatch.setattr(solver, "_INNER_ITERATIONS", _INNER_BUDGETS[case])
+    v_ref, ref = _minimize_reference(v0, make_pot(), A, mu, rho)
+    assert ref.message.startswith(message)
+    evaluations = []
+    one_pass = solver._one_pass
+
+    def counted(v, potential):
+        evaluations.append(v[1:-1].copy())
+        return one_pass(v, potential)
+
+    monkeypatch.setattr(solver, "_one_pass", counted)
+    with caplog.at_level("DEBUG", logger="degeo.solver"):
+        v, ok, nit = solver._inner_solve(v0, make_pot(), A, mu, rho)
+    assert np.array_equal(v, v_ref)
+    assert (ok, nit, len(evaluations)) == (ref.success, ref.nit, ref.nfev)
+    # x0 is the first evaluation, and no point is evaluated twice running
+    assert np.array_equal(evaluations[0], v0[1:-1])
+    assert not any(np.array_equal(a, b)
+                   for a, b in zip(evaluations, evaluations[1:]))
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "degeo.solver"] == [
+        f"inner solve: {nit} iterations, {len(evaluations)} evaluations, "
+        f"{stop}"]
+
+
+def test_solve_logs_each_inner_solve(caplog):
+    # one line per inner solve, and the outer loop reports the same count
+    pot = make_radial_quartic(1.0)
+    with caplog.at_level("DEBUG", logger="degeo.solver"):
+        minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.1, pot,
+                             SolverConfig(n_vertices=32))
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "degeo.solver"]
+    outer = [i for i, m in enumerate(messages)
+             if m.startswith("outer iteration ")]
+    assert outer
+    for i in outer:
+        inner = messages[i - 1]
+        assert inner.startswith("inner solve: ")
+        nit = int(inner.split(": ")[1].split(" ")[0])
+        assert messages[i].endswith(f", {nit} inner iterations")
+        assert inner.split(", ")[-1] in ("converged", "iteration budget",
+                                         "evaluation budget")
+    assert sum(m.startswith("inner solve: ") for m in messages) == len(outer)
 
 
 def _coil(center, r, turns, n_per_turn=60):
