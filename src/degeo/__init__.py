@@ -5,9 +5,9 @@ for the traveling-wave profiles those minimizers become.
 
 from .errors import (BubbleDetected, DegenerateHessian, DegeoError,
                      GapTooLarge, GridTooCoarse, InvalidC1, InvalidCoefficient,
-                     InvalidDensity, InvalidK, NoRoot, NonConvergence,
-                     NonExistence, NonPositiveEigenvalue,
-                     NotInNonexistenceRegime, ZeroBeta, ZeroDensityInterior)
+                     InvalidDensity, InvalidK, NonConvergence, NonExistence,
+                     NonPositiveEigenvalue, NotInNonexistenceRegime,
+                     ZeroBeta, ZeroDensityInterior)
 from .functionals import (Curve, Curve3, area, area_polar, curve3_to_csv,
                           curve_from_csv, curve_from_json,
                           curve_from_json_dict, curve_to_csv, curve_to_json,
@@ -42,7 +42,7 @@ __all__ = [
     "BubbleDetected", "Curve", "Curve3", "DegenerateHessian", "DegeoError",
     "DesingularizedPath", "GapTooLarge", "GridTooCoarse",
     "HomogeneousSolution", "InvalidC1", "InvalidCoefficient", "InvalidDensity",
-    "InvalidK", "NoRoot", "NonConvergence", "NonExistence",
+    "InvalidK", "NonConvergence", "NonExistence",
     "NonPositiveEigenvalue", "NotInNonexistenceRegime", "Potential",
     "SolveResult", "SolverConfig", "WaveProfile", "Well",
     "ZeroBeta", "ZeroDensityInterior", "area", "area_polar", "area_sweep",

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BubbleDetected, DegeoError, GapTooLarge, NoRoot,
+from .errors import (BubbleDetected, DegeoError, GapTooLarge,
                      NonConvergence, NonExistence)
 from .functionals import Curve, area, curve_to_csv, energy
 from .homogeneous import minimizing_ellipse, solve_homogeneous
@@ -60,8 +60,7 @@ from .wave import (hamiltonian_energy, hamiltonian_tail_estimate,
 log = logging.getLogger("degeo.cli")
 
 # errors that represent a mathematical outcome rather than a bad config
-_FLAG_ERRORS = (NonExistence, BubbleDetected, NonConvergence, NoRoot,
-                GapTooLarge)
+_FLAG_ERRORS = (NonExistence, BubbleDetected, NonConvergence, GapTooLarge)
 
 
 class _Parser(argparse.ArgumentParser):

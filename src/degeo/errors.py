@@ -30,10 +30,6 @@ class NonConvergence(DegeoError):
     """An iterative routine exhausted its budget without meeting tolerance."""
 
 
-class NoRoot(DegeoError):
-    """A scalar root-finding problem has no root in the admissible bracket."""
-
-
 class ZeroBeta(DegeoError):
     """The field angle beta = 0 keeps the flow on a closed level set; no arc
     joins the basepoint to the well."""
@@ -70,4 +66,4 @@ class BubbleDetected(DegeoError):
 
 
 class GridTooCoarse(DegeoError):
-    """Not enough sample points to build the requested discrete operator."""
+    """Too few sample points for the requested discrete operator or curve."""

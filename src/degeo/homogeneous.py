@@ -18,7 +18,7 @@ is exp(M tau) p0 and its enclosed signed area is the quadratic form
 p0^T X p0 of the 2x2 Lyapunov equation M^T X + X M = -Q, solved in closed
 form: (rt(p0) cot(beta) - l2 p1 p2) / (l1 + l2).  That area is a
 continuous, strictly decreasing function of beta, which this module inverts
-with brentq to hit a prescribed area.
+in closed form to hit a prescribed area.
 
 The closed level set {rt = rt(p0)} is the area-minimizing loop; its weighted
 length per unit enclosed area is l1 + l2, which is also the cost rate of a
@@ -35,14 +35,11 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .errors import NoRoot, NonConvergence, ZeroBeta
+from .errors import NonConvergence, ZeroBeta
 from .functionals import Curve, energy
 from .potential import make_homogeneous
 
-_ROOT_BUDGET = 200
 _STOP_RADIUS = 1e-6  # arcs are sampled until |p| <= _STOP_RADIUS |p0|
-_AREA_TOL = 1e-12    # per |p0|^2: areas this close to beta = pi/2's take it
-_BETA_XTOL = 1e-300  # brentq then stops at its relative tolerance, 4 eps
 
 
 def rtilde(p, lambda1: float, lambda2: float):
@@ -108,12 +105,13 @@ def _arc_area(p0: np.ndarray, beta: float, lambda1: float,
         (rt(p0) cos(beta) / sin(beta) - l2 p1 p2) / (l1 + l2).
 
     The 1 / tr M factor is divided out here rather than left to a linear
-    solve, which is nearly singular as beta -> 0, where the area is large.
+    solve, which is nearly singular as beta -> 0, where the area is large;
+    dividing it out first keeps every term below the area itself.
     """
     p1, p2 = p0
+    s = lambda1 + lambda2
     rt0 = float(rtilde(p0, lambda1, lambda2))
-    return ((rt0 * math.cos(beta) / math.sin(beta) - lambda2 * p1 * p2)
-            / (lambda1 + lambda2))
+    return rt0 / s * math.cos(beta) / math.sin(beta) - lambda2 / s * p1 * p2
 
 
 def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
@@ -125,7 +123,8 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     then ends at an appended exact origin vertex.  Uniform tau is
     near-uniform in the logarithm of rt, which equidistributes winding.  By
     default n_out grows with the winding, one vertex per 2e-3 radians, and
-    lies between 4000 and 2e5.
+    lies between 4000 and 2e5.  A beta so near 0 that the stop time cannot
+    be found in floating point raises ValueError.
     """
     p0 = _point(p0)
     if beta == 0.0:
@@ -143,8 +142,19 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     # stop level is passed before tau_max
     tau_max = (math.log(float(rtilde(p0, lambda1, lambda2)) / rt_stop)
                / (2.0 * lam_min * sin))
-    tau_end = brentq(lambda tau: rtilde(expm(M * tau) @ p0, lambda1, lambda2)
-                     - rt_stop, 0.0, tau_max * 2.0)
+
+    def level(tau):
+        # for beta near 0, M tau overflows expm's scaling and squaring, and
+        # brentq stops at the NaN or fails to converge on the inexact flow
+        with np.errstate(over="ignore", invalid="ignore"):
+            rt = float(rtilde(expm(M * tau) @ p0, lambda1, lambda2))
+        return rt - rt_stop if math.isfinite(rt) else math.nan
+
+    try:
+        tau_end = brentq(level, 0.0, tau_max * 2.0)
+    except (ValueError, RuntimeError) as exc:
+        raise ValueError(f"beta = {beta:g}: exp(M tau) p0 is not finite or "
+                         f"not accurate enough to stop on: {exc}") from exc
     if n_out is None:
         # the flow turns at the imaginary part of M's eigenvalues
         omega = math.sqrt(max(lambda1 * lambda2
@@ -159,47 +169,26 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     return Curve(np.vstack([pts[:n_out], [0.0, 0.0]]))
 
 
-def solve_beta_for_area(p0, A: float, lambda1: float, lambda2: float,
-                        beta_hint: Optional[float] = None) -> float:
+def solve_beta_for_area(p0, A: float, lambda1: float, lambda2: float) -> float:
     """Invert the monotone map beta -> enclosed area of the arc to the well.
 
-    The map decreases from +inf (beta -> 0+) through the beta = pi/2 value
-    and on down to -inf (beta -> 0-).  The half-branch that holds A is
-    bracketed by halving beta from +-pi/4, or taken from the +-0.05 window
-    around beta_hint when that brackets A, and the root is found by brentq
-    on the exact area.
+    `_arc_area` solved for beta: cot(beta) = ((l1 + l2) A + l2 p1 p2) /
+    rt(p0), in (-pi/2, pi/2] and signed like the numerator.  Both sides are
+    divided by l1 + l2 and halved, so no finite A overflows; beta = 0 comes
+    only from underflow and raises ValueError.
     """
     p0 = _point(p0)
     A = float(A)
     if not math.isfinite(A):
         raise ValueError("the area A must be finite")
-
-    def f(beta):
-        return _arc_area(p0, beta, lambda1, lambda2) - A
-
-    f_mid = f(math.pi / 2)
-    if abs(f_mid) <= _AREA_TOL * float(p0 @ p0):
-        return math.pi / 2
-    if beta_hint is not None and beta_hint != 0.0:
-        lo = max(-math.pi / 2, beta_hint - 0.05)
-        hi = min(math.pi / 2, beta_hint + 0.05)
-        if lo * hi > 0.0 and f(lo) * f(hi) <= 0.0:
-            return brentq(f, lo, hi, xtol=_BETA_XTOL)
-    # A above the pi/2 value lies on the positive half-branch, A below it on
-    # the negative one; halve beta toward 0 until the area passes A
-    outer = math.copysign(math.pi / 2, -f_mid)
-    # the area at the smallest beta the halving reaches bounds what it can
-    # bracket; past it, A times f_mid may also overflow
-    reach = _arc_area(p0, math.ldexp(outer, -_ROOT_BUDGET), lambda1, lambda2)
-    if abs(A) > abs(reach):
-        raise ValueError(f"the area {A:g} is beyond the {reach:.3g} the arc "
-                         f"from p0 is solved for")
-    for _ in range(_ROOT_BUDGET):
-        inner = 0.5 * outer
-        if f(inner) * f_mid <= 0.0:
-            return brentq(f, inner, outer, xtol=_BETA_XTOL)
-        outer = inner
-    raise NoRoot("failed to bracket the requested area")
+    p1, p2 = p0
+    s = lambda1 + lambda2
+    num = 0.5 * A + 0.5 * (lambda2 / s) * p1 * p2
+    beta = math.atan2(0.5 * float(rtilde(p0, lambda1, lambda2)) / s,
+                      abs(num))
+    if beta == 0.0:
+        raise ValueError(f"the area {A:g} underflows beta to 0")
+    return -beta if num < 0.0 else beta
 
 
 def minimizing_ellipse(p0, lambda1: float, lambda2: float, n: int):
@@ -241,9 +230,13 @@ def solve_homogeneous(p0, A: float, lambda1: float,
     weighted length rt(p0)/|sin beta| and exact enclosed area."""
     p0 = _point(p0)
     beta = solve_beta_for_area(p0, A, lambda1, lambda2)
+    try:
+        curve = integrate_integral_curve(p0, beta, lambda1, lambda2)
+    except ValueError as exc:
+        raise ValueError(f"the arc for the area {A:g} cannot be sampled: "
+                         f"{exc}") from exc
     return HomogeneousSolution(
-        p0=p0, beta=beta,
-        curve=integrate_integral_curve(p0, beta, lambda1, lambda2),
+        p0=p0, beta=beta, curve=curve,
         energy=homogeneous_length(p0, beta, lambda1, lambda2),
         area=_arc_area(p0, beta, lambda1, lambda2),
         lambda1=lambda1, lambda2=lambda2)

@@ -294,7 +294,8 @@ def make_two_well_k(k: float) -> Potential:
         q, r2 = split(np.atleast_2d(p))
         inside = r2 <= 1.0
         out = np.zeros((q.shape[0], 2, 2))
-        iso = np.where(inside, 2.0 + 4.0 * b * r2, 0.0)
+        # clipped as in w_grad: the plateau's r2 may overflow 4 b r2
+        iso = np.where(inside, 2.0 + 4.0 * b * np.minimum(r2, 1.0), 0.0)
         quart = np.where(inside, 8.0 * b, 0.0)
         out[:, 0, 0] = iso + quart * q[:, 0]**2
         out[:, 1, 1] = iso + quart * q[:, 1]**2

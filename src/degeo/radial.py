@@ -28,13 +28,18 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (GapTooLarge, InvalidC1, InvalidCoefficient,
-                     InvalidDensity, NonExistence, NotInNonexistenceRegime)
+from .errors import (GapTooLarge, GridTooCoarse, InvalidC1,
+                     InvalidCoefficient, InvalidDensity, NonExistence,
+                     NotInNonexistenceRegime)
 from .functionals import (Curve, segment_geometry, table_from_csv,
                           table_to_csv)
 
 # the smallest positive normal float
 _NORMAL = sys.float_info.min
+# a chord across the angle h of a circle is shorter than its arc by h^2/24
+# of the arc; past 0.49 radians that is over 1%, and a polyline of such
+# chords no longer follows the spiral
+_MAX_THETA_STEP = math.sqrt(24.0 * 1e-2)
 
 
 @dataclass
@@ -126,37 +131,25 @@ def parabola_geodesic(C1: float, b: float, R0: float, n: int) -> DesingularizedP
 
 
 def solve_C1_for_area(R0: float, A_tilde: float, b: float) -> float:
-    """Invert the odd, strictly increasing map C1 -> delivered polar area."""
+    """Invert the odd, strictly increasing map C1 -> delivered polar area.
+
+    C1^2 is the larger root of y^2 (1 + R0^2/(16 A^2)) - y (1 + b R0/2)
+    + b^2 A^2 = 0, `delivered_area` squared.  With t = A / threshold and
+    m = 4 A / R0 it is m^2/(1 + m^2) (1 + b R0/2 + sqrt(1 + b R0 (1 - t^2)))/2,
+    formed without squaring A, so |A| down to 1e-300 does not underflow.
+    """
     thr = existence_threshold(R0, b)
     if not math.isfinite(A_tilde):
         raise ValueError("A_tilde must be finite")
     if abs(A_tilde) > thr:
         raise NonExistence(
             f"|area| = {abs(A_tilde)} exceeds the attainable cap {thr}")
-    if A_tilde == 0.0:
-        return 0.0
     if abs(A_tilde) == thr:
         return math.copysign(1.0, A_tilde)
-    lo, hi = (0.0, 1.0) if A_tilde > 0.0 else (-1.0, 0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if delivered_area(mid, R0, b) < A_tilde:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            break
-    c = 0.5 * (lo + hi)
-    # Newton polish; the map is smooth away from |C1| = 1
-    for _ in range(3):
-        h = 1e-7
-        f0 = delivered_area(c, R0, b) - A_tilde
-        d = (delivered_area(min(1.0, c + h), R0, b)
-             - delivered_area(max(-1.0, c - h), R0, b)) / (2.0 * h)
-        if d == 0.0:
-            break
-        c = min(1.0, max(-1.0, c - f0 / d))
-    return c
+    k, t, m = b * R0, abs(A_tilde) / thr, 4.0 * abs(A_tilde) / R0
+    c1 = m / math.hypot(1.0, m) * math.sqrt(
+        0.5 * (1.0 + 0.5 * k + math.sqrt(1.0 + k * (1.0 - t) * (1.0 + t))))
+    return math.copysign(min(1.0, c1), A_tilde)  # rounding may pass 1
 
 
 def lagrange_multiplier_radial(C1: float) -> float:
@@ -217,7 +210,9 @@ def spiral_from_C1(C1: float, b: float, r_outer: float, r_inner: float,
     winds down to r_inner (strictly positive: for |C1| = 1 the winding
     diverges like 1/r).  Positive C1 winds counterclockwise going inward.
     Sample points combine a log-spaced radius ladder with a uniform angular
-    grid so neither slow spirals nor tight winding are under-resolved.
+    grid so neither slow spirals nor tight winding are under-resolved.  By
+    default the grid holds at most 2e6 steps; a step past _MAX_THETA_STEP
+    raises GridTooCoarse before any sample is made.
     """
     if abs(C1) > 1.0:
         raise InvalidC1(f"|C1| = {abs(C1)} exceeds 1")
@@ -232,9 +227,12 @@ def spiral_from_C1(C1: float, b: float, r_outer: float, r_inner: float,
         th_in = float(_theta_of_r(r_inner, C1, b, r_outer, theta0))
         wind = abs(th_in - theta0)
         if theta_step is None:
-            # cap total samples; at the cap the chord deficit per segment
-            # is step^2/24, still ~1e-4 for the deepest tangent spirals
             theta_step = max(5e-3, wind / 2e6)
+        if not theta_step <= _MAX_THETA_STEP:
+            raise GridTooCoarse(
+                f"the spiral from R0 = {r_outer * r_outer:g} winds {wind:.3g}"
+                f" radians; its steps of {theta_step:.3g} exceed the "
+                f"{_MAX_THETA_STEP:.2f} up to which chords follow it")
         n_th = int(wind / theta_step)
         if n_th > 1:
             th = theta0 + np.sign(th_in - theta0) * theta_step * np.arange(1, n_th + 1)

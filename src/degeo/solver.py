@@ -361,10 +361,12 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
                 continue
             d0, du = x.T
             dlam = 0.0
-            if A is not None:
-                s = float(un @ du)
-                dlam = (float(un @ d0) + c) / s if s else math.inf
-            d = d0 - dlam * du
+            # a border product that overflows is rejected as non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                if A is not None:
+                    s = float(un @ du)
+                    dlam = (float(un @ d0) + c) / s if s else math.inf
+                d = d0 - dlam * du
             if not (math.isfinite(dlam) and np.all(np.isfinite(d))):
                 lm *= 10.0
                 continue
@@ -811,6 +813,8 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
         return None
     root = math.sqrt(b * b + 8.0 * n_loops * c)
     r = 2.0 * c / (b + root) if b >= 0.0 else (root - b) / (4.0 * n_loops)
+    if not r > 0.0:  # 8 n c overflows once |A| nears 1.3e154
+        return None
     # anchor -> top -> left -> bottom -> anchor, counterclockwise for sign +1
     loop = np.array([[r, 0.0], [0.0, sign * r], [-r, 0.0], [0.0, -sign * r],
                      [r, 0.0]]) + well.location

@@ -129,11 +129,7 @@ def test_03_energy_slope_in_area_closed_form():
     p0 = np.array([1.0, 0.0])
     rt0 = float(rtilde(p0, lam1, lam2))
     As = np.linspace(0.15, 0.35, 21)
-    betas = []
-    hint = None
-    for A in As:
-        hint = solve_beta_for_area(p0, float(A), lam1, lam2, beta_hint=hint)
-        betas.append(hint)
+    betas = [solve_beta_for_area(p0, float(A), lam1, lam2) for A in As]
     L = rt0 / np.sin(betas)
     fd = (L[2:] - L[:-2]) / (As[2:] - As[:-2])
     formula = (lam1 + lam2) * np.cos(betas[1:-1])

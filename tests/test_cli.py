@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -295,17 +296,17 @@ _BAD_POTENTIALS = (
                                                  [0.0, 0.0, 0.0])),
     ("two_well", "k", _NOT_NUMBERS + (1.0, 0.5, -4.0, 5e153, 1e200)),
 )
-# finite areas no start curve (or, for the closed form, no bracket) reaches
-# in floating point
+# finite areas no start curve reaches in floating point, and whose
+# closed-form arc cannot be sampled
 _HUGE_AREAS = (1e200, -1e200, 1e308)
 # (command, field, values out of the solvers' floating-point reach); each
 # must exit 1 within milliseconds
 _OUT_OF_RANGE = (
     ("solve", "A", _HUGE_AREAS),
     ("sweep", "A_list", ([1e200], [0.0, 1e200])),
-    ("homogeneous", "A", _HUGE_AREAS),
+    ("homogeneous", "A", _HUGE_AREAS + (1e40, 1e59, 2e59, 1e100)),
     ("wave", "A", _HUGE_AREAS),
-    ("radial", "R0", (1e-320,)),
+    ("radial", "R0", (1e-320, 1e-200, 1e-300)),
     ("radial", "potential", ({"kind": "radial_quartic",
                               "params": {"b": 1e-320}},)),
 )
@@ -378,3 +379,22 @@ def test_out_of_range_values_exit_1_fast(tmp_path, capsys):
             assert code == 1 and err[-1].startswith("degeo: "), \
                 (command, field, value, code, err)
             assert elapsed < 2.0, (command, field, value, elapsed)
+
+
+def test_huge_two_well_areas_end_flagged(tmp_path):
+    # the Newton polish meets these areas with overflowing border products;
+    # like 1e101 to 1e105 they end in a flag exit 2: the packed certificate
+    # up to 1e150, and a failed solve at 1.3e154, where the certificate's
+    # loop radius is lost to overflow
+    path = tmp_path / "huge.json"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in ("solve", "wave"):
+            for A in (1e106, 1e110, 1e150, 1.3e154):
+                path.write_text(json.dumps({**_FUZZ_BASES["wave"], "A": A}))
+                code = main([command, str(path), "--out", str(out),
+                             "--quiet"])
+                result = json.loads((out / "result.json").read_text())
+                assert code == 2 and result["converged"] is False, \
+                    (command, A)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -260,3 +261,37 @@ def test_property_slope_approaches_packing_rate(x, y, lam1, lam2):
     slope = (hi - lo) / (2.0 * h)
     assert slope < lam1 + lam2
     assert slope == pytest.approx(lam1 + lam2, rel=1e-3)
+
+
+@_PROPERTY
+@given(_coord, _coord, _rate, _rate, st.integers(-300, 300),
+       st.sampled_from((1.0, -1.0)))
+def test_property_beta_round_trip_at_every_decade(x, y, lam1, lam2, k, sign):
+    p0 = _p0(x, y)
+    A = sign * 10.0 ** k
+    beta = solve_beta_for_area(p0, A, lam1, lam2)
+    assert abs(_arc_area(p0, beta, lam1, lam2) - A) <= 1e-14 * (
+        abs(A) + float(p0 @ p0))
+
+
+def test_beta_round_trip_up_to_the_largest_areas():
+    # beta ~ 1 / (6 A) here, subnormal past A = 1e307
+    p0 = np.array([1.0, 0.0])
+    for A in np.geomspace(1.71e59, 1e308, 200):
+        for a in (float(A), -float(A)):
+            beta = solve_beta_for_area(p0, a, 1.0, 2.0)
+            assert abs(_arc_area(p0, beta, 1.0, 2.0) - a) <= 1e-14 * (
+                abs(a) + 1.0)
+
+
+def test_out_of_reach_areas_raise_naming_the_area():
+    # beta underflows to 0
+    with pytest.raises(ValueError, match=re.escape("1e+10")):
+        solve_beta_for_area([1e-160, 0.0], 1e10, 1.0, 2.0)
+    # beta is found, but exp(M tau) overflows on the stop-time bracket
+    for A in (1e40, 1e59, 2e59, 1e100, -1e200, 1e308):
+        beta = solve_beta_for_area([1.0, 0.0], A, 1.0, 2.0)
+        with pytest.raises(ValueError, match=re.escape(f"{beta:g}")):
+            integrate_integral_curve([1.0, 0.0], beta, 1.0, 2.0)
+        with pytest.raises(ValueError, match=re.escape(f"{A:g}")):
+            solve_homogeneous([1.0, 0.0], A, 1.0, 2.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from degeo import (Curve, GapTooLarge, InvalidC1, InvalidCoefficient,
                    NonExistence, NotInNonexistenceRegime, area_polar,
@@ -179,3 +181,27 @@ def test_path_validation():
         DesingularizedPath(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         DesingularizedPath(np.array([1.0, -0.5]), np.array([0.0, 1.0]))
+
+
+# t = A / threshold stops at 0.99: the map C1 -> area has condition number
+# about 2 t / (b R0 (1 - t^2)), so at b R0 = 1e-6 and t = 0.999 a single
+# rounding of C1 moves the area by more than 1e-7 of itself
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-0.99, 0.99))
+@example(1.0, 1.0, 2e-300)
+def test_property_C1_delivers_its_area(R0, b, t):
+    A = t * existence_threshold(R0, b)
+    # a subnormal area holds too few bits for a relative bound
+    assume(A == 0.0 or abs(A) >= 1e-300)
+    c1 = solve_C1_for_area(R0, A, b)
+    assert abs(c1) <= 1.0
+    assert solve_C1_for_area(R0, -A, b) == -c1
+    assert abs(delivered_area(c1, R0, b) - A) <= 1e-7 * abs(A)
+
+
+def test_C1_near_the_threshold_delivers_its_area():
+    # b R0 = 2.9e-5 and t = -0.9991: condition number about 4e7
+    R0, b = 4.3e-3, 6.7e-3
+    A = -0.9991 * existence_threshold(R0, b)
+    c1 = solve_C1_for_area(R0, A, b)
+    assert abs(delivered_area(c1, R0, b) - A) <= 1e-7 * abs(A)
