@@ -35,9 +35,10 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .errors import NonConvergence, ZeroBeta
+from .errors import GridTooCoarse, NonConvergence, ZeroBeta
 from .functionals import Curve, energy
 from .potential import make_homogeneous
+from .radial import _MAX_THETA_STEP
 
 _STOP_RADIUS = 1e-6  # arcs are sampled until |p| <= _STOP_RADIUS |p0|
 
@@ -124,7 +125,11 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     near-uniform in the logarithm of rt, which equidistributes winding.  By
     default n_out grows with the winding, one vertex per 2e-3 radians, and
     lies between 4000 and 2e5.  A beta so near 0 that the stop time cannot
-    be found in floating point raises ValueError.
+    be found in floating point raises ValueError.  Samples that each turn
+    by more than half of radial's _MAX_THETA_STEP, past which the
+    polyline's area and weighted length fall over 1% short of the arc's,
+    raise GridTooCoarse naming the area before any sample is made; from
+    (1,0) with rates (1,2) that is every area from about 630 on.
     """
     p0 = _point(p0)
     if beta == 0.0:
@@ -155,11 +160,21 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     except (ValueError, RuntimeError) as exc:
         raise ValueError(f"beta = {beta:g}: exp(M tau) p0 is not finite or "
                          f"not accurate enough to stop on: {exc}") from exc
+    # the flow turns at the imaginary part of M's eigenvalues
+    omega = math.sqrt(max(lambda1 * lambda2
+                          - (0.5 * sin * (lambda1 + lambda2))**2, 0.0))
     if n_out is None:
-        # the flow turns at the imaginary part of M's eigenvalues
-        omega = math.sqrt(max(lambda1 * lambda2
-                              - (0.5 * sin * (lambda1 + lambda2))**2, 0.0))
         n_out = int(min(2e5, max(4000, omega * tau_end / 2e-3)))
+    # a sample turning by h loses about h^2/6 = (2h)^2/24 of its area to the
+    # chord, and as much of its weighted length: chord and midpoint density
+    # each fall short, so 2h is held to radial's chord-step bound
+    turn = omega * tau_end / (n_out - 1)
+    if not 2.0 * turn <= _MAX_THETA_STEP:
+        raise GridTooCoarse(
+            f"the arc for the area {_arc_area(p0, beta, lambda1, lambda2):g}"
+            f" turns {omega * tau_end:.3g} radians; its {n_out} samples turn"
+            f" {turn:.3g} each, past the {0.5 * _MAX_THETA_STEP:.3g} up to "
+            f"which chords follow it")
     step = expm(M * (tau_end / (n_out - 1)))
     pts = p0[None, :]
     while len(pts) < n_out:

@@ -95,10 +95,13 @@ def energy_RA(path: DesingularizedPath) -> float:
 
 def existence_threshold(R0: float, b: float) -> float:
     """Largest attainable |polar area| for a graph path hitting the axis."""
-    # a subnormal b or R0 has lost precision, and 1 / b overflows
+    # a subnormal b or R0 has lost precision, and 1 / b overflows; the
+    # closed forms all take b R0, which must be finite
     if not (_NORMAL <= b < math.inf and _NORMAL <= R0 < math.inf):
         raise InvalidCoefficient("threshold requires finite b > 0 and R0 > 0, "
                                  "neither subnormal")
+    if b * R0 == math.inf:
+        raise InvalidCoefficient(f"b R0 = {b:g} * {R0:g} overflows")
     return math.sqrt(R0) / (2.0 * math.sqrt(b))
 
 

@@ -40,10 +40,19 @@ running one small square loop at the well, plus a `PackedLoops` count of how
 often the polyline it stands for runs the loop) and adopts it when it is
 strictly cheaper; it is reported as not converged, and the leakage
 diagnostics raise the non-existence flag.
+
+A curve that ends at a well can park extra area in vanishing loops there
+at the marginal cost lambda1 + lambda2 of that well, so the least energy is
+Lipschitz in A with that rate, and a critical curve whose multiplier
+exceeds it is no minimizer.  When a start ends feasible and polished with
+|mu| above the smallest such rate of the endpoint wells, and the
+certificate is strictly cheaper than that start, the driver skips the
+remaining starts; the certificate is built at most once per solve.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -779,12 +788,15 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     well and on to q; `loop_count` square loops of vertex radius r around
     the well, each from the anchor back to it, hold the rest of the area.
     Square loops pack area at the discrete rate 2 F(rc)/rc per unit area
-    (rc = r/sqrt(2) the midpoint radius), which tends to the well's
-    lambda1 + lambda2; this reproduces the vanishing-loop minimizing
-    sequences at the resolution the diagnostics probe.  The curve holds the
-    loop once and `SolveResult.packed` its multiplicity; diagnostics are
-    left to _finish.  Returns None when no well is available or no loop
-    radius meets A to the area tolerance.
+    (rc = r/sqrt(2) the midpoint radius), which tends to
+    sqrt(2 (lambda1^2 + lambda2^2)) at a well whose Hessian axes are the
+    coordinate axes: the well's continuum rate lambda1 + lambda2 only when
+    lambda1 = lambda2 (for rates (1, 2), sqrt(10) = 3.162, not 3).  This
+    reproduces the vanishing-loop minimizing sequences at the resolution
+    the diagnostics probe; the early end of `minimize_constrained` uses the
+    continuum rate.  The curve holds the loop once and `SolveResult.packed`
+    its multiplicity; diagnostics are left to _finish.  Returns None when
+    no well is available or no loop radius meets A to the area tolerance.
     """
     if not potential.wells:
         return None
@@ -826,6 +838,14 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     if abs(result.area_achieved - A) > _TOL_AREA * (1.0 + abs(A)):
         return None
     return result
+
+
+def _end_rate(p: np.ndarray, q: np.ndarray, potential: Potential) -> float:
+    """Smallest packing rate lambda1 + lambda2 of a well at p or q; inf
+    when no well sits at either."""
+    return min((w.lambda1 + w.lambda2 for w in potential.wells
+                if np.array_equal(w.location, p)
+                or np.array_equal(w.location, q)), default=math.inf)
 
 
 def _packing_rate(loop: Curve, potential: Potential, A: float) -> float:
@@ -939,6 +959,14 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     packed certificate competes; in the non-existence regime the result is
     that certificate (`packed` set, not converged) with the nonexistence
     flag instead of a fabricated minimizer.
+
+    A start that ends feasible and polished with |mu| above the smallest
+    packing rate lambda1 + lambda2 of a well at p_minus or p_plus is no
+    minimizer; if the certificate is strictly cheaper than it, the search
+    ends there and the remaining starts are skipped (logged at debug
+    level).  The certificate is built at most once, for this test or the
+    final competition, and that one object is what competes and is
+    finished.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
@@ -959,6 +987,11 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     first = kept[0]
     inits = [v0 for v0, k in zip(inits, kept) if k]
 
+    # built at most once, by the first start the packing rate rules out or
+    # by the final competition, which then reuses it
+    certificate = functools.cache(
+        lambda: _packed_certificate(p, q, A, potential))
+    rate_end = _end_rate(p, q, potential)
     best, energies = None, []
     for j, v0 in enumerate(inits):
         v, mu, c, ok = _augmented_lagrangian(
@@ -974,6 +1007,14 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         if (j == 0 and first and init_curve is not None and feasible
                 and ok):
             break
+        if feasible and ok and abs(mu) > rate_end:
+            cand = certificate()
+            if cand is not None and cand.energy < E:
+                log.debug("multiplier %.6g of start %d passes the endpoint "
+                          "packing rate %.6g and the certificate costs "
+                          "%.12g: skipping the %d remaining starts",
+                          -mu, j, rate_end, cand.energy, len(inits) - j - 1)
+                break
     (infeasible, failed, _), j, v, mu = best
     others = energies[:j] + energies[j + 1:]
     if others:
@@ -992,7 +1033,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     if potential.wells:
         lam_gate = 0.8 * min(w.lambda1 + w.lambda2 for w in potential.wells)
         if abs(result.multiplier) >= lam_gate or not result.converged:
-            cand = _packed_certificate(p, q, A, potential)
+            cand = certificate()
             if cand is not None and (cand.energy < result.energy
                                      or not result.converged):
                 cand = _finish(cand, potential)

@@ -144,6 +144,34 @@ def test_homogeneous_rejects_unknown_mode(tmp_path):
                  "--quiet"]) == 1
 
 
+def test_homogeneous_exits_1_where_chords_cannot_follow_the_arc(tmp_path,
+                                                                capsys):
+    # from (1,0) with rates (1,2) the 2e5 samples each turn more than 0.245
+    # radians from about A = 630 on, and the polyline would miss A by over
+    # 1%
+    cfg = {"potential": HOM_POT, "mode": "solve", "p0": [1.0, 0.0]}
+    for A in (700.0, 1e4, -1e4, 1e12):
+        out = tmp_path / f"out{A:g}"
+        path = _write(tmp_path, "hom.json", {**cfg, "A": A})
+        assert main(["homogeneous", path, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("degeo: ") and f"area {A:g} " in err[-1]
+        assert not (out / "curve.csv").exists()
+
+
+def test_radial_overflowing_b_R0_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path, "rad.json", {
+        "potential": {"kind": "radial_quartic", "params": {"b": 1e10}},
+        "R0": 1e300, "A_tilde": 0.3})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["radial", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("degeo: ") and "overflows" in err[-1]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_radial_below_threshold(tmp_path):
     cfg = _write(tmp_path, "rad.json", {
         "potential": RADIAL_POT, "R0": 1.0, "A_tilde": 0.3, "n": 256})

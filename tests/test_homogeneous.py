@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from degeo import (ZeroBeta, area, energy, field_V_beta, homogeneous_length,
-                   integrate_integral_curve, make_homogeneous,
-                   minimizing_ellipse, rtilde, solve_beta_for_area,
-                   solve_homogeneous, vertical_fiber_distance)
+from degeo import (GridTooCoarse, ZeroBeta, area, energy, field_V_beta,
+                   homogeneous_length, integrate_integral_curve,
+                   make_homogeneous, minimizing_ellipse, rtilde,
+                   solve_beta_for_area, solve_homogeneous,
+                   vertical_fiber_distance)
 from degeo.homogeneous import _arc_area
 
 RNG = np.random.default_rng(101)
@@ -295,3 +296,21 @@ def test_out_of_reach_areas_raise_naming_the_area():
             integrate_integral_curve([1.0, 0.0], beta, 1.0, 2.0)
         with pytest.raises(ValueError, match=re.escape(f"{A:g}")):
             solve_homogeneous([1.0, 0.0], A, 1.0, 2.0)
+
+
+def test_arc_samples_follow_the_arc_or_raise():
+    # each sample turns by h, and the polyline misses the arc's area and
+    # weighted length by about h^2/6; h passes 0.245 radians, a 1% miss,
+    # near A = 630 from (1,0) with rates (1,2)
+    pot = make_homogeneous(1.0, 2.0)
+    sol = solve_homogeneous([1.0, 0.0], 600.0, 1.0, 2.0)
+    assert area(sol.curve) == pytest.approx(600.0, rel=1e-2)
+    assert energy(sol.curve, pot) == pytest.approx(sol.energy, rel=1e-2)
+    for A in (700.0, -1e4):
+        beta = solve_beta_for_area([1.0, 0.0], A, 1.0, 2.0)
+        with pytest.raises(GridTooCoarse, match=re.escape(f"area {A:g} ")):
+            integrate_integral_curve([1.0, 0.0], beta, 1.0, 2.0)
+    # an explicit sample count is held to the same bound
+    beta = solve_beta_for_area([1.0, 0.0], 10.0, 1.0, 2.0)
+    with pytest.raises(GridTooCoarse):
+        integrate_integral_curve([1.0, 0.0], beta, 1.0, 2.0, n_out=1000)

@@ -25,10 +25,13 @@ def test_existence_threshold_values():
         existence_threshold(1.0, -1.0)
     with pytest.raises(InvalidCoefficient):
         existence_threshold(0.0, 1.0)
+    # the last two: each is finite, but b R0 overflows
     for R0, b in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
-                  (1.0, math.inf)):
+                  (1.0, math.inf), (1e300, 1e10), (1e10, 1e300)):
         with pytest.raises(InvalidCoefficient):
             existence_threshold(R0, b)
+    with pytest.raises(InvalidCoefficient):
+        figure1_bundle(1e300, 0.3, 1e10)
 
 
 def test_non_finite_area_rejected():

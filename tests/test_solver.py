@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -558,6 +559,61 @@ def test_nonexistence_run_packs_area_at_a_well():
     assert trapped > 0.9
 
 
+def _solve_counting_certificates(monkeypatch, caplog, p, q, A, pot, n):
+    """The solve, its `start j:` log lines, its skip lines and how often
+    it built the packed certificate."""
+    built = []
+    certificate = solver._packed_certificate
+
+    def counted(*args):
+        built.append(args)
+        return certificate(*args)
+
+    monkeypatch.setattr(solver, "_packed_certificate", counted)
+    with caplog.at_level("DEBUG", logger="degeo.solver"):
+        res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=n))
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "degeo.solver"]
+    starts = [m for m in messages if re.match(r"start \d+: ", m)]
+    skips = [m for m in messages if "skipping the" in m]
+    return res, starts, skips, len(built)
+
+
+def test_packing_rate_ends_the_search(monkeypatch, caplog):
+    # the first start converges with a multiplier above the packing rate 2
+    # of the wells at both endpoints, and the certificate is cheaper
+    A = 2.0
+    res, starts, skips, built = _solve_counting_certificates(
+        monkeypatch, caplog, (-1.0, 0.0), (1.0, 0.0), A, make_two_well_k(4.0),
+        128)
+    assert len(starts) == 1 and starts[0].startswith("start 0: ")
+    assert "feasible True, ok True" in starts[0]
+    assert len(skips) == 1 and skips[0].endswith("skipping the 2 remaining "
+                                                 "starts")
+    assert built == 1
+    assert res.nonexistence_suspected and not res.converged
+    assert res.packed is not None
+    assert res.energy == pytest.approx(2.8 + 2.0 * A, rel=1e-3)
+
+
+@pytest.mark.parametrize("case", ["radial", "two_well"])
+def test_costlier_certificate_keeps_every_start(case, monkeypatch, caplog):
+    # multipliers above the packing rate 2, but the certificate costs more
+    # than each start; n=64 behaves as n=256 does and runs faster than any
+    # smaller n, where the augmented-Lagrangian loop stalls longer
+    if case == "radial":
+        pot, p, q, A = make_radial_quartic(1.0), (1.0, 0.0), (0.0, 0.0), 0.55
+    else:
+        pot, p, q, A = make_two_well_k(4.0), (-1.0, 0.0), (1.0, 0.0), 0.8
+    res, starts, skips, built = _solve_counting_certificates(
+        monkeypatch, caplog, p, q, A, pot, 64)
+    assert [m.split(":")[0] for m in starts] == ["start 0", "start 1",
+                                                "start 2"]
+    assert not skips and built == 1
+    assert res.converged and res.packed is None
+    assert abs(res.multiplier) > 2.0
+
+
 @pytest.mark.parametrize("A", [0.2, 0.3, 0.4])
 def test_two_well_below_the_packing_rate_is_not_flagged(A):
     # a simple minimizer exists here, cheaper than the certificate's
@@ -859,7 +915,10 @@ def _polish_inputs(monkeypatch, solve, calls):
 def test_newton_polish_equals_the_reference_bit_for_bit(case, monkeypatch):
     config = SolverConfig(n_vertices=64)
     if case == "two_well_nonexistence":
+        # at n=128 the first start makes three polishes: two failed handoffs
+        # and the converged one, after which the packing rate ends the search
         pot, calls = make_two_well_k(4.0), 3
+        config = SolverConfig(n_vertices=128)
         solve = lambda: minimize_constrained((-1.0, 0.0), (1.0, 0.0), 2.0,
                                              pot, config)
     elif case == "radial_handoff":
