@@ -174,7 +174,12 @@ def parabola_energy(C1: float, R0: float, b: float) -> float:
         raise InvalidCoefficient("parabola energy requires b > 0 and R0 > 0")
     a = math.sqrt(max(0.0, 1.0 - C1 * C1))
     u0 = math.sqrt(a * a + b * R0)
-    return ((u0**3 - a**3) / 3.0 + C1 * C1 * (u0 - a)) / b
+    try:
+        cube = u0**3  # overflows once b R0 passes about 3e205
+    except OverflowError:
+        raise InvalidCoefficient(f"b R0 = {b:g} * {R0:g} is too large: the "
+                                 f"parabola energy overflows") from None
+    return ((cube - a**3) / 3.0 + C1 * C1 * (u0 - a)) / b
 
 
 def _theta_of_r(r, C1: float, b: float, r_outer: float, theta0: float):

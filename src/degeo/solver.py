@@ -47,7 +47,10 @@ Lipschitz in A with that rate, and a critical curve whose multiplier
 exceeds it is no minimizer.  When a start ends feasible and polished with
 |mu| above the smallest such rate of the endpoint wells, and the
 certificate is strictly cheaper than that start, the driver skips the
-remaining starts; the certificate is built at most once per solve.
+remaining starts; the certificate is built at most once per solve.  It
+also skips them once a start ends feasible and polished within
+_START_AGREEMENT relative energy of an earlier such start: the two have
+found the same critical curve.
 """
 
 from __future__ import annotations
@@ -99,6 +102,16 @@ _HANDOFF_GAP = 1e-2
 # stopping level of every Newton polish: the normal gradient in
 # el_residual's normalization
 _TOL_EL = 1e-9
+# relative energy within which two feasible, polished starts count as the
+# same critical curve.  Measured over 35 cases at n = 96, 128, 192, 256 and
+# 384: starts on the same curve differ by at most 1.9e-11 (homogeneous,
+# A = 0.05) and 6.4e-9 (the double well at A = 0.08 from n = 128; up to
+# 6.3e-8 at n = 96).  Radial starts stop at different spiral depths: 7.7e-10
+# to 5.4e-8 apart at A = 0.1, and at least 4.9e-8 (1.9e-7 at n = 256) at
+# A = 0.25, where all three always run.  Wherever the rule ends a search,
+# the starts it skips would have moved the returned energy by at most
+# 3.9e-9 relative
+_START_AGREEMENT = 1e-8
 
 
 @dataclass
@@ -966,7 +979,14 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     ends there and the remaining starts are skipped (logged at debug
     level).  The certificate is built at most once, for this test or the
     final competition, and that one object is what competes and is
-    finished.
+    finished.  A failed solve is replaced by the certificate only when it
+    is infeasible or costs more.
+
+    A start j that ends feasible and polished with an energy E_j within
+    _START_AGREEMENT * |E_j| of an earlier feasible, polished start has
+    reached that start's critical curve, so the remaining starts are
+    skipped too (logged at debug level), and the ranking picks between
+    the starts that ran.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
@@ -992,7 +1012,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     certificate = functools.cache(
         lambda: _packed_certificate(p, q, A, potential))
     rate_end = _end_rate(p, q, potential)
-    best, energies = None, []
+    best, energies, settled = None, [], []
     for j, v0 in enumerate(inits):
         v, mu, c, ok = _augmented_lagrangian(
             v0, potential, A, mu0=mu0 if j == 0 and first else 0.0)
@@ -1015,6 +1035,18 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
                           "%.12g: skipping the %d remaining starts",
                           -mu, j, rate_end, cand.energy, len(inits) - j - 1)
                 break
+        if feasible and ok:
+            # an earlier feasible, polished start on the same critical curve
+            same = [i for i in settled
+                    if abs(E - energies[i]) <= _START_AGREEMENT * abs(E)]
+            settled.append(j)
+            if same and j < len(inits) - 1:
+                log.debug("start %d agrees with start %d within %.3g "
+                          "relative energy: skipping the %d remaining "
+                          "starts", j, same[0],
+                          abs(E - energies[same[0]]) / abs(E),
+                          len(inits) - j - 1)
+                break
     (infeasible, failed, _), j, v, mu = best
     others = energies[:j] + energies[j + 1:]
     if others:
@@ -1035,11 +1067,12 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         if abs(result.multiplier) >= lam_gate or not result.converged:
             cand = certificate()
             if cand is not None and (cand.energy < result.energy
-                                     or not result.converged):
+                                     or infeasible):
                 cand = _finish(cand, potential)
-                # beat a converged minimizer outright, or replace a failed
-                # solve only with the full leakage signature; otherwise
-                # keep the failure visible
+                # beat a costlier curve outright, or replace an infeasible
+                # solve only with the full leakage signature; a failed
+                # solve that found a cheaper feasible curve stays, and so
+                # does any failure the certificate cannot explain
                 if (cand.energy < result.energy
                         or cand.nonexistence_suspected):
                     log.info("adopting packed certificate: "

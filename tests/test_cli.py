@@ -172,6 +172,21 @@ def test_radial_overflowing_b_R0_exits_1(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_radial_overflowing_parabola_energy_exits_1(tmp_path, capsys):
+    # b R0 = 1e210 is finite, but the parabola energy's u0^3 is not
+    cfg = _write(tmp_path, "rad.json", {
+        "potential": {"kind": "radial_quartic", "params": {"b": 1e10}},
+        "R0": 1e200, "A_tilde": 0.3})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["radial", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == ("degeo: b R0 = 1e+10 * 1e+200 is too large: the "
+                       "parabola energy overflows")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_radial_below_threshold(tmp_path):
     cfg = _write(tmp_path, "rad.json", {
         "potential": RADIAL_POT, "R0": 1.0, "A_tilde": 0.3, "n": 256})

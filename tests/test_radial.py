@@ -32,6 +32,9 @@ def test_existence_threshold_values():
             existence_threshold(R0, b)
     with pytest.raises(InvalidCoefficient):
         figure1_bundle(1e300, 0.3, 1e10)
+    # b R0 = 1e210 is finite, but the parabola energy overflows on the way
+    with pytest.raises(InvalidCoefficient, match="b R0 = 1e"):
+        figure1_bundle(1e200, 0.3, 1e10)
 
 
 def test_non_finite_area_rejected():

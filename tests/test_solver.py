@@ -293,7 +293,8 @@ def test_each_start_hands_off_to_the_newton_early(case, monkeypatch):
     monkeypatch.setattr(solver, "_augmented_lagrangian", counted_outer)
     res = minimize_constrained((1.0, 0.0), (0.0, 0.0), A, pot, FAST)
     assert res.converged
-    assert len(inner_solves) == 3
+    # homogeneous start 1 agrees with start 0, which skips start 2
+    assert len(inner_solves) == {"radial": 3, "homogeneous": 2}[case]
     assert max(inner_solves) <= 8
     # a start ends at its first converged polish
     for converged in polishes:
@@ -307,10 +308,11 @@ def test_solve_logs_each_handoff(caplog):
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "degeo.solver"]
     handoffs = [m for m in messages if m.startswith("handoff at outer ")]
-    assert len(handoffs) == 3
+    # start 1 agrees with start 0, so start 2 never runs
+    assert len(handoffs) == 2
     outer = [m for m in messages if m.startswith("outer iteration ")]
     # each start logs iterations 0, 1, ... up to its handoff
-    assert [m.split(":")[0] for m in outer].count("outer iteration 0") == 3
+    assert [m.split(":")[0] for m in outer].count("outer iteration 0") == 2
     for m in outer:
         rho = float(m.split("rho ")[1].split(",")[0])
         nit = int(m.split(", ")[-1].split(" ")[0])
@@ -612,6 +614,84 @@ def test_costlier_certificate_keeps_every_start(case, monkeypatch, caplog):
     assert not skips and built == 1
     assert res.converged and res.packed is None
     assert abs(res.multiplier) > 2.0
+
+
+def _solve_without_the_agreement_rule(monkeypatch, p, q, A, pot, n):
+    """The solve with the agreement rule off, so every start runs."""
+    monkeypatch.setattr(solver, "_START_AGREEMENT", -1.0)
+    return minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=n))
+
+
+def test_agreeing_starts_end_the_search(monkeypatch, caplog):
+    # at n=64 start 1 ends 6.9e-11 from start 0 in relative energy, on the
+    # same critical curve, so start 2 is skipped
+    pot, p, q, A = make_homogeneous(1.0, 2.0), (1.0, 0.0), (0.0, 0.0), 0.05
+    res, starts, skips, _ = _solve_counting_certificates(
+        monkeypatch, caplog, p, q, A, pot, 64)
+    assert [m.split(":")[0] for m in starts] == ["start 0", "start 1"]
+    assert len(skips) == 1
+    assert skips[0].startswith("start 1 agrees with start 0 within ")
+    assert skips[0].endswith(": skipping the 1 remaining starts")
+    full = _solve_without_the_agreement_rule(monkeypatch, p, q, A, pot, 64)
+    assert res.converged and full.converged
+    assert res.energy == pytest.approx(full.energy, rel=1e-8, abs=0.0)
+
+
+def test_radial_starts_at_different_depths_all_run(monkeypatch, caplog):
+    # at n=64 the radial starts stop at different spiral depths, 6.8e-6
+    # apart in relative energy: all three run and the result is unchanged
+    pot, p, q, A = make_radial_quartic(1.0), (1.0, 0.0), (0.0, 0.0), 0.25
+    res, starts, skips, _ = _solve_counting_certificates(
+        monkeypatch, caplog, p, q, A, pot, 64)
+    assert [m.split(":")[0] for m in starts] == ["start 0", "start 1",
+                                                "start 2"]
+    assert not skips
+    full = _solve_without_the_agreement_rule(monkeypatch, p, q, A, pot, 64)
+    assert (res.energy, res.multiplier, res.converged) == (
+        full.energy, full.multiplier, full.converged)
+    assert np.array_equal(res.curve.vertices, full.curve.vertices)
+
+
+@pytest.mark.parametrize("case", ["radial", "homogeneous", "two_well"])
+def test_reflections_are_exact(case):
+    # p -> (sx p1, sy p2) leaves each potential unchanged bit for bit and
+    # maps the area integral of p1 dp2 to sx sy times itself.  IEEE
+    # arithmetic flips signs exactly, so each image solve gives the same
+    # energy and the multiplier times sx sy, bit for bit.  The two-well
+    # split sends p1 = 0 to the left well, which breaks the x mirror
+    every = [(-1, 1), (1, -1), (-1, -1)]
+    pot, p, q, A, reflections = {
+        "radial": (make_radial_quartic(1.0), (1.0, 0.0), (0.0, 0.0), 0.25,
+                   every),
+        "homogeneous": (make_homogeneous(1.0, 2.0), (1.0, 0.0), (0.0, 0.0),
+                        0.05, every),
+        "two_well": (make_two_well_k(4.0), (-1.0, 0.0), (1.0, 0.0), 0.3,
+                     [(1, -1)]),
+    }[case]
+    cfg = SolverConfig(n_vertices=64)
+    ref = minimize_constrained(p, q, A, pot, cfg)
+    assert ref.converged
+    for sx, sy in reflections:
+        res = minimize_constrained((sx * p[0], sy * p[1]),
+                                   (sx * q[0], sy * q[1]), sx * sy * A, pot,
+                                   cfg)
+        assert res.energy == ref.energy, (sx, sy)
+        assert res.multiplier == sx * sy * ref.multiplier, (sx, sy)
+        assert res.converged, (sx, sy)
+
+
+def test_cheaper_failed_solve_is_not_replaced_by_the_certificate():
+    # every start ends feasible but unpolished, the cheapest at E 6.0366
+    # (the exact arc costs 6.0208), while the flagged certificate costs
+    # 6.8246; n=256 is the only n from 64 to 256 tried where no start
+    # polishes
+    pot, A = make_homogeneous(1.0, 2.0), 2.0
+    res = minimize_constrained((1.0, 0.0), (0.0, 0.0), A, pot,
+                               SolverConfig(n_vertices=256))
+    exact = solve_homogeneous(np.array([1.0, 0.0]), A, 1.0, 2.0).energy
+    assert res.packed is None and not res.converged
+    assert abs(res.area_achieved - A) <= _TOL_AREA * (1.0 + abs(A))
+    assert res.energy == pytest.approx(exact, rel=5e-3)
 
 
 @pytest.mark.parametrize("A", [0.2, 0.3, 0.4])
