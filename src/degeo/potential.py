@@ -140,6 +140,15 @@ class Potential:
         d = np.linalg.norm(locs[:, None, :] - locs[None, :, :], axis=-1)
         return float(d.max())
 
+    def length_scale(self, p, q) -> float:
+        """The problem's length: the well separation, else |q - p|, else 1.
+
+        Sets the leakage probe radii, the certificate's loop size and the
+        wave profile's well tolerances.
+        """
+        chord = float(np.linalg.norm(np.subtract(q, p)))
+        return self.well_separation() or chord or 1.0
+
     def min_on_far_circle(self, R_far=None, n=720) -> float:
         """Minimum of W on a circle of radius R_far about the well centroid.
 

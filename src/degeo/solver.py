@@ -34,28 +34,26 @@ leaves those turns to a few vertices.
 
 When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
-the limiting cost trunk + (lambda1 + lambda2) * |excess|.  After the
-standard solve the driver builds that limit as a certificate (a trunk curve
-running one small square loop at the well, plus a `PackedLoops` count of how
-often the polyline it stands for runs the loop) and adopts it when it is
+the limiting cost trunk + (lambda1 + lambda2) * |excess|.  Every solve whose
+potential has wells builds that limit once, before the starts, as a
+certificate (a trunk curve running one small square loop at the well, plus
+a `PackedLoops` count of how often the polyline it stands for runs the
+loop).  It always competes with the standard solve and is adopted when
 strictly cheaper; it is reported as not converged, and the leakage
 diagnostics raise the non-existence flag.
 
 A curve that ends at a well can park extra area in vanishing loops there
 at the marginal cost lambda1 + lambda2 of that well, so the least energy is
 Lipschitz in A with that rate, and a critical curve whose multiplier
-exceeds it is no minimizer.  When a start ends feasible and polished with
-|mu| above the smallest such rate of the endpoint wells, and the
-certificate is strictly cheaper than that start, the driver skips the
-remaining starts; the certificate is built at most once per solve.  It
-also skips them once a start ends feasible and polished within
-_START_AGREEMENT relative energy of an earlier such start: the two have
-found the same critical curve.
+exceeds it is no minimizer.  One rule ends the search at a start that ends
+feasible and polished: when it is the warm start, when |mu| is above the
+smallest such rate of the endpoint wells and the certificate is strictly
+cheaper, or when its energy is within _START_AGREEMENT relative of an
+earlier such start (the two have found the same critical curve).
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import numbers
@@ -726,10 +724,11 @@ def estimate_multiplier(curve: Curve, potential: Potential
 # leakage diagnostics
 # ---------------------------------------------------------------------------
 
-def _probe_radii(potential: Potential, chord: float) -> List[float]:
+def _probe_radii(potential: Potential, p: np.ndarray, q: np.ndarray
+                 ) -> List[float]:
     """The leakage probe radii of `detect_area_leakage`, largest first."""
-    sep = potential.well_separation() or chord
-    return [r * sep for r in (1e-1, 1e-2, 1e-3)]
+    scale = potential.length_scale(p, q)
+    return [r * scale for r in (1e-1, 1e-2, 1e-3)]
 
 
 def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
@@ -744,8 +743,7 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
     segments count `loop_count` times each.
     """
     v = result.curve.vertices
-    scale = float(np.linalg.norm(v[-1] - v[0])) or 1.0
-    radii = _probe_radii(potential, scale)
+    radii = _probe_radii(potential, v[0], v[-1])
     geo = segment_geometry(v)
     seg, L, mid = geo.seg, geo.L, geo.mid
     mult = (np.ones(L.size) if result.packed is None
@@ -809,15 +807,16 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     the diagnostics probe; the early end of `minimize_constrained` uses the
     continuum rate.  The curve holds the loop once and `SolveResult.packed`
     its multiplicity; diagnostics are left to _finish.  Returns None when
-    no well is available or no loop radius meets A to the area tolerance.
+    no well is available, when the loop's area rounds to 0 (its radius is
+    lost against the well's coordinates at a tiny excess) or when no loop
+    radius meets A to the area tolerance.
     """
     if not potential.wells:
         return None
     lam_sums = [w.lambda1 + w.lambda2 for w in potential.wells]
     i_well = int(np.argmin(lam_sums))
     well = potential.wells[i_well]
-    scale = float(np.linalg.norm(q - p)) or 1.0
-    rho = 0.85 * min(_probe_radii(potential, scale))
+    rho = 0.85 * min(_probe_radii(potential, p, q))
 
     n_leg = 2048
     leg_in = _straight(p, well.location + np.array([rho, 0.0]), n_leg)
@@ -846,7 +845,10 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     curve = Curve(np.vstack([leg_in[:-1], loop, leg_out[1:]]))
     packed = PackedLoops(well=i_well, loop_radius=r, loop_count=n_loops,
                          orientation=sign, anchor=n_leg - 1)
-    rate = _packing_rate(packed.loop(curve), potential, A)
+    loop = packed.loop(curve)
+    if area(loop) == 0.0:  # r is lost against the well's coordinates
+        return None
+    rate = _packing_rate(loop, potential, A)
     result = _result(curve, potential, A, rate, False, packed)
     if abs(result.area_achieved - A) > _TOL_AREA * (1.0 + abs(A)):
         return None
@@ -963,122 +965,107 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
     mu0) when given, then the bump starts.  Each start runs the
     augmented-Lagrangian loop until the KKT Newton polish converges on a
-    mesh graded toward the wells, and ends there.  The best result by
-    feasibility, then polish success, then energy wins, and the result is
-    converged only when the winner is both; a warm start that is feasible
-    and polished ends the search.  The returned multiplier is the negative
-    of the polish's mu, which matches the sign of d(energy)/d(area).  When
-    it nears the cheapest well's packing rate, or the solve fails, the
-    packed certificate competes; in the non-existence regime the result is
-    that certificate (`packed` set, not converged) with the nonexistence
-    flag instead of a fabricated minimizer.
+    mesh graded toward the wells, and ends there.  The first best result
+    by feasibility, then polish success, then energy wins, and the result
+    is converged only when the winner is both.  The returned multiplier is
+    the negative of the polish's mu, which matches the sign of
+    d(energy)/d(area).
 
-    A start that ends feasible and polished with |mu| above the smallest
-    packing rate lambda1 + lambda2 of a well at p_minus or p_plus is no
-    minimizer; if the certificate is strictly cheaper than it, the search
-    ends there and the remaining starts are skipped (logged at debug
-    level).  The certificate is built at most once, for this test or the
-    final competition, and that one object is what competes and is
-    finished.  A failed solve is replaced by the certificate only when it
+    When the potential has wells, the packed certificate is built once,
+    before the starts, and always competes with the winner; in the
+    non-existence regime the result is that certificate (`packed` set, not
+    converged) with the nonexistence flag instead of a fabricated
+    minimizer.  It is finished only when it is cheaper or the winner is
+    infeasible, and a failed solve is replaced by it only when that solve
     is infeasible or costs more.
 
-    A start j that ends feasible and polished with an energy E_j within
-    _START_AGREEMENT * |E_j| of an earlier feasible, polished start has
-    reached that start's critical curve, so the remaining starts are
-    skipped too (logged at debug level), and the ranking picks between
-    the starts that ran.
+    A start that ends feasible and polished ends the search, skipping the
+    remaining starts, in three cases:
+    - it is the warm start;
+    - |mu| is above the smallest packing rate lambda1 + lambda2 of a well
+      at p_minus or p_plus, so it is no minimizer, and the certificate is
+      strictly cheaper (logged at debug level);
+    - its energy E_j is within _START_AGREEMENT * |E_j| of an earlier
+      feasible, polished start, so it reached that start's critical curve
+      (logged at debug level).
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
     tol_c = _TOL_AREA * (1.0 + abs(A))
 
-    # a warm start runs first and short-circuits the cold bump starts when
-    # it converges; if it goes astray the cold starts still get their shot
+    # starts as (vertices, mu0, warm): a warm start runs first and ends the
+    # search when it converges; if it goes astray the cold starts still get
+    # their shot.  mu0 belongs to the first start, the warm one if any
     inits = _bump_inits(p, q, A, config.n_vertices)
     if init_curve is not None:
         inits.insert(0, _warm_start(init_curve, p, q))
     # an area past floating-point reach overflows the bump starts or the
     # penalty at the warm start; such starts are dropped
-    kept = [_finite_start(v0, potential, A) for v0 in inits]
-    if not any(kept):
+    starts = [(v0, mu0 if i == 0 else 0.0, i == 0 and init_curve is not None)
+              for i, v0 in enumerate(inits) if _finite_start(v0, potential, A)]
+    if not starts:
         raise ValueError(f"no start curve for the area {A:g} can be "
                          f"evaluated in floating point")
-    # mu0 and the early exit belong to the first start, the warm one if any
-    first = kept[0]
-    inits = [v0 for v0, k in zip(inits, kept) if k]
 
-    # built at most once, by the first start the packing rate rules out or
-    # by the final competition, which then reuses it
-    certificate = functools.cache(
-        lambda: _packed_certificate(p, q, A, potential))
+    certificate = _packed_certificate(p, q, A, potential)
     rate_end = _end_rate(p, q, potential)
-    best, energies, settled = None, [], []
-    for j, v0 in enumerate(inits):
-        v, mu, c, ok = _augmented_lagrangian(
-            v0, potential, A, mu0=mu0 if j == 0 and first else 0.0)
+    # (infeasible, failed, energy, vertices, mu) per start run
+    outcomes = []
+    for j, (v0, mu_start, warm) in enumerate(starts):
+        v, mu, c, ok = _augmented_lagrangian(v0, potential, A, mu0=mu_start)
         E = _one_pass(v, potential).E
         feasible = abs(c) <= tol_c
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
                   j, E, feasible, ok)
-        energies.append(E)
-        key = (not feasible, not ok, E)
-        if best is None or key < best[0]:
-            best = (key, j, v, mu)
-        if (j == 0 and first and init_curve is not None and feasible
-                and ok):
+        outcomes.append((not feasible, not ok, E, v, mu))
+        if not (feasible and ok):
+            continue
+        if warm:
             break
-        if feasible and ok and abs(mu) > rate_end:
-            cand = certificate()
-            if cand is not None and cand.energy < E:
-                log.debug("multiplier %.6g of start %d passes the endpoint "
-                          "packing rate %.6g and the certificate costs "
-                          "%.12g: skipping the %d remaining starts",
-                          -mu, j, rate_end, cand.energy, len(inits) - j - 1)
-                break
-        if feasible and ok:
-            # an earlier feasible, polished start on the same critical curve
-            same = [i for i in settled
-                    if abs(E - energies[i]) <= _START_AGREEMENT * abs(E)]
-            settled.append(j)
-            if same and j < len(inits) - 1:
-                log.debug("start %d agrees with start %d within %.3g "
-                          "relative energy: skipping the %d remaining "
-                          "starts", j, same[0],
-                          abs(E - energies[same[0]]) / abs(E),
-                          len(inits) - j - 1)
-                break
-    (infeasible, failed, _), j, v, mu = best
-    others = energies[:j] + energies[j + 1:]
+        left = len(starts) - j - 1
+        if (abs(mu) > rate_end and certificate is not None
+                and certificate.energy < E):
+            log.debug("multiplier %.6g of start %d passes the endpoint "
+                      "packing rate %.6g and the certificate costs %.12g: "
+                      "skipping the %d remaining starts",
+                      -mu, j, rate_end, certificate.energy, left)
+            break
+        # earlier feasible, polished starts on the same critical curve
+        same = [i for i, (off, unpolished, E_i, _, _)
+                in enumerate(outcomes[:j]) if not (off or unpolished)
+                and abs(E - E_i) <= _START_AGREEMENT * abs(E)]
+        if same and left:
+            log.debug("start %d agrees with start %d within %.3g relative "
+                      "energy: skipping the %d remaining starts", j, same[0],
+                      abs(E - outcomes[same[0]][2]) / abs(E), left)
+            break
+    # the first minimum wins
+    j = min(range(len(outcomes)), key=lambda i: outcomes[i][:3])
+    infeasible, failed, E, v, mu = outcomes[j]
+    others = [o[2] for i, o in enumerate(outcomes) if i != j]
     if others:
         # negative when a cheaper start lost on feasibility or polish
         log.debug("start %d of %d won; next cheapest start is %.3g higher "
-                  "in relative energy", j, len(energies),
-                  (min(others) - energies[j]) / max(abs(energies[j]), 1e-300))
+                  "in relative energy", j, len(outcomes),
+                  (min(others) - E) / max(abs(E), 1e-300))
     else:
-        log.debug("start %d of %d won unopposed", j, len(energies))
+        log.debug("start %d of %d won unopposed", j, len(outcomes))
 
     converged = not (infeasible or failed) and math.isfinite(mu)
     result = _finish(_result(Curve(v), potential, A, -mu, converged),
                      potential)
-
-    # non-existence continuation: try parking the area surplus at a well
-    if potential.wells:
-        lam_gate = 0.8 * min(w.lambda1 + w.lambda2 for w in potential.wells)
-        if abs(result.multiplier) >= lam_gate or not result.converged:
-            cand = certificate()
-            if cand is not None and (cand.energy < result.energy
-                                     or infeasible):
-                cand = _finish(cand, potential)
-                # beat a costlier curve outright, or replace an infeasible
-                # solve only with the full leakage signature; a failed
-                # solve that found a cheaper feasible curve stays, and so
-                # does any failure the certificate cannot explain
-                if (cand.energy < result.energy
-                        or cand.nonexistence_suspected):
-                    log.info("adopting packed certificate: "
-                             "energy %.6g vs %.6g",
-                             cand.energy, result.energy)
-                    result = cand
+    # the certificate beats a costlier curve outright, or replaces an
+    # infeasible solve only with the full leakage signature; a failed solve
+    # that found a cheaper feasible curve stays, and so does any failure
+    # the certificate cannot explain
+    if certificate is not None and (certificate.energy < result.energy
+                                    or infeasible):
+        certificate = _finish(certificate, potential)
+        if (certificate.energy < result.energy
+                or certificate.nonexistence_suspected):
+            log.info("adopting packed certificate: energy %.6g vs %.6g",
+                     certificate.energy, result.energy)
+            result = certificate
     return result
 
 

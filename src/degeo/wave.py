@@ -75,14 +75,6 @@ def _nearest_well(potential: Potential, point: np.ndarray):
     return best
 
 
-def _scale(potential: Potential, v: np.ndarray) -> float:
-    sep = potential.well_separation()
-    if sep:
-        return sep
-    chord = float(np.linalg.norm(v[-1] - v[0]))
-    return chord if chord > 0.0 else 1.0
-
-
 def _ray_chain(well: np.ndarray, target: np.ndarray, floor: float) -> np.ndarray:
     """Geometrically spaced points from just off the well toward target."""
     d1 = float(np.linalg.norm(target - well))
@@ -114,7 +106,7 @@ def to_traveling_wave(result: SolveResult, potential: Potential) -> WaveProfile:
     n = len(v)
     if n < 4:
         raise ValueError("curve too short for a profile")
-    scale = _scale(potential, v)
+    scale = potential.length_scale(v[0], v[-1])
     tol = 1e-4 * scale
 
     if potential.wells:
@@ -224,7 +216,7 @@ def hamiltonian_tail_estimate(profile: WaveProfile, potential: Potential
     """
     if not potential.wells:
         return 0.0
-    scale = _scale(potential, profile.U)
+    scale = potential.length_scale(profile.U[0], profile.U[-1])
     total = 0.0
     for end in (profile.U[0], profile.U[-1]):
         d, well = _nearest_well(potential, end)

@@ -424,6 +424,20 @@ def test_out_of_range_values_exit_1_fast(tmp_path, capsys):
             assert elapsed < 2.0, (command, field, value, elapsed)
 
 
+def test_solve_at_a_tiny_area_excess_exits_0(tmp_path):
+    # the packed certificate's loop radius is lost against the well's
+    # coordinates, so there is no certificate and the solve converges
+    cfg = _write(tmp_path, "tiny.json", {
+        "potential": {"kind": "two_well", "params": {"k": 4.0}},
+        "endpoints": [[-1.0, 0.0], [1.0, 0.0]],
+        "A": 5e-324,
+        "solver": {"n_vertices": 32}})
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out), "--quiet"]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["converged"] is True and "packed" not in result
+
+
 def test_huge_two_well_areas_end_flagged(tmp_path):
     # the Newton polish meets these areas with overflowing border products;
     # like 1e101 to 1e105 they end in a flag exit 2: the packed certificate

@@ -297,6 +297,14 @@ def test_json_roundtrip_builtin_kinds():
         make_custom(lambda p: 1.0, wells=()).to_json_dict()
 
 
+def test_length_scale_is_the_well_separation_else_the_chord_else_one():
+    assert make_two_well_k(2.0).length_scale(
+        (0.0, 0.0), (3.0, 4.0)) == pytest.approx(2.0)
+    single = make_homogeneous(1.0, 1.0)
+    assert single.length_scale((0.0, 0.0), (3.0, 4.0)) == 5.0
+    assert single.length_scale((1.0, 2.0), (1.0, 2.0)) == 1.0
+
+
 def test_well_separation_and_far_circle():
     pot = make_two_well_k(2.0)
     assert pot.well_separation() == pytest.approx(2.0)

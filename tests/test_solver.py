@@ -616,6 +616,42 @@ def test_costlier_certificate_keeps_every_start(case, monkeypatch, caplog):
     assert abs(res.multiplier) > 2.0
 
 
+def test_certificate_is_built_before_the_starts_and_competes(monkeypatch,
+                                                            caplog):
+    # the multiplier 0.89 is far below the packing rate 2 of the well at
+    # the endpoint (0, 0), so no start meets the certificate: it is built
+    # once anyway, competes with the winner and loses
+    res, starts, skips, built = _solve_counting_certificates(
+        monkeypatch, caplog, (1.0, 0.0), (0.0, 0.0), 0.1,
+        make_radial_quartic(1.0), 64)
+    assert built == 1
+    assert res.converged and res.packed is None
+    assert not res.nonexistence_suspected
+
+
+def test_converged_warm_start_ends_the_search(caplog):
+    # each sweep row after the first starts from the previous row's curve
+    # and multiplier; it converges, so no cold start runs
+    with caplog.at_level("DEBUG", logger="degeo.solver"):
+        rows = area_sweep((1.0, 0.0), (0.0, 0.0), [0.08, 0.10, 0.12],
+                          make_radial_quartic(1.0),
+                          SolverConfig(n_vertices=64))
+    solves = [[]]
+    for record in caplog.records:
+        if record.name == "degeo.solver":
+            solves[-1].append(record.getMessage())
+            if re.match(r"start \d+ of \d+ won", solves[-1][-1]):
+                solves.append([])
+    assert len(solves) == 4 and not solves[-1]
+    for lines, prev, mu in zip(solves[1:3], rows, ("-0.7346", "-0.894368")):
+        starts = [m for m in lines if re.match(r"start \d+: ", m)]
+        assert len(starts) == 1 and starts[0].startswith("start 0: ")
+        first = next(m for m in lines if m.startswith("outer iteration 0:"))
+        assert first.startswith(f"outer iteration 0: mu {mu}, ")
+        assert f"{-prev['multiplier']:.6g}" == mu
+    assert all(row["converged"] for row in rows)
+
+
 def _solve_without_the_agreement_rule(monkeypatch, p, q, A, pot, n):
     """The solve with the agreement rule off, so every start runs."""
     monkeypatch.setattr(solver, "_START_AGREEMENT", -1.0)
@@ -706,6 +742,19 @@ def test_two_well_below_the_packing_rate_is_not_flagged(A):
     assert abs(res.area_achieved - A) <= _TOL_AREA * (1.0 + abs(A))
     assert abs(res.multiplier) < 2.0
     assert res.energy < 2.8 + 2.0 * A
+
+
+@pytest.mark.parametrize("A", [5e-324, 1e-200])
+def test_certificate_is_none_at_a_tiny_area_excess(A):
+    # the loop radius, about sqrt(A / 2), is lost against the well's
+    # coordinate -1, so the loop holds no area; the solve converges to the
+    # straight geodesic as it does without a certificate
+    pot = make_two_well_k(4.0)
+    p, q = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
+    assert _packed_certificate(p, q, A, pot) is None
+    res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=32))
+    assert res.converged and res.packed is None
+    assert res.energy == pytest.approx(2.8010365985535, rel=1e-12)
 
 
 @pytest.mark.parametrize("q, A", [((1.0, 0.0), 6e-4), ((0.6, 0.5), -0.3)])
