@@ -26,11 +26,11 @@ parameters), 2 mathematical flag (non-existence suspected, bubble detected,
 area above the attainable cap, failed convergence).
 
 Curves are written with the header p1,p2, which `curve_from_csv` reads
-back.  Float formatting is fixed (17 significant digits in JSON, shortest
-round-trip in CSV) and JSON keys are sorted, so outputs are byte-identical
-across runs.  `DEGEO_LOG` in {error, info, debug} sets verbosity; `--quiet`
-forces error-only.  Sweeps run serially because each solve warm-starts from
-its neighbor.
+back.  Floats are written in shortest round-trip form in JSON and CSV alike,
+and JSON keys are sorted, so outputs are byte-identical across runs.
+`DEGEO_LOG` in {error, info, debug} sets verbosity; `--quiet` forces
+error-only.  Sweeps run serially because each solve warm-starts from its
+neighbor.
 """
 
 from __future__ import annotations
@@ -71,35 +71,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# ---------------------------------------------------------------------------
-# deterministic serialization
-# ---------------------------------------------------------------------------
-
-def _canon(obj) -> str:
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(f"{json.dumps(k)}:{_canon(v)}"
-                              for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return json.dumps(bool(obj))
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if not math.isfinite(x):
-            return json.dumps(x)
-        return format(x, ".17g")
-    if isinstance(obj, (np.integer,)):
-        return json.dumps(int(obj))
-    if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist())
-    return json.dumps(obj)
-
-
 def _write_json(path: str, obj) -> None:
+    # formed whole before the file is opened, so an unencodable value
+    # leaves no partial file
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        fh.write(_canon(obj))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -837,7 +837,9 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
         return None
     root = math.sqrt(b * b + 8.0 * n_loops * c)
     r = 2.0 * c / (b + root) if b >= 0.0 else (root - b) / (4.0 * n_loops)
-    if not r > 0.0:  # 8 n c overflows once |A| nears 1.3e154
+    # 8 n c overflows once |A| nears 1.3e154 (1e153 for some b < 0),
+    # sending r to 0 or to inf
+    if not 0.0 < r < math.inf:
         return None
     # anchor -> top -> left -> bottom -> anchor, counterclockwise for sign +1
     loop = np.array([[r, 0.0], [0.0, sign * r], [-r, 0.0], [0.0, -sign * r],
@@ -929,7 +931,12 @@ def _warm_start(init_curve: Curve, p: np.ndarray, q: np.ndarray
 
 def minimize_unconstrained(p, q, potential: Potential,
                            config: Optional[SolverConfig] = None) -> SolveResult:
-    """Weighted-length geodesic between pinned endpoints (no area term)."""
+    """Weighted-length geodesic between pinned endpoints (no area term).
+
+    Runs the straight start and two arched ones through L-BFGS-B and the
+    Newton polish each; the first best by polish success, then energy,
+    wins, and the result is converged when its polish is.
+    """
     config = config or SolverConfig()
     p, q = _endpoints(p, q)
     scale = float(np.linalg.norm(q - p))
@@ -937,22 +944,22 @@ def minimize_unconstrained(p, q, potential: Potential,
     t = np.linspace(0.0, 1.0, n)
     chord = q - p
     nrm = np.array([-chord[1], chord[0]]) / scale
-    best = None
+    # (failed, energy, vertices) per start
+    outcomes = []
     for amp in (0.0, 0.05 * scale, -0.05 * scale):
         v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
-        v, ok, _ = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
-        E = _one_pass(v, potential).E
-        if best is None or E < best[0] - 1e-10 or (abs(E - best[0]) <= 1e-10
-                                                   and not best[2] and ok):
-            best = (E, v, ok)
-    E, v, ok = best
-    # remesh toward the wells, then Newton in normal coordinates for tight
-    # stationarity
-    v = _remesh(v, potential)
-    v, _, res, _, _ = _newton_polish(v, potential, None, 0.0)
-    ok = _polish_converged(res, 0.0, 0.0)
+        v, _, _ = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
+        # remesh toward the wells, then Newton in normal coordinates for
+        # tight stationarity
+        v, _, res, _, _ = _newton_polish(_remesh(v, potential), potential,
+                                         None, 0.0)
+        outcomes.append((not _polish_converged(res, 0.0, 0.0),
+                         _one_pass(v, potential).E, v))
+    # the first minimum wins
+    failed, _, v = min(outcomes, key=lambda o: o[:2])
     curve = Curve(v)
-    return _finish(_result(curve, potential, area(curve), 0.0, ok), potential)
+    return _finish(_result(curve, potential, area(curve), 0.0, not failed),
+                   potential)
 
 
 def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
@@ -988,6 +995,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     - its energy E_j is within _START_AGREEMENT * |E_j| of an earlier
       feasible, polished start, so it reached that start's critical curve
       (logged at debug level).
+
+    A start that overflows floating point raises ValueError naming A.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
@@ -1012,7 +1021,15 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     # (infeasible, failed, energy, vertices, mu) per start run
     outcomes = []
     for j, (v0, mu_start, warm) in enumerate(starts):
-        v, mu, c, ok = _augmented_lagrangian(v0, potential, A, mu0=mu_start)
+        # a start can pass _finite_start and still overflow once the penalty
+        # and the multiplier grow, at an area near floating-point reach
+        try:
+            with np.errstate(over="raise"):
+                v, mu, c, ok = _augmented_lagrangian(v0, potential, A,
+                                                     mu0=mu_start)
+        except FloatingPointError as exc:
+            raise ValueError(f"the solve for the area {A:g} overflows "
+                             f"floating point") from exc
         E = _one_pass(v, potential).E
         feasible = abs(c) <= tol_c
         log.debug("start %d: energy %.12g, feasible %s, ok %s",

@@ -179,12 +179,11 @@ def wave_residual(profile: WaveProfile, potential: Potential) -> float:
     if len(profile) < 18:
         raise GridTooCoarse("need at least 16 interior grid points")
     d1, d2 = _derivatives(profile)
-    gW = potential.grad_W(profile.U[1:-1])
+    gW = potential.grad_W(profile.U)
     Jd1 = np.stack([d1[:, 1], -d1[:, 0]], axis=1)
-    R = d2 - gW + profile.nu * Jd1
+    R = d2 - gW[1:-1] + profile.nu * Jd1
     num = float(np.linalg.norm(R, axis=1).max())
-    gW_all = potential.grad_W(profile.U)
-    denom = float(np.linalg.norm(gW_all, axis=1).max()) \
+    denom = float(np.linalg.norm(gW, axis=1).max()) \
         + abs(profile.nu) * float(np.linalg.norm(d1, axis=1).max())
     if denom < 1e-300:
         return num
@@ -262,8 +261,11 @@ def second_variation_spectrum(profile: WaveProfile, potential: Potential,
     best matches the discrete translation direction U'.
 
     Generalized symmetric problem K phi = theta M phi with lumped mass and
-    homogeneous Dirichlet ends; deterministic start vector.  The returned
-    mode is padded with zeros at the two Dirichlet nodes.
+    homogeneous Dirichlet ends, solved by ARPACK in shift-invert mode from
+    a deterministic start vector; the dense solver runs only when ARPACK
+    raises or k asks for dim - 1 or more eigenvalues.  The returned mode is
+    the one `zero_mode_alignment` ranks highest (the first on a tie),
+    padded with zeros at the two Dirichlet nodes.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -274,7 +276,7 @@ def second_variation_spectrum(profile: WaveProfile, potential: Potential,
     dim = K.shape[0]
     k_eff = min(k, dim - 1)
     vals = None
-    if k_eff < dim - 1 and dim > 400:
+    if k_eff < dim - 1:
         Minv_half = 1.0 / np.sqrt(M)
         B = sp.diags(Minv_half) @ K @ sp.diags(Minv_half)
         try:
@@ -291,23 +293,11 @@ def second_variation_spectrum(profile: WaveProfile, potential: Potential,
         vals, vecs = _dense_eigh(dense)
         vals, vecs = vals[:k_eff], (vecs / np.sqrt(M)[:, None])[:, :k_eff]
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-
-    d1, _ = _derivatives(profile)
-    z = d1.ravel()
-    zn = z / math.sqrt(float(np.sum(M * z * z))) if np.any(z) else z
-    best, best_align = 0, -1.0
-    for j in range(vecs.shape[1]):
-        phi = vecs[:, j]
-        norm = math.sqrt(float(np.sum(M * phi * phi)))
-        if norm == 0.0:
-            continue
-        align = abs(float(np.sum(M * phi * zn))) / norm
-        if align > best_align:
-            best, best_align = j, align
-    mode = np.zeros((n, 2))
-    mode[1:-1] = vecs[:, best].reshape(-1, 2)
-    return [float(t) for t in vals], mode
+    modes = np.zeros((k_eff, n, 2))
+    modes[:, 1:-1] = vecs[:, order].T.reshape(k_eff, n - 2, 2)
+    best = max(range(k_eff),
+               key=lambda j: zero_mode_alignment(profile, modes[j]))
+    return [float(t) for t in vals[order]], modes[best]
 
 
 def zero_mode_alignment(profile: WaveProfile, mode: np.ndarray) -> float:

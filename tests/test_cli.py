@@ -49,6 +49,9 @@ def test_solve_writes_result_and_curve(tmp_path):
                                make_radial_quartic(1.0),
                                SolverConfig(n_vertices=96))
     assert (loaded.vertices == res.curve.vertices).all()
+    # and the JSON floats read back to the library's values exactly
+    for key in ("energy", "multiplier", "area_achieved"):
+        assert result[key] == getattr(res, key), key
 
 
 def test_solve_outputs_are_byte_identical(tmp_path):
@@ -436,6 +439,25 @@ def test_solve_at_a_tiny_area_excess_exits_0(tmp_path):
     assert main(["solve", cfg, "--out", str(out), "--quiet"]) == 0
     result = json.loads((out / "result.json").read_text())
     assert result["converged"] is True and "packed" not in result
+
+
+def test_overflowing_solve_exits_1(tmp_path, capsys):
+    # these areas pass the start check, then overflow the penalized
+    # gradient once the multiplier grows: bad input, not a flag.  At
+    # -1e153 the certificate's loop radius overflows to inf first
+    path = tmp_path / "overflow.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for A in (1e153, 2e153, -1e153):
+            path.write_text(json.dumps({
+                "potential": {"kind": "two_well", "params": {"k": 2.0}},
+                "endpoints": [[-1.0, 0.0], [0.6, 0.5]], "A": A,
+                "solver": {"n_vertices": 16}}))
+            code = main(["solve", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"])
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 1 and len(err) == 1, (A, code, err)
+            assert err[0].startswith("degeo: ") and f"{A:g}" in err[0]
 
 
 def test_huge_two_well_areas_end_flagged(tmp_path):

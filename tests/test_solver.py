@@ -212,6 +212,16 @@ def test_unconstrained_geodesic_on_radial_ray():
         minimize_unconstrained((math.nan, 0.0), (2.0, 0.0), pot, FAST)
 
 
+def test_unconstrained_polishes_every_start():
+    # an arched start ends L-BFGS-B lowest (2.866363) but its polish fails
+    # at 2.906966; the straight start polishes to a cheaper geodesic
+    pot = make_two_well_k(4.0)
+    res = minimize_unconstrained((-1.0, 0.3), (1.0, 0.2), pot,
+                                 SolverConfig(n_vertices=64))
+    assert res.converged
+    assert res.energy == pytest.approx(2.880226, abs=1e-6)
+
+
 def test_constrained_matches_radial_closed_form(radial_solve):
     pot, res = radial_solve
     c1 = solve_C1_for_area(1.0, 0.1, 1.0)
@@ -1059,8 +1069,9 @@ def test_newton_polish_equals_the_reference_bit_for_bit(case, monkeypatch):
         solve = lambda: minimize_unconstrained((1.0, 0.5), (0.0, 0.0), pot,
                                                config)
     else:
-        # a polish that fails: it runs its 150 steps without converging
-        pot, calls = make_two_well_k(4.0), 1
+        # every start's polish; the two arched ones run their 150 steps
+        # without converging
+        pot, calls = make_two_well_k(4.0), 3
         solve = lambda: minimize_unconstrained((-1.0, 0.3), (1.0, 0.2), pot,
                                                config)
     inputs = _polish_inputs(monkeypatch, solve, calls)

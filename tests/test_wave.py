@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from degeo import wave
 from degeo import (BubbleDetected, Curve, GridTooCoarse, SolveResult,
                    SolverConfig, WaveProfile, hamiltonian_energy,
                    hamiltonian_splits, hamiltonian_tail_estimate,
@@ -101,6 +102,24 @@ def test_second_variation_spectrum(standing):
         second_variation_spectrum(prof, pot, 0)
     with pytest.raises(ValueError):
         zero_mode_alignment(prof, mode[:-1])
+
+
+def test_dense_fallback_matches_arpack(standing, monkeypatch):
+    pot, _, prof = standing
+    vals, mode = second_variation_spectrum(prof, pot, 4)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("ARPACK error -9999")
+
+    monkeypatch.setattr(wave, "_sparse_eigsh", fail)
+    dense_vals, dense_mode = second_variation_spectrum(prof, pot, 4)
+    assert np.max(np.abs(np.subtract(dense_vals, vals))) <= 1e-9
+    # the same zero mode, up to sign and rounding
+    cos = abs(np.sum(mode * dense_mode)) / math.sqrt(
+        np.sum(mode * mode) * np.sum(dense_mode * dense_mode))
+    assert cos == pytest.approx(1.0, abs=1e-9)
+    assert zero_mode_alignment(prof, dense_mode) == pytest.approx(
+        zero_mode_alignment(prof, mode), abs=1e-9)
 
 
 def test_traveling_wave_speed_and_residual(traveling):
