@@ -61,6 +61,9 @@ log = logging.getLogger("degeo.cli")
 
 # errors that represent a mathematical outcome rather than a bad config
 _FLAG_ERRORS = (NonExistence, BubbleDetected, NonConvergence, GapTooLarge)
+# gate 11's floor on the |cos| between the reported mode and U': below it
+# the spectrum holds no translation mode
+_ZERO_MODE_ALIGNMENT = 0.99
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,6 +245,10 @@ def cmd_wave(config: dict, args) -> int:
     k = int(config.get("n_modes", 6))
     eigenvalues, mode = second_variation_spectrum(profile, pot, k)
     alignment = zero_mode_alignment(profile, mode)
+    if alignment < _ZERO_MODE_ALIGNMENT:
+        log.warning("no translation mode among the %d eigenvalues: the best "
+                    "zero_mode_alignment is %.4g, below %g", len(eigenvalues),
+                    alignment, _ZERO_MODE_ALIGNMENT)
     profile_to_csv(profile, os.path.join(out, "profile.csv"))
     _write_json(os.path.join(out, "spectrum.json"),
                 {"eigenvalues": eigenvalues, "zero_mode_alignment": alignment})

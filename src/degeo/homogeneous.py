@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import GridTooCoarse, NonConvergence, ZeroBeta
 from .functionals import Curve, energy
@@ -130,7 +129,13 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     polyline's area and weighted length fall over 1% short of the arc's,
     raise GridTooCoarse naming the area before any sample is made; from
     (1,0) with rates (1,2) that is every area from about 630 on.
+
+    brentq is imported on first use, so scipy.optimize's package init
+    (0.2 to 0.3 s) stays off degeo's import path and falls on the first
+    call in a process, such as a `degeo homogeneous` solve.
     """
+    from scipy.optimize import brentq
+
     p0 = _point(p0)
     if beta == 0.0:
         raise NonConvergence("beta = 0: the flow cycles on its level set and "

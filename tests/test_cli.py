@@ -253,6 +253,29 @@ def test_wave_command(tmp_path):
     assert (out / "profile.csv").read_text().splitlines()[0] == "y,u1,u2"
 
 
+def test_wave_warns_without_a_translation_mode(tmp_path, caplog):
+    # two-well profiles cross the cusp where the unit discs meet, which the
+    # pointwise hess_W misses: the spectrum's lowest modes are tail modes at
+    # the wells, and the command says so without changing spectrum.json
+    cfg = _write(tmp_path, "wave.json", {
+        "potential": {"kind": "two_well", "params": {"k": 2.0}},
+        "endpoints": [[-1.0, 0.0], [1.0, 0.0]],
+        "A": 0.0,
+        "n_modes": 4,
+        "solver": {"n_vertices": 64}})
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="degeo.cli"):
+        assert main(["wave", cfg, "--out", str(out)]) == 0
+    alignment = json.loads(
+        (out / "spectrum.json").read_text())["zero_mode_alignment"]
+    assert alignment < 0.99
+    warned = [r.getMessage() for r in caplog.records
+              if r.name == "degeo.cli" and r.levelname == "WARNING"]
+    assert warned == [f"no translation mode among the 4 eigenvalues: the "
+                      f"best zero_mode_alignment is {alignment:.4g}, below "
+                      f"0.99"]
+
+
 def test_bad_configs_exit_1(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["solve", missing, "--quiet"]) == 1

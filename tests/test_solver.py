@@ -1,6 +1,10 @@
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -490,6 +494,42 @@ def test_inner_solve_matches_scipy_minimize_bit_for_bit(case, monkeypatch,
             if r.name == "degeo.solver"] == [
         f"inner solve: {nit} iterations, {len(evaluations)} evaluations, "
         f"{stop}"]
+
+
+_IMPORT_FOOTPRINT = '''
+import json, sys
+import numpy as np
+import degeo, degeo.cli
+loaded = "scipy.optimize" in sys.modules
+import scipy.optimize
+res = scipy.optimize.minimize(
+    lambda x: (float(np.sum((x - 1.0)**2)), 2.0 * (x - 1.0)), np.zeros(3),
+    jac=True, method="L-BFGS-B")
+sol = degeo.solve_homogeneous([1.0, 0.0], 0.05, 1.0, 2.0)
+print(json.dumps({"loaded": loaded,
+                  "attribute": hasattr(scipy.optimize, "_lbfgsb"),
+                  "success": bool(res.success), "x": res.x.tolist(),
+                  "energy": sol.energy, "area": sol.area}))
+'''
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # this module imports scipy.optimize itself, so the check runs in a
+    # fresh interpreter.  setulb comes from its own copy of the extension,
+    # and a later import of scipy.optimize still binds and runs its own
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] is False
+    assert out["attribute"] and out["success"]
+    assert np.allclose(out["x"], 1.0, atol=1e-6)
+    # brentq, imported on first use, gives the in-process solution
+    sol = solve_homogeneous([1.0, 0.0], 0.05, 1.0, 2.0)
+    assert (out["energy"], out["area"]) == (sol.energy, sol.area)
 
 
 def test_solve_logs_each_inner_solve(caplog):
