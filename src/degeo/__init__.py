@@ -8,10 +8,8 @@ from .errors import (BubbleDetected, DegenerateHessian, DegeoError,
                      InvalidDensity, InvalidK, NonConvergence, NonExistence,
                      NonPositiveEigenvalue, NotInNonexistenceRegime,
                      ZeroBeta, ZeroDensityInterior)
-from .functionals import (Curve, Curve3, area, area_polar, curve3_to_csv,
-                          curve_from_csv, curve_from_json,
-                          curve_from_json_dict, curve_to_csv, curve_to_json,
-                          curve_to_json_dict, energy, euclid_length, lift)
+from .functionals import (Curve, Curve3, area, area_polar, curve_from_csv,
+                          curve_to_csv, energy, euclid_length, lift)
 from .homogeneous import (HomogeneousSolution, field_V_beta,
                           homogeneous_length, integrate_integral_curve,
                           minimizing_ellipse, rtilde, solve_beta_for_area,
@@ -46,9 +44,8 @@ __all__ = [
     "NonPositiveEigenvalue", "NotInNonexistenceRegime", "Potential",
     "SolveResult", "SolverConfig", "WaveProfile", "Well",
     "ZeroBeta", "ZeroDensityInterior", "area", "area_polar", "area_sweep",
-    "compare_b_negative", "curve3_to_csv", "curve_from_csv", "curve_from_json",
-    "curve_from_json_dict", "curve_to_csv", "curve_to_json",
-    "curve_to_json_dict", "delivered_area", "detect_area_leakage",
+    "compare_b_negative", "curve_from_csv", "curve_to_csv", "delivered_area",
+    "detect_area_leakage",
     "discrete_area_gradient", "discrete_energy_gradient", "el_residual",
     "energy", "energy_RA", "estimate_multiplier", "euclid_length",
     "existence_threshold", "field_V_beta", "figure1_bundle", "from_json_dict",

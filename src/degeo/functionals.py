@@ -18,7 +18,6 @@ final lifted height and the reported area agree bit for bit.
 from __future__ import annotations
 
 import io
-import json
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -227,29 +226,6 @@ def curve_to_csv(curve: Curve, file=None):
     return table_to_csv("p1,p2", curve.vertices, file)
 
 
-def curve3_to_csv(curve: Curve3) -> str:
-    return table_to_csv("p1,p2,p3", curve.vertices)
-
-
-def curve_from_csv(text: str):
-    """Read a curve from CSV with header p1,p2 or p1,p2,p3."""
-    data = table_from_csv(io.StringIO(text), "p1,p2", "p1,p2,p3")
-    return Curve(data) if data.shape[1] == 2 else Curve3(data)
-
-
-def curve_to_json_dict(curve: Curve) -> dict:
-    return {"closed": bool(curve.closed),
-            "vertices": [[float(a), float(b)] for a, b in curve.vertices]}
-
-
-def curve_from_json_dict(data: dict) -> Curve:
-    return Curve(np.asarray(data["vertices"], dtype=float),
-                 closed=bool(data.get("closed", False)))
-
-
-def curve_to_json(curve: Curve) -> str:
-    return json.dumps(curve_to_json_dict(curve), sort_keys=True)
-
-
-def curve_from_json(text: str) -> Curve:
-    return curve_from_json_dict(json.loads(text))
+def curve_from_csv(text: str) -> Curve:
+    """Read an open curve from CSV with header p1,p2 (`curve_to_csv`)."""
+    return Curve(table_from_csv(io.StringIO(text), "p1,p2"))

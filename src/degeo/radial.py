@@ -210,17 +210,17 @@ def _r_of_theta(theta, C1: float, b: float, r_outer: float, theta0: float):
     return 2.0 * a / (ew - b / ew)
 
 
-def spiral_from_C1(C1: float, b: float, r_outer: float, r_inner: float,
-                   theta0: float = 0.0, theta_step: float = None) -> Curve:
+def spiral_from_C1(C1: float, b: float, r_outer: float,
+                   r_inner: float) -> Curve:
     """Planar spiral realizing the parabola geodesic, traversed inward.
 
-    The curve starts on the circle of radius r_outer at angle theta0 and
+    The curve starts on the circle of radius r_outer at angle 0 and
     winds down to r_inner (strictly positive: for |C1| = 1 the winding
     diverges like 1/r).  Positive C1 winds counterclockwise going inward.
     Sample points combine a log-spaced radius ladder with a uniform angular
-    grid so neither slow spirals nor tight winding are under-resolved.  By
-    default the grid holds at most 2e6 steps; a step past _MAX_THETA_STEP
-    raises GridTooCoarse before any sample is made.
+    grid so neither slow spirals nor tight winding are under-resolved.  Its
+    step max(5e-3, winding / 2e6) keeps it to at most 2e6 steps; a step
+    past _MAX_THETA_STEP raises GridTooCoarse before any sample is made.
     """
     if abs(C1) > 1.0:
         raise InvalidC1(f"|C1| = {abs(C1)} exceeds 1")
@@ -229,13 +229,14 @@ def spiral_from_C1(C1: float, b: float, r_outer: float, r_inner: float,
     if b <= 0.0:
         raise InvalidCoefficient("spiral reconstruction requires b > 0")
 
+    # the angle at r_outer; 0.0 + turns a -0.0 angle there into 0.0
+    theta0 = 0.0
     n_log = max(2, int(60 * math.log10(r_outer / r_inner)) + 1)
     r = np.geomspace(r_outer, r_inner, n_log)
     if C1 != 0.0:
         th_in = float(_theta_of_r(r_inner, C1, b, r_outer, theta0))
         wind = abs(th_in - theta0)
-        if theta_step is None:
-            theta_step = max(5e-3, wind / 2e6)
+        theta_step = max(5e-3, wind / 2e6)
         if not theta_step <= _MAX_THETA_STEP:
             raise GridTooCoarse(
                 f"the spiral from R0 = {r_outer * r_outer:g} winds {wind:.3g}"

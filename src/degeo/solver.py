@@ -30,10 +30,10 @@ every process that imports degeo 0.2 to 0.3 s and about 18 MB.  The
 polish solves the KKT system for the vertex-normal offsets and mu, one
 tridiagonal solve (LAPACK's dgtsv) with a scalar border per trial, and
 stops on the normal gradient in `el_residual`'s normalization.
-Every resample, between inner solves and before each polish, grades the
-mesh toward the wells (`_remesh`), so a start ends on that mesh: a curve
-that ends at a well spirals into it, and spacing by weighted length alone
-leaves those turns to a few vertices.
+Each inner solve's curve is resampled once, graded toward the wells
+(`_remesh`), and the next inner solve and every polish start from that
+mesh: a curve that ends at a well spirals into it, and spacing by weighted
+length alone leaves those turns to a few vertices.
 
 When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
@@ -545,14 +545,15 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
 
     The outer loop updates the multiplier mu around an inexact L-BFGS-B
     inner solve of the penalized objective, raising the penalty rho
-    whenever the area gap fails to shrink fourfold, and remeshes between
-    inner solves.  Once the gap is below _HANDOFF_GAP relative to 1 + |A|
-    (and again at each further decade) it tries the KKT Newton polish on
-    the remeshed curve and stops at the first that converges.  Otherwise
-    it polishes after the last outer iteration, or after the first at
-    which the gap again fails to shrink with rho already at _PENALTY_CAP,
-    since more outer iterations would not move it.  Every resample is the
-    graded `_remesh`, so the start ends on a mesh graded toward the wells.
+    whenever the area gap fails to shrink fourfold, and resamples each
+    inner solve's curve once, with the graded `_remesh`: the next inner
+    solve and every polish start from that mesh graded toward the wells.
+    Once the gap is below _HANDOFF_GAP relative to 1 + |A| (and again at
+    each further decade) it tries the KKT Newton polish and stops at the
+    first that converges.  Otherwise it polishes after the last outer
+    iteration, or after the first at which the gap again fails to shrink
+    with rho already at _PENALTY_CAP, since more outer iterations would
+    not move it.
     `ok` says whether the polish got the normal gradient and the area gap
     to tolerance.
     """
@@ -568,14 +569,14 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
         log.debug("outer iteration %d: mu %.6g, rho %.3g, area gap %.3g, "
                   "%d inner iterations", k, mu, rho, abs(c), nit)
         mu += rho * c
+        v = _remesh(v, potential)
         if abs(c) <= tol_c:
             break
         gap = abs(c) / scale
         if gap <= _HANDOFF_GAP and math.floor(math.log10(gap)) < tried:
             tried = math.floor(math.log10(gap))
             try:
-                attempt = _newton_polish(_remesh(v, potential), potential, A,
-                                         mu)
+                attempt = _newton_polish(v, potential, A, mu)
             except NonConvergence:
                 attempt = None
             if (attempt is not None
@@ -595,11 +596,10 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
             # it does not steady mu, which gap noise still moves by rho * c
             rho = min(rho * _PENALTY_FACTOR, _PENALTY_CAP)
         c_prev = c
-        v = _remesh(v, potential)
     if polished is None:
-        # remesh toward the wells, then Newton on the KKT system in
-        # normal coordinates, which takes over the multiplier
-        polished = _newton_polish(_remesh(v, potential), potential, A, mu)
+        # Newton on the KKT system in normal coordinates, which takes over
+        # the multiplier
+        polished = _newton_polish(v, potential, A, mu)
         log.debug("no handoff; polish after %d outer iterations took %d "
                   "steps", k + 1, polished[4])
     v, mu, res, c, _ = polished
@@ -626,10 +626,7 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
     base = _straight(p, q, n)
     chord = q - p
     nrm = np.array([-chord[1], chord[0]])
-    nl = np.linalg.norm(nrm)
-    if nl == 0.0:
-        raise ValueError("endpoints must differ")
-    nrm = nrm / nl
+    nrm = nrm / np.linalg.norm(nrm)
     t = np.linspace(0.0, 1.0, n)
     a0, _ = discrete_area_gradient(base)
     if abs(A - a0) <= 1e-12 * (1.0 + abs(A)):
@@ -834,7 +831,8 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     its multiplicity; diagnostics are left to _finish.  Returns None when
     no well is available, when the loop's area rounds to 0 (its radius is
     lost against the well's coordinates at a tiny excess) or when no loop
-    radius meets A to the area tolerance.
+    radius meets A to the area tolerance.  Raises ValueError naming A when
+    the loop count passes floating point.
     """
     if not potential.wells:
         return None
@@ -851,7 +849,12 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     if payload == 0.0:
         return None
     sign = 1 if payload > 0.0 else -1
-    n_loops = math.ceil(abs(payload) / (2.0 * rho * rho))
+    try:
+        n_loops = math.ceil(abs(payload) / (2.0 * rho * rho))
+    except (OverflowError, ZeroDivisionError):
+        # the count passes floating point, or rho * rho underflows to 0
+        raise ValueError(f"the packed certificate for the area {A:g} needs "
+                         f"more loops than floating point counts") from None
     # moving the anchor to radius r changes the trunk's area by
     # beta * (r - rho) through its two anchor segments, and each loop holds
     # sign * 2 r^2, so r solves 2 n r^2 + b r = |payload| + b rho with
@@ -931,14 +934,17 @@ def _finish(result: SolveResult, potential: Potential) -> SolveResult:
 
 def _endpoints(p_minus, p_plus, A: float = 0.0
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Endpoints as arrays; rejects equal or non-finite endpoints and area."""
+    """Endpoints as arrays; rejects a non-finite area and endpoints that
+    are non-finite or closer than floating point resolves."""
     p = np.asarray(p_minus, dtype=float)
     q = np.asarray(p_plus, dtype=float)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
             and math.isfinite(A)):
         raise ValueError("endpoints and area must be finite")
-    if np.array_equal(p, q):
-        raise ValueError("endpoints must differ")
+    # a squared distance that is 0 or subnormal has lost the chord's direction
+    if not math.dist(p, q) >= math.sqrt(np.finfo(float).tiny):
+        raise ValueError(f"endpoints {p.tolist()} and {q.tolist()} must be "
+                         f"farther apart than floating point resolves")
     return p, q
 
 
@@ -1004,12 +1010,11 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     d(energy)/d(area).
 
     When the potential has wells, the packed certificate is built once,
-    before the starts, and always competes with the winner; in the
-    non-existence regime the result is that certificate (`packed` set, not
-    converged) with the nonexistence flag instead of a fabricated
-    minimizer.  It is finished only when it is cheaper or the winner is
-    infeasible, and a failed solve is replaced by it only when that solve
-    is infeasible or costs more.
+    before the starts, and replaces the winner exactly when it is strictly
+    cheaper; in the non-existence regime the result is that certificate
+    (`packed` set, not converged) with the nonexistence flag instead of a
+    fabricated minimizer.  Only the returned result is finished with its
+    diagnostics.
 
     A start that ends feasible and polished ends the search, skipping the
     remaining starts, in three cases:
@@ -1094,21 +1099,12 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         log.debug("start %d of %d won unopposed", j, len(outcomes))
 
     converged = not (infeasible or failed) and math.isfinite(mu)
-    result = _finish(_result(Curve(v), potential, A, -mu, converged),
-                     potential)
-    # the certificate beats a costlier curve outright, or replaces an
-    # infeasible solve only with the full leakage signature; a failed solve
-    # that found a cheaper feasible curve stays, and so does any failure
-    # the certificate cannot explain
-    if certificate is not None and (certificate.energy < result.energy
-                                    or infeasible):
-        certificate = _finish(certificate, potential)
-        if (certificate.energy < result.energy
-                or certificate.nonexistence_suspected):
-            log.info("adopting packed certificate: energy %.6g vs %.6g",
-                     certificate.energy, result.energy)
-            result = certificate
-    return result
+    result = _result(Curve(v), potential, A, -mu, converged)
+    if certificate is not None and certificate.energy < result.energy:
+        log.info("adopting packed certificate: energy %.6g vs %.6g",
+                 certificate.energy, result.energy)
+        result = certificate
+    return _finish(result, potential)
 
 
 def area_sweep(p_minus, p_plus, A_list: Sequence[float], potential: Potential,

@@ -6,8 +6,9 @@ import warnings
 
 import pytest
 
-from degeo import (SolverConfig, curve_from_csv, make_radial_quartic,
-                   minimize_constrained)
+from degeo import (SolverConfig, curve_from_csv, from_json_dict,
+                   make_radial_quartic, minimize_constrained,
+                   minimize_unconstrained)
 from degeo.cli import main
 
 RADIAL_POT = {"kind": "radial_quartic", "params": {"b": 1.0}}
@@ -487,7 +488,8 @@ def test_huge_two_well_areas_end_flagged(tmp_path):
     # the Newton polish meets these areas with overflowing border products;
     # like 1e101 to 1e105 they end in a flag exit 2: the packed certificate
     # up to 1e150, and a failed solve at 1.3e154, where the certificate's
-    # loop radius is lost to overflow
+    # loop radius is lost to overflow.  The wave command writes the solve's
+    # result.json before it stops
     path = tmp_path / "huge.json"
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -500,3 +502,38 @@ def test_huge_two_well_areas_end_flagged(tmp_path):
                 result = json.loads((out / "result.json").read_text())
                 assert code == 2 and result["converged"] is False, \
                     (command, A)
+                assert ("packed" in result) == (A < 1e154), (command, A)
+
+
+# (potential, p_plus, A) from p_minus = (0, 0): the first three endpoints
+# are closer than floating point resolves (their squared distance is 0 or
+# subnormal); in the last the certificate's loop count overflows
+_UNRESOLVED_ENDPOINTS = [
+    (RADIAL_POT, [1e-162, 0.0], 0.1),
+    (RADIAL_POT, [3e-162, 0.0], 0.1),
+    (RADIAL_POT, [1e-160, 0.0], 1e-300),
+    (HOM_POT, [1e-150, 0.0], 1000.0),
+]
+
+
+@pytest.mark.parametrize("potential, p_plus, A", _UNRESOLVED_ENDPOINTS,
+                         ids=["1e-162", "3e-162", "1e-160", "loop_count"])
+def test_unresolved_endpoints_exit_1(tmp_path, capsys, potential, p_plus, A):
+    pot = from_json_dict(potential)
+    path = _write(tmp_path, "close.json", {
+        "potential": potential, "endpoints": [[0.0, 0.0], p_plus], "A": A,
+        "solver": {"n_vertices": 16}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            minimize_constrained((0.0, 0.0), p_plus, A, pot,
+                                 SolverConfig(n_vertices=16))
+        if p_plus[0] < 1e-154:  # the geodesic solve rejects them too
+            with pytest.raises(ValueError):
+                minimize_unconstrained((0.0, 0.0), p_plus, pot,
+                                       SolverConfig(n_vertices=16))
+        code = main(["solve", path, "--out", str(tmp_path / "out"),
+                     "--quiet"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("degeo: "), \
+        (code, err)

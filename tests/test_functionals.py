@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from degeo import (Curve, Curve3, area, area_polar, curve3_to_csv,
-                   curve_from_csv, curve_from_json, curve_from_json_dict,
-                   curve_to_csv, curve_to_json, curve_to_json_dict, energy,
-                   euclid_length, lift, make_homogeneous)
+from degeo import (Curve, Curve3, area, area_polar, curve_from_csv,
+                   curve_to_csv, energy, euclid_length, lift,
+                   make_homogeneous)
 from degeo.functionals import (_row_norms, segment_geometry, table_from_csv,
                                table_to_csv)
 from degeo.radial import path_from_csv
@@ -114,25 +113,8 @@ def test_csv_roundtrip():
     assert text.splitlines()[0] == "p1,p2"
     back = curve_from_csv(text)
     assert back.vertices == pytest.approx(c.vertices, abs=0.0)
-    c3 = lift(c)
-    text3 = curve3_to_csv(c3)
-    assert text3.splitlines()[0] == "p1,p2,p3"
-    back3 = curve_from_csv(text3)
-    assert isinstance(back3, Curve3)
-    assert back3.vertices == pytest.approx(c3.vertices, abs=0.0)
     with pytest.raises(ValueError):
         curve_from_csv("a,b\n1,2\n")
-
-
-def test_json_roundtrip_preserves_closed_flag():
-    c = _circle(1.0, 12)
-    back = curve_from_json(curve_to_json(c))
-    assert back.closed
-    assert back.vertices == pytest.approx(c.vertices, abs=0.0)
-    d = curve_to_json_dict(c)
-    assert set(d) == {"closed", "vertices"}
-    open_back = curve_from_json_dict({"vertices": [[0, 0], [1, 1]]})
-    assert not open_back.closed
 
 
 def test_table_csv_streams_every_block_and_checks_headers(tmp_path):

@@ -378,6 +378,24 @@ def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
         "outer loop stalled at iteration 9: area gap 0.001 at the penalty cap"]
 
 
+def test_handoff_polish_runs_once_per_decade_of_the_gap(monkeypatch):
+    # a handoff that fails is tried again only once the area gap has fallen
+    # a decade; trying at every outer iteration below _HANDOFF_GAP makes a
+    # fourth polish call on this solve
+    steps = []
+    polish = solver._newton_polish
+
+    def counted(*args):
+        out = polish(*args)
+        steps.append(out[4])
+        return out
+
+    monkeypatch.setattr(solver, "_newton_polish", counted)
+    minimize_constrained((-1.0, 0.0), (1.0, 0.0), 2.0, make_two_well_k(4.0),
+                         SolverConfig(n_vertices=128))
+    assert len(steps) == 3, steps
+
+
 def _minimize_reference(v0, potential, A, mu, rho):
     """The inner solve through scipy's minimize(method="L-BFGS-B"), with the
     settings `_inner_solve` drives setulb with."""
@@ -841,6 +859,24 @@ def test_area_sweep_slope_tracks_multiplier():
     mid = rows[1]
     assert mid["converged"] and not mid["flagged"]
     assert mid["slope_fd"] == pytest.approx(mid["multiplier"], rel=5e-2)
+
+
+def test_area_sweep_restarts_cold_after_a_flagged_row(monkeypatch):
+    calls = []
+    solve = solver.minimize_constrained
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize_constrained", recorded)
+    rows = area_sweep((-1.0, 0.0), (1.0, 0.0), [1.0, 2.0, 2.5],
+                      make_two_well_k(4.0), SolverConfig(n_vertices=64))
+    assert rows[0]["converged"] and rows[1]["flagged"]
+    # A=2 warm-starts from the converged A=1 curve; A=2.5 follows the
+    # flagged certificate, so it starts cold, not from the A=1 curve
+    assert calls[1]["init_curve"] is rows[0]["result"].curve
+    assert calls[2]["init_curve"] is None and calls[2]["mu0"] == 0.0
 
 
 def test_init_curve_must_run_between_the_endpoints(homogeneous_solve):
