@@ -9,7 +9,7 @@ from .errors import (BubbleDetected, DegenerateHessian, DegeoError,
                      NonPositiveEigenvalue, NotInNonexistenceRegime,
                      ZeroBeta, ZeroDensityInterior)
 from .functionals import (Curve, Curve3, area, area_polar, curve_from_csv,
-                          curve_to_csv, energy, euclid_length, lift)
+                          curve_to_csv, energy, lift)
 from .homogeneous import (HomogeneousSolution, field_V_beta,
                           homogeneous_length, integrate_integral_curve,
                           minimizing_ellipse, rtilde, solve_beta_for_area,
@@ -47,7 +47,7 @@ __all__ = [
     "compare_b_negative", "curve_from_csv", "curve_to_csv", "delivered_area",
     "detect_area_leakage",
     "discrete_area_gradient", "discrete_energy_gradient", "el_residual",
-    "energy", "energy_RA", "estimate_multiplier", "euclid_length",
+    "energy", "energy_RA", "estimate_multiplier",
     "existence_threshold", "field_V_beta", "figure1_bundle", "from_json_dict",
     "geodesic_curvature", "hamiltonian_energy", "hamiltonian_splits",
     "hamiltonian_tail_estimate", "homogeneous_length",

@@ -50,8 +50,9 @@ from .errors import (BubbleDetected, DegeoError, GapTooLarge,
 from .functionals import Curve, area, curve_to_csv, energy
 from .homogeneous import minimizing_ellipse, solve_homogeneous
 from .potential import from_json_dict as potential_from_json
-from .radial import (figure1_bundle, parabola_geodesic, path_to_csv,
-                     spiral_from_C1, vertical_segment_resolution)
+from .radial import (figure1_bundle, lagrange_multiplier_radial,
+                     parabola_geodesic, path_to_csv, spiral_from_C1,
+                     vertical_segment_resolution)
 from .solver import SolverConfig, area_sweep, minimize_constrained
 from .wave import (hamiltonian_energy, hamiltonian_tail_estimate,
                    profile_to_csv, second_variation_spectrum,
@@ -100,12 +101,6 @@ def _out_dir(config: dict, args) -> str:
     return out
 
 
-def _potential(config: dict):
-    if "potential" not in config:
-        raise KeyError("config needs a \"potential\" entry")
-    return potential_from_json(config["potential"])
-
-
 def _solver_config(config: dict) -> SolverConfig:
     try:
         return SolverConfig(**config.get("solver", {}))
@@ -133,7 +128,7 @@ def _require_kind(potential, kind: str) -> None:
 
 def cmd_solve(config: dict, args) -> int:
     out = _out_dir(config, args)
-    pot = _potential(config)
+    pot = potential_from_json(config["potential"])
     p, q = _endpoints(config)
     A = float(config["A"])
     res = minimize_constrained(p, q, A, pot, _solver_config(config))
@@ -147,7 +142,7 @@ def cmd_solve(config: dict, args) -> int:
 
 def cmd_sweep(config: dict, args) -> int:
     out = _out_dir(config, args)
-    pot = _potential(config)
+    pot = potential_from_json(config["potential"])
     p, q = _endpoints(config)
     A_list = config.get("A_list")
     if not A_list:
@@ -168,7 +163,7 @@ def cmd_sweep(config: dict, args) -> int:
 
 def cmd_homogeneous(config: dict, args) -> int:
     out = _out_dir(config, args)
-    pot = _potential(config)
+    pot = potential_from_json(config["potential"])
     _require_kind(pot, "homogeneous")
     l1 = pot.params["lambda1"]
     l2 = pot.params["lambda2"]
@@ -192,7 +187,7 @@ def cmd_homogeneous(config: dict, args) -> int:
 
 
 def cmd_radial(config: dict, args) -> int:
-    pot = _potential(config)
+    pot = potential_from_json(config["potential"])
     _require_kind(pot, "radial_quartic")
     b = pot.params["b"]
     if b <= 0.0:
@@ -221,7 +216,8 @@ def cmd_radial(config: dict, args) -> int:
     out = _out_dir(config, args)
     _write_json(os.path.join(out, "figure1.json"), bundle)
     _write_json(os.path.join(out, "result.json"),
-                {"bundle": bundle, "multiplier": 2.0 * bundle["C1"]})
+                {"bundle": bundle,
+                 "multiplier": lagrange_multiplier_radial(bundle["C1"])})
     path_to_csv(path, os.path.join(out, "table.csv"))
     curve_to_csv(curve, os.path.join(out, "curve.csv"))
     if above:
@@ -233,7 +229,7 @@ def cmd_radial(config: dict, args) -> int:
 
 def cmd_wave(config: dict, args) -> int:
     out = _out_dir(config, args)
-    pot = _potential(config)
+    pot = potential_from_json(config["potential"])
     p, q = _endpoints(config)
     A = float(config["A"])
     res = minimize_constrained(p, q, A, pot, _solver_config(config))
@@ -300,9 +296,13 @@ def main(argv: Optional[list] = None) -> int:
     except _FLAG_ERRORS as exc:
         print(f"degeo: {exc}", file=sys.stderr)
         return 2
+    except KeyError as exc:
+        print(f"degeo: config is missing the entry {exc.args[0]!r}",
+              file=sys.stderr)
+        return 1
     # OverflowError: a config number no float holds (an integer past
     # 1.8e308, an infinite count)
-    except (DegeoError, KeyError, ValueError, TypeError, OverflowError,
+    except (DegeoError, ValueError, TypeError, OverflowError,
             OSError, json.JSONDecodeError) as exc:
         print(f"degeo: {exc}", file=sys.stderr)
         return 1

@@ -17,8 +17,6 @@ final lifted height and the reported area agree bit for bit.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,10 +87,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x0 * x0 + x1 * x1)
 
 
-def euclid_length(curve: Curve) -> float:
-    return float(np.linalg.norm(curve.segments(), axis=1).sum())
-
-
 @dataclass
 class SegmentGeometry:
     """Per-segment data of a polyline; see segment_geometry."""
@@ -106,29 +100,24 @@ class SegmentGeometry:
 
 
 def segment_geometry(vertices, potential: Optional[Potential] = None, *,
-                     floor: float = 0.0, tangents: bool = False,
-                     gradient: bool = False) -> SegmentGeometry:
+                     derivatives: bool = False) -> SegmentGeometry:
     """Chords, lengths and midpoints of the segments joining consecutive
-    vertices, plus what the caller asks for.
+    vertices; with a potential, the density F at the midpoints too.
 
-    Lengths are floored at `floor`; `tangents` adds the unit chords
-    T = seg / L (with the floored L).  With a potential the density F at
-    the midpoints is added, and `gradient` adds grad F there from the same
-    evaluation of W.
+    `derivatives` (which needs the potential) is what a gradient needs: the
+    lengths are floored at 1e-300, the unit chords T = seg / L are added,
+    and F comes with grad F from one evaluation of W and grad W.
     """
     v = np.asarray(vertices, dtype=float)
     seg = v[1:] - v[:-1]
-    L = _row_norms(seg)
-    if floor:
-        L = np.maximum(L, floor)
-    geo = SegmentGeometry(seg=seg, L=L, mid=0.5 * (v[1:] + v[:-1]))
-    if tangents:
-        geo.T = seg / L[:, None]
-    if potential is not None:
-        if gradient:
-            geo.F, geo.gF = potential.density(geo.mid)
-        else:
-            geo.F = potential.eval_F(geo.mid)
+    geo = SegmentGeometry(seg=seg, L=_row_norms(seg),
+                          mid=0.5 * (v[1:] + v[:-1]))
+    if derivatives:
+        geo.L = np.maximum(geo.L, 1e-300)
+        geo.T = seg / geo.L[:, None]
+        geo.F, geo.gF = potential.density(geo.mid)
+    elif potential is not None:
+        geo.F = potential.eval_F(geo.mid)
     return geo
 
 
@@ -169,14 +158,14 @@ def area_polar(curve: Curve, center=(0.0, 0.0)) -> float:
     return float(np.cumsum(inc)[-1])
 
 
-def lift(curve: Curve, p3_start: float = 0.0) -> Curve3:
+def lift(curve: Curve) -> Curve3:
     """Horizontal lift: third coordinate accumulates the area increments.
 
     A closed input is traversed once around, so the lifted polyline has one
     more vertex than the input and its height gain equals area(curve).
     """
     inc = _area_increments(curve)
-    p3 = p3_start + np.concatenate([[0.0], np.cumsum(inc)])
+    p3 = np.concatenate([[0.0], np.cumsum(inc)])
     return Curve3(np.column_stack([curve.path(), p3]))
 
 
@@ -188,44 +177,36 @@ def lift(curve: Curve, p3_start: float = 0.0) -> Curve3:
 _CSV_BLOCK = 4096
 
 
-def table_to_csv(header: str, table, file=None):
-    """Write a float table as CSV: the header line, then one row per line
-    with every value in its shortest round-trip form (repr).
-
-    `file` is a path or an open text stream; rows are streamed to it in
-    blocks.  With no file the text is returned instead.
-    """
-    if file is None:
-        buf = io.StringIO()
-        table_to_csv(header, table, buf)
-        return buf.getvalue()
-    if isinstance(file, (str, os.PathLike)):
-        with open(file, "w") as fh:
-            return table_to_csv(header, table, fh)
+def table_to_csv(header: str, table, path) -> None:
+    """Write a float table to the CSV file at `path`: the header line, then
+    one row per line with every value in its shortest round-trip form
+    (repr).  Rows go to the file in blocks."""
     table = np.asarray(table, dtype=float)
     row = ",".join(["%r"] * table.shape[1]) + "\n"
-    file.write(header + "\n")
-    for start in range(0, len(table), _CSV_BLOCK):
-        block = table[start:start + _CSV_BLOCK].tolist()
-        file.write("".join([row % tuple(r) for r in block]))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK].tolist()
+            fh.write("".join([row % tuple(r) for r in block]))
 
 
-def table_from_csv(file, *headers: str) -> np.ndarray:
-    """Read a table written by table_to_csv from a text stream; its header
-    must be one of `headers`."""
-    header = ",".join(h.strip() for h in file.readline().split(","))
-    if header not in headers:
-        raise ValueError(f"expected header {' or '.join(headers)}, "
-                         f"got {header!r}")
-    rows = [[float(x) for x in line.split(",")] for line in file
-            if line.strip()]
+def table_from_csv(path, *headers: str) -> np.ndarray:
+    """Read the table that table_to_csv wrote to the file at `path`; its
+    header must be one of `headers`."""
+    with open(path) as fh:
+        header = ",".join(h.strip() for h in fh.readline().split(","))
+        if header not in headers:
+            raise ValueError(f"expected header {' or '.join(headers)}, "
+                             f"got {header!r}")
+        rows = [[float(x) for x in line.split(",")] for line in fh
+                if line.strip()]
     return np.array(rows, dtype=float).reshape(-1, header.count(",") + 1)
 
 
-def curve_to_csv(curve: Curve, file=None):
-    return table_to_csv("p1,p2", curve.vertices, file)
+def curve_to_csv(curve: Curve, path) -> None:
+    table_to_csv("p1,p2", curve.vertices, path)
 
 
-def curve_from_csv(text: str) -> Curve:
-    """Read an open curve from CSV with header p1,p2 (`curve_to_csv`)."""
-    return Curve(table_from_csv(io.StringIO(text), "p1,p2"))
+def curve_from_csv(path) -> Curve:
+    """Read an open curve from a p1,p2 CSV file (`curve_to_csv`)."""
+    return Curve(table_from_csv(path, "p1,p2"))

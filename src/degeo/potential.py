@@ -149,24 +149,6 @@ class Potential:
         chord = float(np.linalg.norm(np.subtract(q, p)))
         return self.well_separation() or chord or 1.0
 
-    def min_on_far_circle(self) -> float:
-        """Minimum of W at 720 points of the circle of radius R_far, 10
-        times the well separation (or 10), about the well centroid.
-
-        Used as a coercivity proxy: the infimum of W outside every compact
-        set containing the wells should stay positive.
-        """
-        if self.wells:
-            locs = np.array([w.location for w in self.wells])
-            center = locs.mean(axis=0)
-            R_far = 10.0 * (self.well_separation() or 1.0)
-        else:
-            center = np.zeros(2)
-            R_far = 10.0
-        th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        pts = center + R_far * np.stack([np.cos(th), np.sin(th)], axis=1)
-        return float(self.eval_W(pts).min())
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:

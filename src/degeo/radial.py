@@ -20,7 +20,6 @@ with infinite winding number and infinite Euclidean arclength.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -326,10 +325,10 @@ def figure1_bundle(R0: float, A_tilde: float, b: float) -> dict:
             "total_cost": parabola_cost + vertical_cost}
 
 
-def path_to_csv(path: DesingularizedPath, file=None):
-    return table_to_csv("R,alpha", np.column_stack([path.R, path.alpha]), file)
+def path_to_csv(path: DesingularizedPath, csv_path) -> None:
+    table_to_csv("R,alpha", np.column_stack([path.R, path.alpha]), csv_path)
 
 
-def path_from_csv(text: str, b: float = 0.0) -> DesingularizedPath:
-    data = table_from_csv(io.StringIO(text), "R,alpha")
+def path_from_csv(csv_path, b: float = 0.0) -> DesingularizedPath:
+    data = table_from_csv(csv_path, "R,alpha")
     return DesingularizedPath(data[:, 0], data[:, 1], b)

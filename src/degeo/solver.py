@@ -39,8 +39,9 @@ When the requested area is not attainable there is no minimizer: minimizing
 sequences park the area excess in vanishing loops at the cheapest well, at
 the limiting cost trunk + (lambda1 + lambda2) * |excess|.  Every solve whose
 potential has wells builds that limit once, before the starts, as a
-certificate (a trunk curve running one small square loop at the well, plus
-a `PackedLoops` count of how often the polyline it stands for runs the
+certificate (a trunk curve running one small loop at the well, on a level
+ellipse of its quadratic so that the loop packs area at that rate, plus a
+`PackedLoops` count of how often the polyline it stands for runs the
 loop).  It always competes with the standard solve and is adopted when
 strictly cheaper; it is reported as not converged, and the leakage
 diagnostics raise the non-existence flag.
@@ -152,10 +153,11 @@ class SolverConfig:
 class PackedLoops:
     """Multiplicity of the loop in a non-existence certificate.
 
-    The certificate curve runs one square loop of vertex radius
-    `loop_radius` around well `well`, in its four segments from vertex
-    `anchor` back to the same point; counterclockwise for orientation +1.
-    The polyline it stands for runs that loop `loop_count` times.
+    The certificate curve runs one loop of area 2 `loop_radius`^2 (the
+    diamond of `_packed_certificate`) around well `well`, in its four
+    segments from vertex `anchor` back to the same point; counterclockwise
+    for orientation +1.  The polyline it stands for runs that loop
+    `loop_count` times.
     """
 
     well: int
@@ -221,9 +223,10 @@ class SolveResult:
 
 def discrete_energy_gradient(vertices: np.ndarray, potential: Potential
                              ) -> Tuple[float, np.ndarray]:
-    """Midpoint-rule weighted length and its gradient in every vertex."""
-    geo = segment_geometry(vertices, potential, floor=1e-300, tangents=True,
-                           gradient=True)
+    """Midpoint-rule weighted length and its gradient in every vertex.
+    The solver uses `_one_pass`; this is its reference in the tests and in
+    gate 12, as `discrete_area_gradient` is."""
+    geo = segment_geometry(vertices, potential, derivatives=True)
     g = np.zeros((geo.L.size + 1, 2))
     half = 0.5 * geo.gF * geo.L[:, None]
     FT = geo.F[:, None] * geo.T
@@ -264,8 +267,7 @@ def _one_pass(v: np.ndarray, potential: Potential) -> _Pass:
     the one `discrete_energy_gradient` and `discrete_area_gradient` give,
     so callers may form the gradient of E + w * area as gE + w * gA.
     """
-    geo = segment_geometry(v, potential, floor=1e-300, tangents=True,
-                           gradient=True)
+    geo = segment_geometry(v, potential, derivatives=True)
     half = 0.5 * geo.gF * geo.L[:, None]
     FT = geo.F[:, None] * geo.T
     gE = (half - FT)[1:] + (half + FT)[:-1]
@@ -628,14 +630,14 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
     nrm = np.array([-chord[1], chord[0]])
     nrm = nrm / np.linalg.norm(nrm)
     t = np.linspace(0.0, 1.0, n)
-    a0, _ = discrete_area_gradient(base)
+    a0 = area(Curve(base))
     if abs(A - a0) <= 1e-12 * (1.0 + abs(A)):
         # every bump would have amplitude 0
         return [base]
     inits = []
     for shape in (t * (1.0 - t), t * t * (1.0 - t), t * (1.0 - t) ** 2):
         cand = base + shape[:, None] * nrm
-        a1, _ = discrete_area_gradient(cand)
+        a1 = area(Curve(cand))
         h = (A - a0) / (a1 - a0) if a1 != a0 else math.inf
         if math.isfinite(h):
             inits.append(base + (h * shape)[:, None] * nrm)
@@ -717,7 +719,7 @@ def geodesic_curvature(curve: Curve, potential: Potential) -> np.ndarray:
     Fv, gFv = potential.density(v[1:-1])
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
-    geo = segment_geometry(v, potential, floor=1e-300, tangents=True)
+    geo = segment_geometry(v, potential, derivatives=True)
     Fm, T = geo.F, geo.T
     s = 0.5 * (geo.L[:-1] + geo.L[1:])
     dFT = Fm[1:, None] * T[1:] - Fm[:-1, None] * T[:-1]
@@ -798,8 +800,6 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
         flagged_any = flagged_any or flagged
         wells_report.append({
             "index": i,
-            "location": [float(well.location[0]), float(well.location[1])],
-            "lambda_sum": float(lam_sum),
             "levels": levels,
             "ratios": ratios,
             "trapped_fraction": abs(areas[-1]) / max(abs(result.A_target), 1e-300)
@@ -817,34 +817,35 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
                         potential: Potential) -> Optional[SolveResult]:
     """Trunk plus the whole area excess parked in loops at one well.
 
-    Straight legs run from p to an anchor on the +x axis of the cheapest
-    well and on to q; `loop_count` square loops of vertex radius r around
-    the well, each from the anchor back to it, hold the rest of the area.
-    Square loops pack area at the discrete rate 2 F(rc)/rc per unit area
-    (rc = r/sqrt(2) the midpoint radius), which tends to
-    sqrt(2 (lambda1^2 + lambda2^2)) at a well whose Hessian axes are the
-    coordinate axes: the well's continuum rate lambda1 + lambda2 only when
-    lambda1 = lambda2 (for rates (1, 2), sqrt(10) = 3.162, not 3).  This
-    reproduces the vanishing-loop minimizing sequences at the resolution
-    the diagnostics probe; the early end of `minimize_constrained` uses the
-    continuum rate.  The curve holds the loop once and `SolveResult.packed`
-    its multiplicity; diagnostics are left to _finish.  Returns None when
-    no well is available, when the loop's area rounds to 0 (its radius is
-    lost against the well's coordinates at a tiny excess) or when no loop
-    radius meets A to the area tolerance.  Raises ValueError naming A when
-    the loop count passes floating point.
+    Straight legs run from p to an anchor on the first axis e1 of the
+    cheapest well's frame and on to q; `loop_count` loops around the well,
+    each from the anchor back to it, hold the rest of the area.  A loop is
+    the diamond through +-kappa r e1 and +-(r / kappa) e2, kappa =
+    (lambda2 / lambda1)^(1/4), anchored at +kappa r e1.  It holds 2 r^2,
+    and its vertices lie on a level ellipse of the well's quadratic, so it
+    packs area at the well's rate lambda1 + lambda2 as r -> 0.  Its widest
+    vertex stays inside 0.85 times the smallest leakage probe radius.  The
+    curve holds the loop once and `SolveResult.packed` its multiplicity;
+    diagnostics are left to _finish.  Returns None when no well is
+    available, when the loop's area rounds to 0 (its radius is lost against
+    the well's coordinates at a tiny excess) or when no loop radius meets A
+    to the area tolerance.  Raises ValueError naming A when the loop count
+    passes floating point.
     """
     if not potential.wells:
         return None
     lam_sums = [w.lambda1 + w.lambda2 for w in potential.wells]
     i_well = int(np.argmin(lam_sums))
     well = potential.wells[i_well]
-    rho = 0.85 * min(_probe_radii(potential, p, q))
+    kappa = (well.lambda2 / well.lambda1) ** 0.25
+    e1, e2 = well.frame.T
+    rho = 0.85 * min(_probe_radii(potential, p, q)) / kappa
 
     n_leg = 2048
-    leg_in = _straight(p, well.location + np.array([rho, 0.0]), n_leg)
-    leg_out = _straight(well.location + np.array([rho, 0.0]), q, n_leg)
-    a_trunk, _ = discrete_area_gradient(np.vstack([leg_in, leg_out[1:]]))
+    anchor = well.location + kappa * rho * e1
+    leg_in = _straight(p, anchor, n_leg)
+    leg_out = _straight(anchor, q, n_leg)
+    a_trunk = area(Curve(np.vstack([leg_in, leg_out[1:]])))
     payload = A - a_trunk
     if payload == 0.0:
         return None
@@ -855,11 +856,12 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
         # the count passes floating point, or rho * rho underflows to 0
         raise ValueError(f"the packed certificate for the area {A:g} needs "
                          f"more loops than floating point counts") from None
-    # moving the anchor to radius r changes the trunk's area by
+    # moving the anchor to kappa r e1 changes the trunk's area by
     # beta * (r - rho) through its two anchor segments, and each loop holds
     # sign * 2 r^2, so r solves 2 n r^2 + b r = |payload| + b rho with
     # b = sign * beta
-    b = sign * 0.5 * float(leg_out[1, 1] - leg_in[-2, 1])
+    dx, dy = leg_out[1] - leg_in[-2]
+    b = sign * 0.5 * kappa * float(e1[0] * dy - e1[1] * dx)
     c = abs(payload) + b * rho
     if not c > 0.0:
         return None
@@ -869,9 +871,12 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     # sending r to 0 or to inf
     if not 0.0 < r < math.inf:
         return None
-    # anchor -> top -> left -> bottom -> anchor, counterclockwise for sign +1
-    loop = np.array([[r, 0.0], [0.0, sign * r], [-r, 0.0], [0.0, -sign * r],
-                     [r, 0.0]]) + well.location
+    # anchor -> +e2 -> -e1 -> -e2 -> anchor in the frame's coordinates,
+    # counterclockwise in the plane for sign +1 (the frame may reflect)
+    turn = sign if e1[0] * e2[1] > e1[1] * e2[0] else -sign
+    a1, a2 = kappa * r, turn * r / kappa
+    xy = np.array([[a1, 0.0], [0.0, a2], [-a1, 0.0], [0.0, -a2], [a1, 0.0]])
+    loop = xy[:, :1] * e1 + xy[:, 1:] * e2 + well.location
     curve = Curve(np.vstack([leg_in[:-1], loop, leg_out[1:]]))
     packed = PackedLoops(well=i_well, loop_radius=r, loop_count=n_loops,
                          orientation=sign, anchor=n_leg - 1)

@@ -326,6 +326,5 @@ def profile_to_csv(profile: WaveProfile, path: str) -> None:
 
 
 def profile_from_csv(path: str, nu: float = 0.0) -> WaveProfile:
-    with open(path) as fh:
-        data = table_from_csv(fh, "y,u1,u2")
+    data = table_from_csv(path, "y,u1,u2")
     return WaveProfile(y_grid=data[:, 0], U=data[:, 1:3], nu=nu)

@@ -45,7 +45,7 @@ def test_solve_writes_result_and_curve(tmp_path):
     x0, y0 = map(float, lines[1].split(","))
     assert (x0, y0) == (1.0, 0.0)
     # the library reads the CLI's curve back into the solver's vertices
-    loaded = curve_from_csv((out / "curve.csv").read_text())
+    loaded = curve_from_csv(out / "curve.csv")
     res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.1,
                                make_radial_quartic(1.0),
                                SolverConfig(n_vertices=96))
@@ -96,7 +96,7 @@ def test_solve_certifies_nonexistence_past_the_old_loop_cap(tmp_path):
                            "orientation"}
     assert packed["loop_count"] > 600_000 and packed["orientation"] == 1
     # curve.csv holds the trunk and the loop once
-    curve = curve_from_csv((out / "curve.csv").read_text())
+    curve = curve_from_csv(out / "curve.csv")
     assert len(curve.vertices) < 5000
 
 
@@ -322,6 +322,26 @@ def test_bad_configs_exit_1(tmp_path):
         bad_pot = _solve_cfg(tmp_path, potential=pot)
         assert main(["solve", bad_pot, "--out", str(out), "--quiet"]) == 1
     assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("solve", {"potential": RADIAL_POT,
+               "endpoints": [[1.0, 0.0], [0.0, 0.0]]}, "A"),
+    ("solve", {"potential": {"kind": "homogeneous",
+                             "params": {"lambda1": 1.0}},
+               "endpoints": [[1.0, 0.0], [0.0, 0.0]], "A": 0.1}, "lambda2"),
+    ("solve", {"potential": {"params": {"b": 1.0}},
+               "endpoints": [[1.0, 0.0], [0.0, 0.0]], "A": 0.1}, "kind"),
+    ("radial", {"potential": RADIAL_POT}, "A_tilde"),
+    ("solve", {"endpoints": [[1.0, 0.0], [0.0, 0.0]], "A": 0.1},
+     "potential"),
+])
+def test_missing_config_entry_is_named(tmp_path, capsys, command, cfg, key):
+    code = main([command, _write(tmp_path, "cfg.json", cfg),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert err == [f"degeo: config is missing the entry {key!r}"]
 
 
 def test_usage_error_exits_1():

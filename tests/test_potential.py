@@ -308,5 +308,4 @@ def test_length_scale_is_the_well_separation_else_the_chord_else_one():
 def test_well_separation_and_far_circle():
     pot = make_two_well_k(2.0)
     assert pot.well_separation() == pytest.approx(2.0)
-    assert pot.min_on_far_circle() > 0.0
     assert make_homogeneous(1.0, 1.0).well_separation() is None

@@ -171,9 +171,10 @@ def test_figure1_bundle_both_regimes():
     assert above2["total_cost"] - above["total_cost"] == pytest.approx(0.2)
 
 
-def test_path_csv_roundtrip():
+def test_path_csv_roundtrip(tmp_path):
     path = parabola_geodesic(0.4, 1.0, 1.0, 50)
-    back = path_from_csv(path_to_csv(path), b=1.0)
+    path_to_csv(path, tmp_path / "table.csv")
+    back = path_from_csv(tmp_path / "table.csv", b=1.0)
     assert back.R == pytest.approx(path.R, abs=0.0)
     assert back.alpha == pytest.approx(path.alpha, abs=0.0)
     assert back.b == 1.0

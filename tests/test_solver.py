@@ -226,6 +226,30 @@ def test_unconstrained_polishes_every_start():
     assert res.energy == pytest.approx(2.880226, abs=1e-6)
 
 
+def test_unconstrained_arched_starts_find_the_way_around_two_bumps():
+    # W = 1 + 5 (two Gaussian bumps on the chord): the straight start
+    # polishes to the saddle over both bumps (3.297682); an arched start
+    # finds the curve around them (2.477600, max |p2| 0.431)
+    centers = np.array([[-0.5, 0.0], [0.5, 0.0]])
+
+    def bumps(p):
+        d = np.asarray(p, dtype=float)[..., None, :] - centers
+        return d, 5.0 * np.exp(-np.sum(d * d, axis=-1) / 0.05)
+
+    def W(p):
+        return 1.0 + bumps(p)[1].sum(axis=-1)
+
+    def grad(p):
+        d, e = bumps(p)
+        return np.sum(e[..., None] * (-2.0 / 0.05) * d, axis=-2)
+
+    res = minimize_unconstrained((-1.0, 0.0), (1.0, 0.0),
+                                 make_custom(W, grad_W=grad),
+                                 SolverConfig(n_vertices=64))
+    assert res.converged
+    assert res.energy < 2.6
+
+
 def test_constrained_matches_radial_closed_form(radial_solve):
     pot, res = radial_solve
     c1 = solve_C1_for_area(1.0, 0.1, 1.0)
@@ -810,6 +834,49 @@ def test_two_well_below_the_packing_rate_is_not_flagged(A):
     assert abs(res.area_achieved - A) <= _TOL_AREA * (1.0 + abs(A))
     assert abs(res.multiplier) < 2.0
     assert res.energy < 2.8 + 2.0 * A
+
+
+def _stretched_two_well(a):
+    """W4(p1, a p2) for W4 the two-well k=4: wells at (-1, 0) and (1, 0)
+    with rates (1, a) along the axes, exact derivatives through the
+    stretch."""
+    w4, s = make_two_well_k(4.0), np.array([1.0, a])
+    return make_custom(lambda p: w4.eval_W(p * s),
+                       wells=[(-1.0, 0.0), (1.0, 0.0)],
+                       grad_W=lambda p: w4.grad_W(p * s) * s,
+                       hess_W=lambda p: w4.hess_W(p * s) * np.outer(s, s))
+
+
+def test_certificate_packs_at_the_rate_of_an_anisotropic_well():
+    # the best polished curve (6.326413, multiplier 6.16) passes the
+    # packing rate lambda1 + lambda2 = 6, so no minimizer exists; loops that
+    # pack above 6 (a square packs at 7.21) lose to that curve
+    pot = _stretched_two_well(5.0)
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), 0.5, pot,
+                               SolverConfig(n_vertices=128))
+    assert res.packed is not None and not res.converged
+    assert res.nonexistence_suspected
+    assert res.energy == pytest.approx(5.8002, rel=1e-3)
+    assert res.multiplier == pytest.approx(6.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("A", [0.08, -0.3])
+def test_certificate_loop_turns_with_a_reflecting_frame(A):
+    # finite differences give these wells a frame with swapped columns
+    # (determinant -1): the loop is anchored on the first column and still
+    # winds with the sign of the area excess
+    pot = make_custom(_double_well_W, wells=[(-1.0, 0.0), (1.0, 0.0)],
+                      grad_W=_double_well_grad)
+    well = pot.wells[0]
+    assert np.linalg.det(well.frame) < 0.0
+    cert = _packed_certificate(np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
+                               A, pot)
+    assert cert.packed.orientation == math.copysign(1, A)
+    loop = cert.packed.loop(cert.curve)
+    assert math.copysign(1.0, area(loop)) == math.copysign(1, A)
+    offset = loop.vertices[0] - well.location
+    assert abs(offset @ well.frame[:, 1]) < 1e-12 * np.linalg.norm(offset)
+    assert abs(cert.area_achieved - A) <= _TOL_AREA * (1.0 + abs(A))
 
 
 @pytest.mark.parametrize("A", [5e-324, 1e-200])
