@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GridTooCoarse, NonConvergence, ZeroBeta
 from .functionals import Curve, energy
@@ -114,21 +113,58 @@ def _arc_area(p0: np.ndarray, beta: float, lambda1: float,
     return rt0 / s * math.cos(beta) / math.sin(beta) - lambda2 / s * p1 * p2
 
 
+def _exp_flow(beta: float, lambda1: float, lambda2: float,
+              tau) -> np.ndarray:
+    """exp(M tau) for the M of `_flow_matrix`, in closed form, at one tau or
+    an array of them (tau >= 0); the result has shape tau.shape + (2, 2).
+
+    M has trace 2a = -|sin beta| (l1 + l2) and determinant l1 l2, so
+    (M - aI)^2 = (a^2 - l1 l2) I and exp(M tau) = f I + g (M - aI):
+    - eigenvalues a +- i w: f = e^{a tau} cos(w tau), g = e^{a tau}
+      sin(w tau) / w;
+    - real eigenvalues a +- v, near |sin beta| = 1 when l1 != l2: f and g
+      are e^{a tau} cosh(v tau) and e^{a tau} sinh(v tau) / v, written
+      through e^{(a + v) tau} and e^{(a - v) tau}, both at most 1 since
+      a + v < 0, so nothing overflows (and expm1 keeps g accurate as v
+      falls toward 0);
+    - a repeated root: f = e^{a tau}, g = tau e^{a tau}.
+    """
+    tau = np.asarray(tau, dtype=float)
+    a = -0.5 * abs(math.sin(beta)) * (lambda1 + lambda2)
+    w2 = lambda1 * lambda2 - a * a
+    if w2 > 0.0:
+        w = math.sqrt(w2)
+        decay = np.exp(a * tau)
+        f, g = decay * np.cos(w * tau), decay * np.sin(w * tau) / w
+    elif w2 < 0.0:
+        v = math.sqrt(-w2)
+        slow, fast = np.exp((a + v) * tau), np.exp((a - v) * tau)
+        f, g = 0.5 * (slow + fast), -0.5 * slow * np.expm1(-2.0 * v * tau) / v
+    else:
+        f = np.exp(a * tau)
+        g = tau * f
+    eye = np.eye(2)
+    shifted = _flow_matrix(beta, lambda1, lambda2) - a * eye
+    return f[..., None, None] * eye + g[..., None, None] * shifted
+
+
 def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
                              n_out: Optional[int] = None) -> Curve:
     """Sample the arc from p0 toward the well and return it as a polyline.
 
-    The arc is exp(M tau) p0, sampled at n_out uniform steps of tau up to
-    the level of rt that certifies |p| <= 1e-6 |p0|; the returned polyline
-    then ends at an appended exact origin vertex.  Uniform tau is
-    near-uniform in the logarithm of rt, which equidistributes winding.  By
-    default n_out grows with the winding, one vertex per 2e-3 radians, and
-    lies between 4000 and 2e5.  A beta so near 0 that the stop time cannot
-    be found in floating point raises ValueError.  Samples that each turn
-    by more than half of radial's _MAX_THETA_STEP, past which the
-    polyline's area and weighted length fall over 1% short of the arc's,
-    raise GridTooCoarse naming the area before any sample is made; from
-    (1,0) with rates (1,2) that is every area from about 630 on.
+    The arc is exp(M tau) p0 (`_exp_flow`), sampled at n_out uniform steps
+    of tau up to the level of rt that certifies |p| <= 1e-6 |p0|; the
+    returned polyline then ends at an appended exact origin vertex.
+    Uniform tau is near-uniform in the logarithm of rt, which
+    equidistributes winding.  By default n_out grows with the winding, one
+    vertex per 2e-3 radians, and lies between 4000 and 2e5.  A beta so near
+    0 that the flow's phase on the stop-time bracket carries a rounding
+    error past a radian raises ValueError: exp(M tau) p0 is then not known
+    well enough to stop on.  Samples that each turn by more than half of
+    radial's _MAX_THETA_STEP, past which the polyline's area and weighted
+    length fall over 1% short of the arc's, raise GridTooCoarse naming the
+    area before any sample is made; from (1,0) with rates (1,2) that is
+    every area from about 630 on.
 
     brentq is imported on first use, so scipy.optimize's package init
     (0.2 to 0.3 s) stays off degeo's import path and falls on the first
@@ -144,7 +180,6 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
         raise ValueError("beta must lie in [-pi/2, pi/2]")
     if n_out is not None and n_out < 2:
         raise ValueError("n_out must be at least 2")
-    M = _flow_matrix(beta, lambda1, lambda2)
     lam_min = min(lambda1, lambda2)
     sin = abs(math.sin(beta))
     rt_stop = 0.5 * lam_min * _STOP_RADIUS**2 * float(p0 @ p0)
@@ -152,22 +187,21 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     # stop level is passed before tau_max
     tau_max = (math.log(float(rtilde(p0, lambda1, lambda2)) / rt_stop)
                / (2.0 * lam_min * sin))
-
-    def level(tau):
-        # for beta near 0, M tau overflows expm's scaling and squaring, and
-        # brentq stops at the NaN or fails to converge on the inexact flow
-        with np.errstate(over="ignore", invalid="ignore"):
-            rt = float(rtilde(expm(M * tau) @ p0, lambda1, lambda2))
-        return rt - rt_stop if math.isfinite(rt) else math.nan
-
-    try:
-        tau_end = brentq(level, 0.0, tau_max * 2.0)
-    except (ValueError, RuntimeError) as exc:
-        raise ValueError(f"beta = {beta:g}: exp(M tau) p0 is not finite or "
-                         f"not accurate enough to stop on: {exc}") from exc
     # the flow turns at the imaginary part of M's eigenvalues
     omega = math.sqrt(max(lambda1 * lambda2
                           - (0.5 * sin * (lambda1 + lambda2))**2, 0.0))
+    phase = omega * 2.0 * tau_max
+    if not phase * np.finfo(float).eps <= 1.0:
+        raise ValueError(f"beta = {beta:g}: exp(M tau) p0 is not accurate "
+                         f"enough to stop on: its phase reaches {phase:.3g} "
+                         f"radians on the stop-time bracket, rounded by more "
+                         f"than a radian")
+
+    def level(tau):
+        return float(rtilde(_exp_flow(beta, lambda1, lambda2, tau) @ p0,
+                            lambda1, lambda2)) - rt_stop
+
+    tau_end = brentq(level, 0.0, tau_max * 2.0)
     if n_out is None:
         n_out = int(min(2e5, max(4000, omega * tau_end / 2e-3)))
     # a sample turning by h loses about h^2/6 = (2h)^2/24 of its area to the
@@ -180,13 +214,9 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
             f" turns {omega * tau_end:.3g} radians; its {n_out} samples turn"
             f" {turn:.3g} each, past the {0.5 * _MAX_THETA_STEP:.3g} up to "
             f"which chords follow it")
-    step = expm(M * (tau_end / (n_out - 1)))
-    pts = p0[None, :]
-    while len(pts) < n_out:
-        # step advances by len(pts) samples, so each pass doubles the samples
-        pts = np.vstack([pts, pts @ step.T])
-        step = step @ step
-    return Curve(np.vstack([pts[:n_out], [0.0, 0.0]]))
+    taus = np.linspace(0.0, tau_end, n_out)
+    pts = _exp_flow(beta, lambda1, lambda2, taus) @ p0
+    return Curve(np.vstack([pts, [0.0, 0.0]]))
 
 
 def solve_beta_for_area(p0, A: float, lambda1: float, lambda2: float) -> float:

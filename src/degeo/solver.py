@@ -23,13 +23,16 @@ brings each start near feasibility and hands it to a damped Newton polish as
 soon as that polish converges.  The inner solves drive scipy's L-BFGS-B
 routine `setulb` themselves, with the settings and stopping rule of
 `scipy.optimize.minimize`, so the iterates are the ones it gives, without
-its per-evaluation wrapper; `setulb` moves the vertices in place.  It is
-loaded from scipy's `_lbfgsb` extension module alone (`_load_lbfgsb`):
-nothing else in scipy.optimize is needed, and its package init would cost
-every process that imports degeo 0.2 to 0.3 s and about 18 MB.  The
+its per-evaluation wrapper; `setulb` moves the vertices in place.  The
 polish solves the KKT system for the vertex-normal offsets and mu, one
 tridiagonal solve (LAPACK's dgtsv) with a scalar border per trial, and
-stops on the normal gradient in `el_residual`'s normalization.
+stops on the normal gradient in `el_residual`'s normalization.  Both
+routines come from scipy's compiled extension modules, `_lbfgsb` and
+`_flapack`, loaded from their files alone (`_load_extension`; `wave` takes
+its band eigensolver from the same `_flapack`).  Nothing else in
+scipy.optimize or scipy.linalg is needed, and their package inits (which
+import scipy.sparse too) would cost every process that imports degeo
+about 0.4 s and 48 MB.
 Each inner solve's curve is resampled once, graded toward the wells
 (`_remesh`), and the next inner solve and every polish start from that
 mesh: a curve that ends at a well spirals into it, and spacing by weighted
@@ -69,7 +72,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgtsv
 
 from .errors import NonConvergence, ZeroDensityInterior
 from .functionals import (Curve, SegmentGeometry, _row_norms, area, energy,
@@ -79,23 +81,27 @@ from .potential import Potential
 log = logging.getLogger("degeo.solver")
 
 
-def _load_lbfgsb():
-    """scipy's L-BFGS-B extension module, without scipy.optimize's package
-    init (linprog, shgo and the rest).  It is loaded as `degeo._lbfgsb`:
-    under scipy's own name a later `import scipy.optimize` would find the
-    module in sys.modules but not bind it as the package's attribute."""
-    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+def _load_extension(package: str, name: str):
+    """scipy's compiled extension module `name` from the folder of the
+    subpackage `package`, without that subpackage's init (linprog and shgo
+    for optimize, the array-API layer for linalg).  It is loaded as
+    `degeo.<name>`: under scipy's own name a later import of the
+    subpackage would find the module in sys.modules but not bind it as
+    the package's attribute."""
+    folder = os.path.join(os.path.dirname(scipy.__file__), package)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_lbfgsb" + suffix)
+        path = os.path.join(folder, name + suffix)
         if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("degeo._lbfgsb", path)
+            spec = importlib.util.spec_from_file_location(f"degeo.{name}",
+                                                          path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    raise ImportError(f"no _lbfgsb extension module in {folder}")
+    raise ImportError(f"no {name} extension module in {folder}")
 
 
-_setulb = _load_lbfgsb().setulb
+_setulb = _load_extension("optimize", "_lbfgsb").setulb
+_flapack = _load_extension("linalg", "_flapack")
 
 # projected-gradient tolerance (gtol) of the L-BFGS-B inner solves
 _TOL_GRAD = 1e-8
@@ -401,8 +407,8 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
         seg = _row_norms(one.geo.seg)
         cap = 0.4 * np.minimum(seg[:-1], seg[1:])
         for _ in range(25):
-            *_, x, info = dgtsv(lower, band[1] + lm, upper, rhs,
-                                overwrite_d=1)
+            *_, x, info = _flapack.dgtsv(lower, band[1] + lm, upper, rhs,
+                                         overwrite_d=1)
             if info > 0:  # singular
                 lm *= 10.0
                 continue

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from degeo import (GridTooCoarse, ZeroBeta, area, energy, field_V_beta,
                    homogeneous_length, integrate_integral_curve,
                    make_homogeneous, minimizing_ellipse, rtilde,
                    solve_beta_for_area, solve_homogeneous,
                    vertical_fiber_distance)
-from degeo.homogeneous import _arc_area
+from degeo.homogeneous import _arc_area, _exp_flow, _flow_matrix
 
 RNG = np.random.default_rng(101)
 
@@ -314,3 +315,46 @@ def test_arc_samples_follow_the_arc_or_raise():
     beta = solve_beta_for_area([1.0, 0.0], 10.0, 1.0, 2.0)
     with pytest.raises(GridTooCoarse):
         integrate_integral_curve([1.0, 0.0], beta, 1.0, 2.0, n_out=1000)
+
+
+# (beta, l1, l2, sign of l1 l2 - a^2) for each branch of the closed form:
+# complex eigenvalues, real ones near |sin beta| = 1 with l1 != l2 (and
+# just past the repeated root, 2e-6 apart, where g needs expm1), and a
+# repeated root: sin beta = 0.8 with rates (1, 4) gives a = -2 and
+# a^2 = l1 l2 exactly, and M - aI is a nonzero nilpotent
+_FLOW_BRANCHES = {
+    "complex": (0.7, 1.0, 2.0, 1.0),
+    "complex_reversed": (-0.3, 1.0, 2.0, 1.0),
+    "real": (1.45, 1.0, 2.0, -1.0),
+    "real_reversed": (-math.pi / 2, 1.0, 2.0, -1.0),
+    "real_near_repeated": (math.asin(2.0 * math.sqrt(2.0) / 3.0 + 1e-12),
+                           1.0, 2.0, -1.0),
+    "repeated": (math.asin(0.8), 1.0, 4.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_FLOW_BRANCHES))
+def test_closed_form_flow_matches_expm(branch):
+    beta, lam1, lam2, sign = _FLOW_BRANCHES[branch]
+    a = -0.5 * abs(math.sin(beta)) * (lam1 + lam2)
+    assert np.sign(lam1 * lam2 - a * a) == sign
+    M = _flow_matrix(beta, lam1, lam2)
+    taus = np.array([0.0, 1e-3, 0.1, 1.0, 3.0])
+    flows = _exp_flow(beta, lam1, lam2, taus)
+    assert flows.shape == (taus.size, 2, 2)
+    for tau, flow in zip(taus, flows):
+        ref = expm(M * tau)
+        assert np.abs(flow - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(_exp_flow(beta, lam1, lam2, 1.0), flows[3])
+
+
+def test_closed_form_flow_does_not_overflow():
+    # rates (1, 100) at beta = pi/2: eigenvalues a +- v = -1 and -100, so
+    # e^{a tau} cosh(v tau) is 0 * inf at tau = 100, while exp(M tau) is
+    # about e^{-100}
+    M = _flow_matrix(math.pi / 2, 1.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = _exp_flow(math.pi / 2, 1.0, 100.0, 100.0)
+    ref = expm(M * 100.0)
+    assert np.abs(flow - ref).max() <= 1e-12 * np.abs(ref).max()

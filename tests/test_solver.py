@@ -9,8 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import LinAlgError, solve_banded
-from scipy.linalg.lapack import dgtsv
 from scipy.optimize import minimize
 
 from degeo import (Curve, Potential, SolveResult, SolverConfig,
@@ -542,23 +542,34 @@ _IMPORT_FOOTPRINT = '''
 import json, sys
 import numpy as np
 import degeo, degeo.cli
-loaded = "scipy.optimize" in sys.modules
+loaded = [name for name in ("scipy.linalg", "scipy.sparse", "scipy.optimize")
+          if name in sys.modules]
+import scipy.linalg
 import scipy.optimize
+from degeo import solver
 res = scipy.optimize.minimize(
     lambda x: (float(np.sum((x - 1.0)**2)), 2.0 * (x - 1.0)), np.zeros(3),
     jac=True, method="L-BFGS-B")
+band = np.random.default_rng(5).normal(size=(3, 24))
+rhs = np.random.default_rng(6).normal(size=(24, 2))
+ours = solver._flapack.dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)[3]
+theirs = scipy.linalg.lapack.dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)[3]
 sol = degeo.solve_homogeneous([1.0, 0.0], 0.05, 1.0, 2.0)
 print(json.dumps({"loaded": loaded,
                   "attribute": hasattr(scipy.optimize, "_lbfgsb"),
+                  "flapack": [scipy.linalg._flapack.__name__,
+                              solver._flapack.__name__],
+                  "dgtsv": ours.tobytes() == theirs.tobytes(),
                   "success": bool(res.success), "x": res.x.tolist(),
                   "energy": sol.energy, "area": sol.area}))
 '''
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # this module imports scipy.optimize itself, so the check runs in a
-    # fresh interpreter.  setulb comes from its own copy of the extension,
-    # and a later import of scipy.optimize still binds and runs its own
+    # this module imports scipy.optimize and scipy.linalg itself, so the
+    # check runs in a fresh interpreter.  degeo loads setulb and dgtsv from
+    # their own copies of the extensions, and a later import of
+    # scipy.optimize and scipy.linalg still binds and runs its own
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -566,12 +577,21 @@ def test_import_leaves_scipy_optimize_unloaded():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["loaded"] is False
+    assert out["loaded"] == []
     assert out["attribute"] and out["success"]
     assert np.allclose(out["x"], 1.0, atol=1e-6)
+    assert out["flapack"] == ["scipy.linalg._flapack", "degeo._flapack"]
+    # the same LAPACK routine, bit for bit
+    assert out["dgtsv"] is True
     # brentq, imported on first use, gives the in-process solution
     sol = solve_homogeneous([1.0, 0.0], 0.05, 1.0, 2.0)
     assert (out["energy"], out["area"]) == (sol.energy, sol.area)
+
+
+def test_extension_loader_names_the_folder_it_searched():
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    with pytest.raises(ImportError, match=re.escape(folder)):
+        solver._load_extension("linalg", "_no_such_extension")
 
 
 def test_solve_logs_each_inner_solve(caplog):
@@ -1045,8 +1065,9 @@ def test_energy_gradient_evaluates_W_once(monkeypatch):
 @pytest.mark.parametrize("case", ["dominant", "indefinite", "zero_column",
                                   "zero_pivot"])
 def test_dgtsv_equals_solve_banded_bit_for_bit(case):
-    # the polish hands the band's three rows to LAPACK's dgtsv, the routine
-    # solve_banded((1, 1), ...) dispatches to; a singular band must raise
+    # the polish hands the band's three rows to LAPACK's dgtsv, loaded from
+    # scipy's _flapack extension, the routine solve_banded((1, 1), ...)
+    # dispatches to; a singular band must raise
     # LinAlgError there and report info > 0 here (both: lm *= 10)
     m = 48
     band = RNG.normal(size=(3, m))
@@ -1067,8 +1088,8 @@ def test_dgtsv_equals_solve_banded_bit_for_bit(case):
             ref = solve_banded((1, 1), band_lm, rhs)
         except LinAlgError:
             ref = None
-        *_, x, info = dgtsv(band[2, :-1], band[1] + lm, band[0, 1:], rhs,
-                            overwrite_d=1)
+        *_, x, info = solver._flapack.dgtsv(band[2, :-1], band[1] + lm,
+                                            band[0, 1:], rhs, overwrite_d=1)
         assert (ref is None) == case.startswith("zero")
         if ref is None:
             assert info > 0

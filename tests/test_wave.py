@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from degeo import wave
 from degeo import (BubbleDetected, Curve, GridTooCoarse, SolveResult,
                    SolverConfig, WaveProfile, hamiltonian_energy,
                    hamiltonian_splits, hamiltonian_tail_estimate,
-                   make_custom, minimize_constrained, profile_from_csv,
-                   profile_to_csv, second_variation_spectrum,
-                   to_traveling_wave, wave_residual, zero_mode_alignment)
+                   make_custom, make_two_well_k, minimize_constrained,
+                   profile_from_csv, profile_to_csv,
+                   second_variation_spectrum, to_traveling_wave,
+                   wave_residual, zero_mode_alignment)
 
 WELLS = [(-1.0, 0.0), (1.0, 0.0)]
 
@@ -104,22 +106,80 @@ def test_second_variation_spectrum(standing):
         zero_mode_alignment(prof, mode[:-1])
 
 
-def test_dense_fallback_matches_arpack(standing, monkeypatch):
-    pot, _, prof = standing
-    vals, mode = second_variation_spectrum(prof, pot, 4)
+def _dense_spectrum(prof, pot, k):
+    """The k lowest eigenpairs of K phi = theta M phi, assembled densely
+    from the definition and solved by LAPACK's dense generalized eigh."""
+    h = np.diff(prof.y_grid)
+    mass = 0.5 * (h[:-1] + h[1:])
+    hess = pot.hess_W(prof.U[1:-1])
+    m = mass.size
+    K = np.zeros((2 * m, 2 * m))
+    for i in range(m):
+        K[2 * i:2 * i + 2, 2 * i:2 * i + 2] = (
+            (1.0 / h[i] + 1.0 / h[i + 1]) * np.eye(2) + mass[i] * hess[i])
+        if i + 1 < m:
+            for c in (0, 1):
+                K[2 * i + c, 2 * i + 2 + c] = -1.0 / h[i + 1]
+                K[2 * i + 2 + c, 2 * i + c] = -1.0 / h[i + 1]
+    vals, vecs = eigh(K, np.diag(np.repeat(mass, 2)))
+    modes = np.zeros((k, len(prof), 2))
+    modes[:, 1:-1] = vecs[:, :k].T.reshape(k, m, 2)
+    return vals[:k], modes
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("ARPACK error -9999")
 
-    monkeypatch.setattr(wave, "_sparse_eigsh", fail)
-    dense_vals, dense_mode = second_variation_spectrum(prof, pot, 4)
-    assert np.max(np.abs(np.subtract(dense_vals, vals))) <= 1e-9
-    # the same zero mode, up to sign and rounding
-    cos = abs(np.sum(mode * dense_mode)) / math.sqrt(
-        np.sum(mode * mode) * np.sum(dense_mode * dense_mode))
-    assert cos == pytest.approx(1.0, abs=1e-9)
-    assert zero_mode_alignment(prof, dense_mode) == pytest.approx(
-        zero_mode_alignment(prof, mode), abs=1e-9)
+@pytest.mark.parametrize("case", ["smooth_double_well", "two_well_cluster"])
+def test_banded_spectrum_matches_dense_eigh(case):
+    # the traveling double-well profile leaves the axis, so the Hessian's
+    # off-diagonal enters; the standing two-well profile's two lowest
+    # eigenvalues lie 1.0e-3 apart, and neither mode aligns with U'
+    if case == "smooth_double_well":
+        pot, k, A = _double_well(), 4, 0.08
+    else:
+        pot, k, A = make_two_well_k(2.0), 2, 0.0
+    res = minimize_constrained(WELLS[0], WELLS[1], A, pot,
+                               SolverConfig(n_vertices=48))
+    prof = to_traveling_wave(res, pot)
+    vals, mode = second_variation_spectrum(prof, pot, k)
+    dense_vals, dense_modes = _dense_spectrum(prof, pot, k)
+    assert np.max(np.abs(np.subtract(vals, dense_vals))) <= 1e-9
+    if case == "two_well_cluster":
+        assert dense_vals[1] - dense_vals[0] < 4e-3
+    alignments = [zero_mode_alignment(prof, m) for m in dense_modes]
+    assert zero_mode_alignment(prof, mode) == pytest.approx(
+        max(alignments), abs=1e-9)
+    if max(alignments) > 1e-6:
+        # the same zero mode, up to sign and rounding
+        best = dense_modes[int(np.argmax(alignments))]
+        cos = abs(np.sum(mode * best)) / math.sqrt(
+            np.sum(mode * mode) * np.sum(best * best))
+        assert cos == pytest.approx(1.0, abs=1e-9)
+
+
+def test_lowest_pairs_separate_a_degenerate_pair():
+    # one tridiagonal matrix twice, interleaved and uncoupled: every
+    # eigenvalue is double, and inverse iteration alone would return one
+    # vector for both
+    m = 40
+    band = np.zeros((7, 2 * m))
+    band[4] = 2.0 + np.repeat(np.linspace(0.0, 1.0, m), 2)
+    band[6, :-2] = band[2, 2:] = -1.0
+    dense = (np.diag(band[4]) + np.diag(band[6, :-2], -2)
+             + np.diag(band[2, 2:], 2))
+    vals, vecs = wave._lowest_pairs(band, 4)
+    assert vals == pytest.approx(np.linalg.eigvalsh(dense)[:4], abs=1e-12)
+    assert np.abs(vecs.T @ vecs - np.eye(4)).max() <= 1e-12
+    assert np.abs(dense @ vecs - vecs * vals).max() <= 1e-10
+
+
+def test_spectrum_rejects_a_non_finite_second_variation():
+    # a user potential whose Hessian overflows on the profile
+    pot = make_custom(lambda p: np.sum(np.asarray(p)**2, axis=-1),
+                      hess_W=lambda p: np.full(np.shape(p)[:-1] + (2, 2),
+                                               np.inf))
+    y = np.linspace(-1.0, 1.0, 32)
+    prof = WaveProfile(y, np.stack([y, np.zeros_like(y)], axis=1), 0.0)
+    with pytest.raises(ValueError, match="not finite"):
+        second_variation_spectrum(prof, pot, 2)
 
 
 def test_traveling_wave_speed_and_residual(traveling):
