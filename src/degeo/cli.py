@@ -23,7 +23,8 @@ description, command parameters, and optional solver overrides, e.g.
 
 Exit codes: 0 success, 1 usage or config error (bad JSON, wrong kinds, bad
 parameters), 2 mathematical flag (non-existence suspected, bubble detected,
-area above the attainable cap, failed convergence).
+area above the attainable cap, a solve or any sweep row that failed to
+converge).
 
 Curves are written with the header p1,p2, which `curve_from_csv` reads
 back.  Floats are written in shortest round-trip form in JSON and CSV alike,
@@ -73,6 +74,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _exit_code(results) -> int:
+    """2 when any (converged, flagged) pair of `results` is unconverged or
+    flagged, else 0: the one rule of solve, sweep and wave."""
+    return 2 if any(flagged or not converged
+                    for converged, flagged in results) else 0
 
 
 def _write_json(path: str, obj) -> None:
@@ -136,8 +144,7 @@ def cmd_solve(config: dict, args) -> int:
     curve_to_csv(res.curve, os.path.join(out, "curve.csv"))
     if res.nonexistence_suspected:
         log.info("non-existence suspected at A = %g", A)
-        return 2
-    return 0 if res.converged else 2
+    return _exit_code([(res.converged, res.nonexistence_suspected)])
 
 
 def cmd_sweep(config: dict, args) -> int:
@@ -158,7 +165,7 @@ def cmd_sweep(config: dict, args) -> int:
             fh.write(f"{row['A']!r},{row['energy']!r},{row['multiplier']!r},"
                      f"{slope},{str(row['converged']).lower()},"
                      f"{str(row['flagged']).lower()}\n")
-    return 2 if any(row["flagged"] for row in rows) else 0
+    return _exit_code((row["converged"], row["flagged"]) for row in rows)
 
 
 def cmd_homogeneous(config: dict, args) -> int:
@@ -233,10 +240,11 @@ def cmd_wave(config: dict, args) -> int:
     p, q = _endpoints(config)
     A = float(config["A"])
     res = minimize_constrained(p, q, A, pot, _solver_config(config))
-    if res.nonexistence_suspected or not res.converged:
+    code = _exit_code([(res.converged, res.nonexistence_suspected)])
+    if code:
         log.info("solve flagged; not writing a profile")
         _write_json(os.path.join(out, "result.json"), res.to_json_dict())
-        return 2
+        return code
     profile = to_traveling_wave(res, pot)
     k = int(config.get("n_modes", 6))
     eigenvalues, mode = second_variation_spectrum(profile, pot, k)

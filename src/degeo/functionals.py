@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .potential import Potential
+from .potential import Potential, _row_norms
 
 
 @dataclass
@@ -76,16 +76,6 @@ class Curve3:
 # ---------------------------------------------------------------------------
 # functionals
 # ---------------------------------------------------------------------------
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (n, 2) array.
-
-    sqrt(x0*x0 + x1*x1) is what `np.linalg.norm(x, axis=1)` computes, bit
-    for bit, without the overhead of its length-2 reduction.
-    """
-    x0, x1 = x[:, 0], x[:, 1]
-    return np.sqrt(x0 * x0 + x1 * x1)
-
 
 @dataclass
 class SegmentGeometry:

@@ -165,13 +165,7 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     length fall over 1% short of the arc's, raise GridTooCoarse naming the
     area before any sample is made; from (1,0) with rates (1,2) that is
     every area from about 630 on.
-
-    brentq is imported on first use, so scipy.optimize's package init
-    (0.2 to 0.3 s) stays off degeo's import path and falls on the first
-    call in a process, such as a `degeo homogeneous` solve.
     """
-    from scipy.optimize import brentq
-
     p0 = _point(p0)
     if beta == 0.0:
         raise NonConvergence("beta = 0: the flow cycles on its level set and "
@@ -201,7 +195,17 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
         return float(rtilde(_exp_flow(beta, lambda1, lambda2, tau) @ p0,
                             lambda1, lambda2)) - rt_stop
 
-    tau_end = brentq(level, 0.0, tau_max * 2.0)
+    # rt falls monotonically along the flow: bisect the sign change of
+    # level on [0, 2 tau_max] down to adjacent floats, ending past the stop
+    lo, hi = 0.0, tau_max * 2.0
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if level(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = lo + 0.5 * (hi - lo)
+    tau_end = hi
     if n_out is None:
         n_out = int(min(2e5, max(4000, omega * tau_end / 2e-3)))
     # a sample turning by h loses about h^2/6 = (2h)^2/24 of its area to the

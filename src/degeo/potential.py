@@ -6,9 +6,10 @@ functional downstream evaluates W, its gradient, or its Hessian through the
 (`Potential.W_and_grad`): each built-in family writes them in one function
 with one shared preamble, and a custom potential composes the user's W and
 grad W (or finite differences).  All evaluators accept a single point of
-shape (2,) or a batch of shape (N, 2), and a custom callable must do the same,
-returning one value per point.  Family parameters must be finite; a bad one
-raises before anything is evaluated.
+shape (2,) or a batch of shape (N, 2); a custom W and grad W must do the
+same, returning one value per point, while Hessians see (N, 2) batches only.
+Family parameters must be finite; a bad one raises before anything is
+evaluated.
 
 Built-in families:
 
@@ -47,6 +48,16 @@ FD_STEP_SCALE = 1e-5
 _SQRT_FLOOR = math.sqrt(1e-300)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 2) array.
+
+    sqrt(x0*x0 + x1*x1) is what `np.linalg.norm(x, axis=1)` computes, bit
+    for bit, without the overhead of its length-2 reduction.
+    """
+    x0, x1 = x[:, 0], x[:, 1]
+    return np.sqrt(x0 * x0 + x1 * x1)
+
+
 @dataclass(frozen=True)
 class Well:
     """A zero of W with the local quadratic data W ~ l1^2 q1^2 + l2^2 q2^2.
@@ -66,9 +77,9 @@ class Potential:
     """Bundle of W and its derivatives plus declared wells.
 
     Build one through the make_* factories; the constructor is internal.
-    `w_grad(p)` returns (W, grad W) at p from one pass over the points,
-    `eval_W(p)` W alone and `hess_W(p)` the Hessian of W; each takes float
-    points of shape (2,) or (N, 2) and is called unchecked.
+    `w_grad(p)` returns (W, grad W) at p from one pass over the points and
+    `eval_W(p)` W alone, at float points of shape (2,) or (N, 2); `hess_W(p)`
+    the Hessians of W on an (N, 2) batch.  Each is called unchecked.
     """
 
     def __init__(self, kind, params, wells_locations, eval_W, *, w_grad,
@@ -94,7 +105,9 @@ class Potential:
         return self.W_and_grad(p)[1]
 
     def hess_W(self, p) -> np.ndarray:
-        return self._hess(np.asarray(p, dtype=float))
+        """Hessian of W, with a single point passed on as a batch of one."""
+        p = np.asarray(p, dtype=float)
+        return self._hess(p.reshape(-1, 2)).reshape(p.shape + (2,))
 
     def eval_F(self, p) -> np.ndarray:
         """Conformal density sqrt(W); zero exactly at the wells."""
@@ -114,6 +127,13 @@ class Potential:
         return F, g / denom[..., None]
 
     # -- wells --------------------------------------------------------------
+
+    def nearest_well(self, points) -> Tuple[np.ndarray, np.ndarray]:
+        """Distance from each point of an (N, 2) batch to its nearest well,
+        and that well's index in `wells`; the first well wins a tie.  Needs
+        at least one well."""
+        d = np.array([_row_norms(points - w.location) for w in self.wells])
+        return d.min(axis=0), d.argmin(axis=0)
 
     def _make_well(self, loc) -> Well:
         hess = self.hess_W(loc)
@@ -198,10 +218,7 @@ def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
         return l1s * p[..., 0]**2 + l2s * p[..., 1]**2, rates * p
 
     def hess(p):
-        base = np.diag(rates)
-        if p.ndim == 1:
-            return base
-        return np.broadcast_to(base, (p.shape[0], 2, 2)).copy()
+        return np.broadcast_to(np.diag(rates), (p.shape[0], 2, 2)).copy()
 
     return _family("homogeneous",
                    {"lambda1": float(lambda1), "lambda2": float(lambda2)},
@@ -233,15 +250,14 @@ def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Pote
         return r2 + b * r2**2, (2.0 + 4.0 * b * r2)[..., None] * q
 
     def hess(p):
-        single = p.ndim == 1
-        q = np.atleast_2d(p) - c
+        q = p - c
         r2 = q[:, 0]**2 + q[:, 1]**2
         out = np.zeros((q.shape[0], 2, 2))
         iso = 2.0 + 4.0 * b * r2
         out[:, 0, 0] = iso + 8.0 * b * q[:, 0]**2
         out[:, 1, 1] = iso + 8.0 * b * q[:, 1]**2
         out[:, 0, 1] = out[:, 1, 0] = 8.0 * b * q[:, 0] * q[:, 1]
-        return out[0] if single else out
+        return out
 
     return _family("radial_quartic",
                    {"b": b, "center": [float(c[0]), float(c[1])],
@@ -280,8 +296,7 @@ def make_two_well_k(k: float) -> Potential:
                 np.where(r2 <= 1.0, 2.0 + 4.0 * b * r2in, 0.0)[..., None] * q)
 
     def hess(p):
-        single = p.ndim == 1
-        q, r2 = split(np.atleast_2d(p))
+        q, r2 = split(p)
         inside = r2 <= 1.0
         out = np.zeros((q.shape[0], 2, 2))
         # clipped as in w_grad: the plateau's r2 may overflow 4 b r2
@@ -290,7 +305,7 @@ def make_two_well_k(k: float) -> Potential:
         out[:, 0, 0] = iso + quart * q[:, 0]**2
         out[:, 1, 1] = iso + quart * q[:, 1]**2
         out[:, 0, 1] = out[:, 1, 0] = quart * q[:, 0] * q[:, 1]
-        return out[0] if single else out
+        return out
 
     return _family("two_well", {"k": k}, [(-1.0, 0.0), (1.0, 0.0)],
                    w_grad, hess)
@@ -326,23 +341,19 @@ def _fd_step(p):
 
 
 def _fd_grad(eval_W, p):
-    """Central-difference gradient of eval_W."""
-    single = p.ndim == 1
-    pts = p[None, :] if single else p
-    h = _fd_step(pts)
-    out = np.empty_like(pts)
+    """Central-difference gradient of eval_W at points of shape (..., 2)."""
+    h = _fd_step(p)
+    out = np.empty_like(p)
     for j in range(2):
         e = np.zeros(2)
         e[j] = 1.0
-        out[:, j] = (eval_W(pts + h[:, None] * e)
-                     - eval_W(pts - h[:, None] * e)) / (2.0 * h)
-    return out[0] if single else out
+        out[..., j] = (eval_W(p + h[..., None] * e)
+                       - eval_W(p - h[..., None] * e)) / (2.0 * h)
+    return out
 
 
-def _fd_hess(eval_W, p):
-    """Central-difference Hessian of eval_W."""
-    single = p.ndim == 1
-    pts = p[None, :] if single else p
+def _fd_hess(eval_W, pts):
+    """Central-difference Hessian of eval_W on an (N, 2) batch."""
     h = _fd_step(pts)
     n = pts.shape[0]
     out = np.empty((n, 2, 2))
@@ -360,14 +371,15 @@ def _fd_hess(eval_W, p):
     wmp = eval_W(pts - h[:, None] * (ex - ey))
     wmm = eval_W(pts - h[:, None] * (ex + ey))
     out[:, 0, 1] = out[:, 1, 0] = (wpp - wpm - wmp + wmm) / (4.0 * h**2)
-    return out[0] if single else out
+    return out
 
 
 def make_custom(eval_W: Callable, wells=(), grad_W=None,
                 hess_W=None) -> Potential:
     """Wrap a user potential.  Every callable must work on batches like the
-    built-ins: points of shape (..., 2) give W of shape (...), grad W of
-    shape (..., 2) and hess W of shape (..., 2, 2); anything else raises
+    built-ins: points of shape (..., 2) give W of shape (...) and grad W of
+    shape (..., 2); hess W is called on (N, 2) batches only, a single point
+    as a batch of one, and gives (N, 2, 2).  Any other shape raises
     ValueError.  Missing derivatives fall back to central finite
     differences with step 1e-5 * max(1, |p|)."""
     W = _per_point(eval_W, ())

@@ -74,9 +74,8 @@ import numpy as np
 import scipy
 
 from .errors import NonConvergence, ZeroDensityInterior
-from .functionals import (Curve, SegmentGeometry, _row_norms, area, energy,
-                          segment_geometry)
-from .potential import Potential
+from .functionals import Curve, SegmentGeometry, area, energy, segment_geometry
+from .potential import Potential, _row_norms
 
 log = logging.getLogger("degeo.solver")
 
@@ -286,18 +285,24 @@ def _one_pass(v: np.ndarray, potential: Potential) -> _Pass:
                  float((mid1 * seg2).cumsum()[-1]), gE, gA, geo)
 
 
-def _lagrangian_hessian(geo: SegmentGeometry, potential: Potential, w: float
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment 2x2 Hessian blocks of energy + w * area.
+def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
+                    N: np.ndarray) -> np.ndarray:
+    """Hessian of energy + w * area along the interior normals N.
 
-    Segment k joins vertices k and k+1; `aa` holds its second derivatives
+    Segment k joins vertices k and k+1; its 2x2 Hessian blocks are `aa`
     in vertex k twice, `bb` in vertex k+1 twice and `ab` in k, then k+1.
-    Built from the exact second derivatives of F(mid)*L and of the
-    midpoint area rule, on the chords, midpoints, F and grad F of `geo`
-    (from `_one_pass`); the sqrt in F = sqrt(W) gives
+    They are built from the exact second derivatives of F(mid)*L and of
+    the midpoint area rule, on the chords, midpoints, F and grad F of
+    `geo` (from `_one_pass`); the sqrt in F = sqrt(W) gives
     hess F = (hess W / 2 - grad F grad F^T) / F, so L and F are floored
     away from zero (the Newton loop is damped anyway, inexactness there is
     harmless).
+
+    Moving interior vertex i along N_i only couples it to its neighbors,
+    so the matrix is tridiagonal: diagonal N_i^T (bb[i-1] + aa[i]) N_i and
+    off-diagonal N_i^T ab[i] N_{i+1}.  Returned in the (3, n-2) band
+    layout of `scipy.linalg.solve_banded((1, 1), ...)`: superdiagonal
+    (from column 1), diagonal, subdiagonal (to column n-4).
     """
     L = np.maximum(geo.L, 1e-12 * max(float(geo.L.max()), 1e-12))
     T = geo.seg / L[:, None]
@@ -314,24 +319,9 @@ def _lagrangian_hessian(geo: SegmentGeometry, potential: Potential, w: float
     FPL = F[:, None, None] * P / L[:, None, None]
 
     # area rule (a_x+b_x)(b_y-a_y)/2 contributes constant 2x2 blocks
-    aa = np.array([[0.0, -0.5], [-0.5, 0.0]])
-    bb = np.array([[0.0, 0.5], [0.5, 0.0]])
-    ab = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    return (core - sym + FPL + w * aa, core + sym + FPL + w * bb,
-            core + asym - FPL + w * ab)
-
-
-def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
-                    N: np.ndarray) -> np.ndarray:
-    """Hessian of energy + w * area along the interior normals N.
-
-    Moving interior vertex i along N_i only couples it to its neighbors,
-    so the matrix is tridiagonal: diagonal N_i^T (bb[i-1] + aa[i]) N_i and
-    off-diagonal N_i^T ab[i] N_{i+1}.  Returned in the (3, n-2) band
-    layout of `scipy.linalg.solve_banded((1, 1), ...)`: superdiagonal
-    (from column 1), diagonal, subdiagonal (to column n-4).
-    """
-    aa, bb, ab = _lagrangian_hessian(geo, potential, w)
+    aa = core - sym + FPL + w * np.array([[0.0, -0.5], [-0.5, 0.0]])
+    bb = core + sym + FPL + w * np.array([[0.0, 0.5], [0.5, 0.0]])
+    ab = core + asym - FPL + w * np.array([[0.0, 0.5], [-0.5, 0.0]])
     band = np.zeros((3, N.shape[0]))
     band[1] = np.einsum("ij,ijk,ik->i", N, bb[:-1] + aa[1:], N)
     off = np.einsum("ij,ijk,ik->i", N[:-1], ab[1:-1], N[1:])
@@ -519,8 +509,7 @@ def _remesh(v: np.ndarray, potential: Potential) -> np.ndarray:
     geo = segment_geometry(v, potential)
     monitor = geo.F / max(float(geo.F.max()), 1e-300)
     if potential.wells:
-        d = np.min([_row_norms(geo.mid - w.location)
-                    for w in potential.wells], axis=0)
+        d, _ = potential.nearest_well(geo.mid)
         monitor = monitor + np.sqrt(geo.L.mean() / np.maximum(d, 1e-300))
     # equidistribute the cumulative weight monitor * L; the ends stay put
     weights = monitor * geo.L

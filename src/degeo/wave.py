@@ -73,15 +73,6 @@ class WaveProfile:
         return self.y_grid.size
 
 
-def _nearest_well(potential: Potential, point: np.ndarray):
-    best = None
-    for well in potential.wells:
-        d = float(np.linalg.norm(point - well.location))
-        if best is None or d < best[0]:
-            best = (d, well)
-    return best
-
-
 def _ray_chain(well: np.ndarray, target: np.ndarray, floor: float) -> np.ndarray:
     """Geometrically spaced points from just off the well toward target."""
     d1 = float(np.linalg.norm(target - well))
@@ -117,8 +108,7 @@ def to_traveling_wave(result: SolveResult, potential: Potential) -> WaveProfile:
     tol = 1e-4 * scale
 
     if potential.wells:
-        dists = np.min([np.linalg.norm(v - w.location, axis=1)
-                        for w in potential.wells], axis=0)
+        dists, nearest = potential.nearest_well(v)
         inside = dists < tol
         idx = np.flatnonzero(inside)
         keep = np.ones(n, dtype=bool)
@@ -134,17 +124,15 @@ def to_traveling_wave(result: SolveResult, potential: Potential) -> WaveProfile:
                     raise BubbleDetected(
                         "curve revisits a well neighborhood away from its ends")
         v = v[keep]
-        pieces = [v]
-        d0, w0 = _nearest_well(potential, v[0])
+        # the trim keeps both ends, so theirs are dists' first and last
+        d0, d1 = dists[[0, -1]]
+        w0, w1 = (potential.wells[i].location for i in nearest[[0, -1]])
         if d0 < tol:
-            v[0] = w0.location
-            chain = _ray_chain(w0.location, v[1], 1e-8 * scale)
-            pieces = [v[:1], chain, v[1:]]
-        v = np.vstack(pieces)
-        d1, w1 = _nearest_well(potential, v[-1])
+            v[0] = w0
+            v = np.vstack([v[:1], _ray_chain(w0, v[1], 1e-8 * scale), v[1:]])
         if d1 < tol:
-            v[-1] = w1.location
-            chain = _ray_chain(w1.location, v[-2], 1e-8 * scale)
+            v[-1] = w1
+            chain = _ray_chain(w1, v[-2], 1e-8 * scale)
             v = np.vstack([v[:-1], chain[::-1], v[-1:]])
 
     # drop exact duplicates so every segment has positive length
@@ -198,10 +186,9 @@ def wave_residual(profile: WaveProfile, potential: Potential) -> float:
 
 
 def hamiltonian_energy(profile: WaveProfile, potential: Potential) -> float:
-    """Trapezoidal value of the integral of |U'|^2 / 2 + W(U) over the grid."""
-    d = _full_derivative(profile)
-    integrand = 0.5 * np.sum(d * d, axis=1) + potential.eval_W(profile.U)
-    return float(np.trapezoid(integrand, profile.y_grid))
+    """Trapezoidal value of the integral of |U'|^2 / 2 + W(U) over the grid:
+    the sum of `hamiltonian_splits`."""
+    return sum(hamiltonian_splits(profile, potential))
 
 
 def hamiltonian_splits(profile: WaveProfile, potential: Potential
@@ -224,12 +211,11 @@ def hamiltonian_tail_estimate(profile: WaveProfile, potential: Potential
         return 0.0
     scale = potential.length_scale(profile.U[0], profile.U[-1])
     total = 0.0
-    for end in (profile.U[0], profile.U[-1]):
-        d, well = _nearest_well(potential, end)
+    for d, i in zip(*potential.nearest_well(profile.U[[0, -1]])):
         if d <= 1e-2 * scale:
-            lam_min = min(well.lambda1, well.lambda2)
-            total += lam_min * d * d / _SQRT2
-    return total
+            well = potential.wells[i]
+            total += min(well.lambda1, well.lambda2) * d * d / _SQRT2
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import warnings
 
 import pytest
 
-from degeo import (SolverConfig, curve_from_csv, from_json_dict,
-                   make_radial_quartic, minimize_constrained,
+from degeo import (NonConvergence, SolverConfig, curve_from_csv,
+                   from_json_dict, make_radial_quartic, minimize_constrained,
                    minimize_unconstrained)
 from degeo.cli import main
 
@@ -116,6 +116,35 @@ def test_sweep_table(tmp_path):
     assert first[4] == "true" and first[5] == "false"
     mid = lines[2].split(",")
     assert float(mid[3]) == pytest.approx(float(mid[2]), rel=0.1)
+
+
+def test_sweep_with_an_unconverged_row_exits_2(tmp_path):
+    # one exit rule for solve, wave and sweep: a row that did not converge
+    # exits 2 even when nothing is flagged
+    cfg = _write(tmp_path, "sweep.json", {
+        "potential": HOM_POT,
+        "endpoints": [[1.0, 0.0], [0.0, 0.0]],
+        "A_list": [2.0],
+        "solver": {"n_vertices": 256}})
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == 2
+    row = (out / "table.csv").read_text().splitlines()[1].split(",")
+    assert row[4:] == ["false", "false"]
+
+
+@pytest.mark.parametrize("command", ["solve", "wave"])
+def test_raised_flag_errors_exit_2_with_one_line(tmp_path, capsys,
+                                                  monkeypatch, command):
+    def fail(*_args, **_kwargs):
+        raise NonConvergence("inner minimization produced non-finite "
+                             "vertices")
+
+    monkeypatch.setattr("degeo.cli.minimize_constrained", fail)
+    cfg = _solve_cfg(tmp_path)
+    assert main([command, cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "degeo: inner minimization produced non-finite vertices"]
 
 
 def test_homogeneous_ellipse_mode(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from degeo import (Curve, Curve3, area, area_polar, curve_from_csv,
                    curve_to_csv, energy, lift,
                    make_homogeneous)
-from degeo.functionals import (_row_norms, segment_geometry, table_from_csv,
-                               table_to_csv)
+from degeo.functionals import segment_geometry, table_from_csv, table_to_csv
+from degeo.potential import _row_norms
 from degeo.radial import path_from_csv
 from degeo.wave import profile_from_csv
 

@@ -265,6 +265,75 @@ def test_one_pass_W_and_grad_bit_for_bit(pot):
             assert w1 == pot.eval_W(p) and np.array_equal(g1, pot.grad_W(p))
 
 
+@pytest.mark.parametrize("pot", [
+    make_homogeneous(1.3, 2.2),
+    make_radial_quartic(0.8, center=(0.5, -0.25), r_max=1.1),
+    make_two_well_k(3.0),
+    make_custom(_smooth_double_well([(-1.0, 0.0), (1.0, 0.0)]),
+                wells=[(-1.0, 0.0), (1.0, 0.0)])],
+    ids=["homogeneous", "radial", "two_well", "custom_fd"])
+def test_hess_W_of_a_point_is_its_row_of_the_batch(pot):
+    # the family and finite-difference Hessians see batches only; a single
+    # point goes through as a batch of one
+    special = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, -0.25],
+                        [0.0, 0.7], [-0.0, -2.0], [2.0, 0.0], [1.6, 0.8]])
+    pts = np.vstack([RNG.normal(scale=1.5, size=(32, 2)), special])
+    batch = pot.hess_W(pts)
+    assert batch.shape == (len(pts), 2, 2)
+    for p, row in zip(pts, batch):
+        one = pot.hess_W(p)
+        assert one.shape == (2, 2) and np.array_equal(one, row)
+
+
+def test_custom_hessian_is_called_on_batches_only():
+    shapes = []
+
+    def hess(p):
+        shapes.append(p.shape)
+        return np.broadcast_to(2.0 * np.eye(2), p.shape + (2,))
+
+    pot = make_custom(lambda p: np.sum(np.asarray(p) ** 2, axis=-1),
+                      wells=[(0.0, 0.0)], hess_W=hess)
+    assert np.array_equal(pot.hess_W(np.array([0.3, 0.4])), 2.0 * np.eye(2))
+    assert pot.hess_W(RNG.normal(size=(5, 2))).shape == (5, 2, 2)
+    # the first call is the well's own Hessian
+    assert shapes == [(1, 2), (1, 2), (5, 2)]
+
+
+def _three_wells():
+    wells = [(-1.0, 0.0), (1.0, 0.0), (0.0, 2.0)]
+
+    def W(p):
+        p = np.asarray(p, dtype=float)
+        return np.prod([np.sum((p - w) ** 2, axis=-1) for w in wells],
+                       axis=0)
+
+    return make_custom(W, wells=wells)
+
+
+@pytest.mark.parametrize("pot", [make_homogeneous(1.3, 2.2),
+                                 make_two_well_k(3.0), _three_wells()],
+                         ids=["one_well", "two_wells", "three_wells"])
+def test_nearest_well_is_the_brute_force_min_and_argmin(pot):
+    # ties: the p1 = 0 axis is equidistant from (-1, 0) and (1, 0), and
+    # (0, 0.75) is 1.25 from all three wells of the custom potential
+    ties = np.array([[0.0, 0.0], [0.0, 0.75], [-0.0, -3.0], [0.0, 1e-300]])
+    pts = np.vstack([RNG.normal(scale=2.0, size=(64, 2)), ties,
+                     [w.location for w in pot.wells]])
+    dist, idx = pot.nearest_well(pts)
+    norms = [np.linalg.norm(pts - w.location, axis=1) for w in pot.wells]
+    for j in range(len(pts)):
+        best = 0
+        for i in range(1, len(norms)):
+            if norms[i][j] < norms[best][j]:
+                best = i
+        assert idx[j] == best and dist[j] == norms[best][j]
+    assert idx.shape == dist.shape == (len(pts),)
+    assert np.all(idx[len(pts) - len(ties) - len(pot.wells):
+                      len(pts) - len(pot.wells)] == 0)
+    assert np.array_equal(dist[-len(pot.wells):], np.zeros(len(pot.wells)))
+
+
 def test_one_pass_keeps_the_per_point_check():
     def W(p):
         return np.sum(np.asarray(p) ** 2, axis=-1)

@@ -542,8 +542,10 @@ _IMPORT_FOOTPRINT = '''
 import json, sys
 import numpy as np
 import degeo, degeo.cli
-loaded = [name for name in ("scipy.linalg", "scipy.sparse", "scipy.optimize")
-          if name in sys.modules]
+subpackages = ("scipy.linalg", "scipy.sparse", "scipy.optimize")
+loaded = [name for name in subpackages if name in sys.modules]
+sol = degeo.solve_homogeneous([1.0, 0.0], 0.05, 1.0, 2.0)
+after_solve = [name for name in subpackages if name in sys.modules]
 import scipy.linalg
 import scipy.optimize
 from degeo import solver
@@ -554,8 +556,7 @@ band = np.random.default_rng(5).normal(size=(3, 24))
 rhs = np.random.default_rng(6).normal(size=(24, 2))
 ours = solver._flapack.dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)[3]
 theirs = scipy.linalg.lapack.dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)[3]
-sol = degeo.solve_homogeneous([1.0, 0.0], 0.05, 1.0, 2.0)
-print(json.dumps({"loaded": loaded,
+print(json.dumps({"loaded": loaded, "after_solve": after_solve,
                   "attribute": hasattr(scipy.optimize, "_lbfgsb"),
                   "flapack": [scipy.linalg._flapack.__name__,
                               solver._flapack.__name__],
@@ -578,12 +579,14 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
+    # nor does a closed-form homogeneous solve
+    assert out["after_solve"] == []
     assert out["attribute"] and out["success"]
     assert np.allclose(out["x"], 1.0, atol=1e-6)
     assert out["flapack"] == ["scipy.linalg._flapack", "degeo._flapack"]
     # the same LAPACK routine, bit for bit
     assert out["dgtsv"] is True
-    # brentq, imported on first use, gives the in-process solution
+    # whose result in the fresh interpreter is the in-process one
     sol = solve_homogeneous([1.0, 0.0], 0.05, 1.0, 2.0)
     assert (out["energy"], out["area"]) == (sol.energy, sol.area)
 
