@@ -30,9 +30,9 @@ from .solver import (SolveResult, SolverConfig, area_sweep,
                      minimize_constrained, minimize_unconstrained,
                      vertex_normals)
 from .wave import (WaveProfile, hamiltonian_energy, hamiltonian_splits,
-                   hamiltonian_tail_estimate, profile_from_csv,
-                   profile_to_csv, second_variation_spectrum,
-                   to_traveling_wave, wave_residual, zero_mode_alignment)
+                   profile_from_csv, profile_to_csv,
+                   second_variation_spectrum, to_traveling_wave,
+                   wave_residual, zero_mode_alignment)
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,7 @@ __all__ = [
     "energy", "energy_RA", "estimate_multiplier",
     "existence_threshold", "field_V_beta", "figure1_bundle", "from_json_dict",
     "geodesic_curvature", "hamiltonian_energy", "hamiltonian_splits",
-    "hamiltonian_tail_estimate", "homogeneous_length",
+    "homogeneous_length",
     "integrate_integral_curve", "lagrange_multiplier_radial", "lift",
     "make_custom", "make_homogeneous", "make_radial_quartic",
     "make_two_well_k", "minimize_constrained", "minimize_unconstrained",

@@ -48,16 +48,16 @@ import numpy as np
 
 from .errors import (BubbleDetected, DegeoError, GapTooLarge,
                      NonConvergence, NonExistence)
-from .functionals import Curve, area, curve_to_csv, energy
+from .functionals import area, curve_to_csv, energy
 from .homogeneous import minimizing_ellipse, solve_homogeneous
 from .potential import from_json_dict as potential_from_json
 from .radial import (figure1_bundle, lagrange_multiplier_radial,
                      parabola_geodesic, path_to_csv, spiral_from_C1,
                      vertical_segment_resolution)
 from .solver import SolverConfig, area_sweep, minimize_constrained
-from .wave import (hamiltonian_energy, hamiltonian_tail_estimate,
-                   profile_to_csv, second_variation_spectrum,
-                   to_traveling_wave, wave_residual, zero_mode_alignment)
+from .wave import (hamiltonian_energy, profile_to_csv,
+                   second_variation_spectrum, to_traveling_wave,
+                   wave_residual, zero_mode_alignment)
 
 log = logging.getLogger("degeo.cli")
 
@@ -215,10 +215,7 @@ def cmd_radial(config: dict, args) -> int:
     r_inner = float(config.get("r_inner", 1e-3 * r_outer))
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < sqrt(R0)")
-    if bundle["C1"] != 0.0:
-        curve = spiral_from_C1(bundle["C1"], b, r_outer, r_inner)
-    else:
-        curve = Curve(np.array([[r_outer, 0.0], [r_inner, 0.0]]))
+    curve = spiral_from_C1(bundle["C1"], b, r_outer, r_inner)
 
     out = _out_dir(config, args)
     _write_json(os.path.join(out, "figure1.json"), bundle)
@@ -261,7 +258,6 @@ def cmd_wave(config: dict, args) -> int:
         "nu": profile.nu,
         "wave_residual": wave_residual(profile, pot),
         "hamiltonian": hamiltonian_energy(profile, pot),
-        "hamiltonian_tail": hamiltonian_tail_estimate(profile, pot),
         "sqrt2_energy": math.sqrt(2.0) * energy(res.curve, pot),
     })
     _write_json(os.path.join(out, "result.json"), payload)

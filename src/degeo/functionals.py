@@ -1,7 +1,9 @@
 """Discrete curves and the two functionals of the constrained problem.
 
-A curve is a polyline.  The weighted length ("energy") uses the midpoint
-rule per segment,
+A curve is a polyline, given by its vertex array alone: a closed loop
+repeats its first vertex as its last, and every functional runs over the
+segments joining consecutive vertices (`segment_geometry`).  The weighted
+length ("energy") uses the midpoint rule per segment,
 
     E = sum_k F(midpoint_k) * |segment_k|,
 
@@ -27,30 +29,16 @@ from .potential import Potential, _row_norms
 
 @dataclass
 class Curve:
-    """Polyline in the plane; closed means the last vertex joins the first
-    implicitly (first and last stored vertices are distinct)."""
+    """Polyline in the plane, given by its vertices alone; a closed loop
+    repeats its first vertex as its last."""
 
     vertices: np.ndarray
-    closed: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("vertices must have shape (n >= 2, 2)")
         self.vertices = v
-
-    def path(self) -> np.ndarray:
-        """Vertices in traversal order; a closed curve repeats its first."""
-        v = self.vertices
-        return np.vstack([v, v[:1]]) if self.closed else v
-
-    def segments(self) -> np.ndarray:
-        p = self.path()
-        return p[1:] - p[:-1]
-
-    def midpoints(self) -> np.ndarray:
-        p = self.path()
-        return 0.5 * (p[1:] + p[:-1])
 
 
 @dataclass
@@ -66,7 +54,7 @@ class Curve3:
         self.vertices = v
 
     def project(self) -> Curve:
-        return Curve(self.vertices[:, :2].copy(), closed=False)
+        return Curve(self.vertices[:, :2].copy())
 
     @property
     def third_delta(self) -> float:
@@ -113,15 +101,14 @@ def segment_geometry(vertices, potential: Optional[Potential] = None, *,
 
 def energy(curve: Curve, potential: Potential) -> float:
     """Weighted length integral F ds by the midpoint rule."""
-    geo = segment_geometry(curve.path(), potential)
+    geo = segment_geometry(curve.vertices, potential)
     return float((geo.F * geo.L).sum())
 
 
 def _area_increments(curve: Curve) -> np.ndarray:
     """Per-segment midpoint-rule increments of p1 dp2 (exact on segments)."""
-    seg = curve.segments()
-    mid = curve.midpoints()
-    return mid[:, 0] * seg[:, 1]
+    geo = segment_geometry(curve.vertices)
+    return geo.mid[:, 0] * geo.seg[:, 1]
 
 
 def area(curve: Curve) -> float:
@@ -142,21 +129,21 @@ def area_polar(curve: Curve, center=(0.0, 0.0)) -> float:
     area() because the difference of the two forms is exact.
     """
     c = np.asarray(center, dtype=float)
-    seg = curve.segments()
-    mid = curve.midpoints() - c
-    inc = 0.5 * (mid[:, 0] * seg[:, 1] - mid[:, 1] * seg[:, 0])
+    geo = segment_geometry(curve.vertices)
+    mid = geo.mid - c
+    inc = 0.5 * (mid[:, 0] * geo.seg[:, 1] - mid[:, 1] * geo.seg[:, 0])
     return float(np.cumsum(inc)[-1])
 
 
 def lift(curve: Curve) -> Curve3:
     """Horizontal lift: third coordinate accumulates the area increments.
 
-    A closed input is traversed once around, so the lifted polyline has one
-    more vertex than the input and its height gain equals area(curve).
+    The lifted polyline has the input's vertices, and its height gain
+    equals area(curve); a closed loop ends above its first vertex.
     """
     inc = _area_increments(curve)
     p3 = np.concatenate([[0.0], np.cumsum(inc)])
-    return Curve3(np.column_stack([curve.path(), p3]))
+    return Curve3(np.column_stack([curve.vertices, p3]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +167,13 @@ def table_to_csv(header: str, table, path) -> None:
             fh.write("".join([row % tuple(r) for r in block]))
 
 
-def table_from_csv(path, *headers: str) -> np.ndarray:
+def table_from_csv(path, header: str) -> np.ndarray:
     """Read the table that table_to_csv wrote to the file at `path`; its
-    header must be one of `headers`."""
+    header must be `header`."""
     with open(path) as fh:
-        header = ",".join(h.strip() for h in fh.readline().split(","))
-        if header not in headers:
-            raise ValueError(f"expected header {' or '.join(headers)}, "
-                             f"got {header!r}")
+        got = ",".join(h.strip() for h in fh.readline().split(","))
+        if got != header:
+            raise ValueError(f"expected header {header}, got {got!r}")
         rows = [[float(x) for x in line.split(",")] for line in fh
                 if line.strip()]
     return np.array(rows, dtype=float).reshape(-1, header.count(",") + 1)
@@ -198,5 +184,5 @@ def curve_to_csv(curve: Curve, path) -> None:
 
 
 def curve_from_csv(path) -> Curve:
-    """Read an open curve from a p1,p2 CSV file (`curve_to_csv`)."""
+    """Read a curve from a p1,p2 CSV file (`curve_to_csv`)."""
     return Curve(table_from_csv(path, "p1,p2"))

@@ -248,8 +248,10 @@ def solve_beta_for_area(p0, A: float, lambda1: float, lambda2: float) -> float:
 def minimizing_ellipse(p0, lambda1: float, lambda2: float, n: int):
     """Closed level set of rt through p0, traversed counterclockwise.
 
-    Returns (curve, weighted length of the polyline).  The continuum loop
-    earns exactly (l1 + l2) per unit enclosed area.
+    Returns (curve, weighted length of the polyline).  The polyline has n
+    distinct vertices, starting at p0's angle, and n + 1 rows: the loop
+    repeats its first vertex as its last.  The continuum loop earns exactly
+    (l1 + l2) per unit enclosed area.
     """
     p0 = _point(p0)
     if n < 3:
@@ -260,7 +262,7 @@ def minimizing_ellipse(p0, lambda1: float, lambda2: float, n: int):
     phi0 = math.atan2(p0[1] / ay, p0[0] / ax)
     phi = phi0 + np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     pts = np.stack([ax * np.cos(phi), ay * np.sin(phi)], axis=1)
-    curve = Curve(pts, closed=True)
+    curve = Curve(np.vstack([pts, pts[:1]]))
     pot = make_homogeneous(lambda1, lambda2)
     return curve, energy(curve, pot)
 

@@ -71,7 +71,7 @@ def to_RA(curve: Curve, center, b: float = 0.0) -> DesingularizedPath:
     four times the polar area form, segment by segment with the midpoint
     rule (exact on straight segments).
     """
-    q = curve.path() - np.asarray(center, dtype=float)
+    q = curve.vertices - np.asarray(center, dtype=float)
     R = q[:, 0]**2 + q[:, 1]**2
     geo = segment_geometry(q)
     mid, seg = geo.mid, geo.seg

@@ -952,9 +952,8 @@ def _warm_start(init_curve: Curve, p: np.ndarray, q: np.ndarray
                 ) -> np.ndarray:
     """Vertices of a warm start; rejects one that does not run from p to q."""
     v = init_curve.vertices
-    if init_curve.closed or v.shape[0] < 3 or not np.all(np.isfinite(v)):
-        raise ValueError("init_curve must be an open curve of at least 3 "
-                         "finite vertices")
+    if v.shape[0] < 3 or not np.all(np.isfinite(v)):
+        raise ValueError("init_curve must have at least 3 finite vertices")
     if not (np.array_equal(v[0], p) and np.array_equal(v[-1], q)):
         raise ValueError("init_curve must run from p_minus to p_plus")
     return v

@@ -15,8 +15,7 @@ potential, where lam = 2 and nu = 2 sqrt(2)).
 Profiles approach wells only asymptotically; the grid is extended into each
 well-directed end by a geometric ray refinement so that the discretized
 second variation sees enough of the exponential tail for its low modes to
-settle.  The leftover energy beyond the grid is reported by a separate tail
-estimate rather than silently added.
+settle.
 
 The discretized second variation is a band matrix of half-bandwidth 2.
 Its lowest eigenvalues come from LAPACK's dsbevx and its modes from
@@ -198,24 +197,6 @@ def hamiltonian_splits(profile: WaveProfile, potential: Potential
     kin = float(np.trapezoid(0.5 * np.sum(d * d, axis=1), profile.y_grid))
     pot = float(np.trapezoid(potential.eval_W(profile.U), profile.y_grid))
     return kin, pot
-
-
-def hamiltonian_tail_estimate(profile: WaveProfile, potential: Potential
-                              ) -> float:
-    """Energy hiding beyond the grid ends, from the linearized well decay.
-
-    Only ends pointing into a well (within 1e-2 of the well scale) carry a
-    tail; pinned ends away from wells contribute nothing by construction.
-    """
-    if not potential.wells:
-        return 0.0
-    scale = potential.length_scale(profile.U[0], profile.U[-1])
-    total = 0.0
-    for d, i in zip(*potential.nearest_well(profile.U[[0, -1]])):
-        if d <= 1e-2 * scale:
-            well = potential.wells[i]
-            total += min(well.lambda1, well.lambda2) * d * d / _SQRT2
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

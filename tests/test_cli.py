@@ -6,9 +6,9 @@ import warnings
 
 import pytest
 
-from degeo import (NonConvergence, SolverConfig, curve_from_csv,
-                   from_json_dict, make_radial_quartic, minimize_constrained,
-                   minimize_unconstrained)
+from degeo import (NonConvergence, SolverConfig, area, curve_from_csv,
+                   energy, from_json_dict, make_radial_quartic,
+                   minimize_constrained, minimize_unconstrained)
 from degeo.cli import main
 
 RADIAL_POT = {"kind": "radial_quartic", "params": {"b": 1.0}}
@@ -157,6 +157,13 @@ def test_homogeneous_ellipse_mode(tmp_path):
     assert res["mode"] == "ellipse"
     assert res["rate"] == 3.0
     assert res["energy"] / res["area"] == pytest.approx(3.0, rel=1e-3)
+    # the loop's 512 vertices and the first again: the file reads back as
+    # the loop whose area and energy result.json reports
+    curve = curve_from_csv(out / "curve.csv")
+    assert curve.vertices.shape == (513, 2)
+    assert (curve.vertices[0] == curve.vertices[-1]).all()
+    assert area(curve) == res["area"]
+    assert energy(curve, from_json_dict(HOM_POT)) == res["energy"]
 
 
 def test_homogeneous_solve_mode(tmp_path):
@@ -236,6 +243,19 @@ def test_radial_below_threshold(tmp_path):
     assert spiral[0] == "p1,p2"
 
 
+def test_radial_at_zero_area_writes_the_sampled_ray(tmp_path):
+    # C1 = 0: the spiral is the ray from r = 1 in to r_inner = 1e-3, whose
+    # weighted length is the integral of r sqrt(1 + r^2) dr
+    cfg = _write(tmp_path, "rad0.json", {
+        "potential": RADIAL_POT, "R0": 1.0, "A_tilde": 0.0})
+    out = tmp_path / "out"
+    assert main(["radial", cfg, "--out", str(out), "--quiet"]) == 0
+    curve = curve_from_csv(out / "curve.csv")
+    exact = (2.0 ** 1.5 - (1.0 + 1e-6) ** 1.5) / 3.0
+    assert energy(curve, from_json_dict(RADIAL_POT)) == pytest.approx(
+        exact, rel=1e-3)
+
+
 def test_radial_bad_input_exits_1_writing_nothing(tmp_path):
     out = tmp_path / "out"
     for extra in ({"R0": float("nan")}, {"R0": float("inf")},
@@ -277,8 +297,7 @@ def test_wave_command(tmp_path):
     assert abs(res["nu"]) < 1e-6
     # the built-in wells are only C0 at the matching circle, so profile
     # quality metrics are reported, not promised; check they are present
-    assert set(res) >= {"wave_residual", "hamiltonian", "hamiltonian_tail",
-                        "sqrt2_energy"}
+    assert set(res) >= {"wave_residual", "hamiltonian", "sqrt2_energy"}
     assert res["hamiltonian"] == pytest.approx(res["sqrt2_energy"], rel=0.1)
     assert (out / "profile.csv").read_text().splitlines()[0] == "y,u1,u2"
 

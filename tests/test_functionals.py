@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degeo import (Curve, Curve3, area, area_polar, curve_from_csv,
-                   curve_to_csv, energy, lift,
+                   curve_to_csv, discrete_area_gradient, energy, lift,
                    make_homogeneous)
 from degeo.functionals import segment_geometry, table_from_csv, table_to_csv
 from degeo.potential import _row_norms
 from degeo.radial import path_from_csv
+from degeo.solver import _one_pass
 from degeo.wave import profile_from_csv
 
 RNG = np.random.default_rng(11)
@@ -18,7 +21,7 @@ def _circle(radius, n, center=(0.0, 0.0)):
     th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     pts = np.stack([center[0] + radius * np.cos(th),
                     center[1] + radius * np.sin(th)], axis=1)
-    return Curve(pts, closed=True)
+    return Curve(np.vstack([pts, pts[:1]]))
 
 
 def test_curve_shape_validation():
@@ -31,12 +34,14 @@ def test_curve_shape_validation():
 
 
 def test_segments_and_midpoints_closed_wrap():
-    c = Curve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), closed=True)
-    assert c.segments().shape == (3, 2)
-    assert c.segments()[-1] == pytest.approx([-1.0, -1.0])
-    assert c.midpoints()[-1] == pytest.approx([0.5, 0.5])
-    open_c = Curve(c.vertices)
-    assert open_c.segments().shape == (2, 2)
+    # a closed loop repeats its first vertex, so its last chord wraps
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    geo = segment_geometry(v)
+    assert geo.seg.shape == (3, 2)
+    assert geo.seg[-1] == pytest.approx([-1.0, -1.0])
+    assert geo.mid[-1] == pytest.approx([0.5, 0.5])
+    assert area(Curve(v)) == 0.5
+    assert segment_geometry(v[:-1]).seg.shape == (2, 2)
 
 
 def test_area_of_polygonal_circle():
@@ -47,8 +52,23 @@ def test_area_of_polygonal_circle():
     assert area(c) == pytest.approx(exact, rel=1e-13)
     assert area(c) == pytest.approx(math.pi * r**2, rel=1e-5)
     # clockwise traversal flips the sign
-    cw = Curve(c.vertices[::-1].copy(), closed=True)
+    cw = Curve(c.vertices[::-1].copy())
     assert area(cw) == pytest.approx(-area(c), rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                min_size=2, max_size=40),
+       st.booleans())
+def test_area_equals_the_solver_pass_bit_for_bit(points, closed):
+    # the solver's constraint gap, its gradient kernel and the reported
+    # area are one number, on open polylines and explicit loops alike
+    v = np.array(points)
+    if closed:
+        v = np.vstack([v, v[:1]])
+    a = area(Curve(v))
+    assert a == _one_pass(v, make_homogeneous(1.0, 2.0)).area
+    assert a == discrete_area_gradient(v)[0]
 
 
 def test_area_polar_matches_area_on_closed_curves():
@@ -121,7 +141,7 @@ def test_table_csv_streams_every_block_and_checks_headers(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "a,b,c" and len(rows) == 10_001
     assert rows[1] == ",".join(repr(float(x)) for x in table[0])
-    assert np.array_equal(table_from_csv(path, "x,y", "a,b,c"), table)
+    assert np.array_equal(table_from_csv(path, "a,b,c"), table)
     with pytest.raises(ValueError):
         table_from_csv(path, "x,y")
     curve = tmp_path / "curve.csv"

@@ -171,7 +171,8 @@ def test_geodesic_curvature_euclidean_circle():
     flat = make_custom(lambda p: np.ones(np.asarray(p).shape[:-1]), wells=())
     R = 0.7
     th = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    c = Curve(np.stack([R * np.cos(th), R * np.sin(th)], axis=1), closed=True)
+    pts = np.stack([R * np.cos(th), R * np.sin(th)], axis=1)
+    c = Curve(np.vstack([pts, pts[:1]]))
     kg = geodesic_curvature(c, flat)
     assert np.median(kg) == pytest.approx(1.0 / R, rel=1e-3)
 
@@ -976,7 +977,8 @@ def test_init_curve_must_run_between_the_endpoints(homogeneous_solve):
     bad = [Curve(np.linspace([3.0, 1.0], [2.0, 0.5], 64)),  # wrong ends
            Curve(res.curve.vertices[::-1]),                 # reversed
            Curve(np.array([p, q])),                         # 2 vertices
-           Curve(res.curve.vertices, closed=True),          # closed
+           Curve(np.vstack([res.curve.vertices,
+                            res.curve.vertices[:1]])),      # a loop
            Curve(np.where(np.arange(96)[:, None] == 40, np.nan,
                           res.curve.vertices))]             # a NaN vertex
     for init in bad:
