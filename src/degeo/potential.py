@@ -18,8 +18,10 @@ Built-in families:
 * two-well composite        W = g(dist to nearest of (-1,0), (1,0)) with
                             g(r) = r^2 + (k^2-1) r^4 capped at k^2 for r >= 1
 * custom                    user callables on batches of points, optional
-                            analytic derivatives (else central finite
-                            differences)
+                            analytic derivatives: a missing gradient is the
+                            central difference of W, a missing Hessian that
+                            of the gradient; the Hessian, given or not, is
+                            symmetrized where the potential is made
 
 The two-well composite is Lipschitz but not C^1 across the unit circles and
 the vertical axis; derivative queries on those sets return the one-sided
@@ -136,9 +138,7 @@ class Potential:
         return d.min(axis=0), d.argmin(axis=0)
 
     def _make_well(self, loc) -> Well:
-        hess = self.hess_W(loc)
-        hess = 0.5 * (hess + hess.T)
-        eigval, eigvec = np.linalg.eigh(hess)
+        eigval, eigvec = np.linalg.eigh(self.hess_W(loc))
         if not np.all(eigval > 1e-10):
             raise DegenerateHessian(
                 f"well at {loc}: Hessian eigenvalues {eigval} not positive")
@@ -335,43 +335,14 @@ def _per_point_error(p) -> ValueError:
                       f"they failed on points of shape {p.shape}")
 
 
-def _fd_step(p):
-    norm = np.linalg.norm(p, axis=-1)
-    return FD_STEP_SCALE * np.maximum(1.0, norm)
-
-
-def _fd_grad(eval_W, p):
-    """Central-difference gradient of eval_W at points of shape (..., 2)."""
-    h = _fd_step(p)
-    out = np.empty_like(p)
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = 1.0
-        out[..., j] = (eval_W(p + h[..., None] * e)
-                       - eval_W(p - h[..., None] * e)) / (2.0 * h)
-    return out
-
-
-def _fd_hess(eval_W, pts):
-    """Central-difference Hessian of eval_W on an (N, 2) batch."""
-    h = _fd_step(pts)
-    n = pts.shape[0]
-    out = np.empty((n, 2, 2))
-    w0 = eval_W(pts)
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = 1.0
-        wp = eval_W(pts + h[:, None] * e)
-        wm = eval_W(pts - h[:, None] * e)
-        out[:, j, j] = (wp - 2.0 * w0 + wm) / h**2
-    ex = np.array([1.0, 0.0])
-    ey = np.array([0.0, 1.0])
-    wpp = eval_W(pts + h[:, None] * (ex + ey))
-    wpm = eval_W(pts + h[:, None] * (ex - ey))
-    wmp = eval_W(pts - h[:, None] * (ex - ey))
-    wmm = eval_W(pts - h[:, None] * (ex + ey))
-    out[:, 0, 1] = out[:, 1, 0] = (wpp - wpm - wmp + wmm) / (4.0 * h**2)
-    return out
+def _central_difference(f, p):
+    """Central differences of the batch function f along both axes at
+    points p of shape (..., 2), with step 1e-5 * max(1, |p|) at each point:
+    the last axis of the result runs over the two directions."""
+    h = FD_STEP_SCALE * np.maximum(1.0, np.linalg.norm(p, axis=-1))
+    # the point axes lead f's values and h, so h divides them transposed
+    return np.stack([((f(p + h[..., None] * e) - f(p - h[..., None] * e)).T
+                      / (2.0 * h).T).T for e in np.eye(2)], axis=-1)
 
 
 def make_custom(eval_W: Callable, wells=(), grad_W=None,
@@ -380,12 +351,20 @@ def make_custom(eval_W: Callable, wells=(), grad_W=None,
     built-ins: points of shape (..., 2) give W of shape (...) and grad W of
     shape (..., 2); hess W is called on (N, 2) batches only, a single point
     as a batch of one, and gives (N, 2, 2).  Any other shape raises
-    ValueError.  Missing derivatives fall back to central finite
-    differences with step 1e-5 * max(1, |p|)."""
+    ValueError.  A missing gradient is the central difference of W, and a
+    missing Hessian the central difference of the gradient (the given one,
+    else the differenced one), with step 1e-5 * max(1, |p|).  The Hessian,
+    given or differenced, is symmetrized here, so the wells, the Newton
+    polish and the wave spectrum all see 0.5 (H + H^T)."""
     W = _per_point(eval_W, ())
-    grad = (functools.partial(_fd_grad, W) if grad_W is None
+    grad = (functools.partial(_central_difference, W) if grad_W is None
             else _per_point(grad_W, (2,)))
-    hess = (functools.partial(_fd_hess, W) if hess_W is None
-            else _per_point(hess_W, (2, 2)))
+    raw = (functools.partial(_central_difference, grad) if hess_W is None
+           else _per_point(hess_W, (2, 2)))
+
+    def hess(p):
+        H = raw(p)
+        return 0.5 * (H + H.swapaxes(-1, -2))
+
     return Potential("custom", {}, list(wells), W,
                      w_grad=lambda p: (W(p), grad(p)), hess_W=hess)

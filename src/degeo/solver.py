@@ -639,15 +639,18 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
     return inits or [base]
 
 
-def _finite_start(v: np.ndarray, potential: Potential, A: float) -> bool:
-    """Whether the penalized objective at mu = 0, rho = 1 and its gradient
-    evaluate at v without overflow, as the first inner solve needs."""
+def _finite_start(v: np.ndarray, potential: Potential,
+                  A: Optional[float] = None) -> bool:
+    """Whether the first inner solve's objective and its gradient evaluate
+    at v without overflow: E alone when A is None, else the penalized
+    objective at mu = 0, rho = 1."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             E, a, gE, gA, _ = _one_pass(v, potential)
-            c = a - A
-            return (math.isfinite(E + 0.5 * c * c)
-                    and bool(np.all(np.isfinite(gE + c * gA))))
+            if A is not None:
+                c = a - A
+                E, gE = E + 0.5 * c * c, gE + c * gA
+            return math.isfinite(E) and bool(np.all(np.isfinite(gE)))
     except FloatingPointError:
         return False
 
@@ -965,26 +968,45 @@ def minimize_unconstrained(p, q, potential: Potential,
 
     Runs the straight start and two arched ones through L-BFGS-B and the
     Newton polish each; the first best by polish success, then energy,
-    wins, and the result is converged when its polish is.
+    wins, and the result is converged when its polish is.  A start whose
+    energy or gradient does not evaluate is dropped, as in
+    `minimize_constrained`, and ValueError is raised when none is left or
+    a start overflows floating point.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p, q)
-    scale = float(np.linalg.norm(q - p))
+    # |q - p| squared can overflow where q - p does not; then no start is
+    # built
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(q - p))
     n = config.n_vertices
     t = np.linspace(0.0, 1.0, n)
     chord = q - p
     nrm = np.array([-chord[1], chord[0]]) / scale
+    starts = []
+    if math.isfinite(scale):
+        for amp in (0.0, 0.05 * scale, -0.05 * scale):
+            v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
+            if _finite_start(v0, potential):
+                starts.append(v0)
+    if not starts:
+        raise ValueError(f"no start curve from {p} to {q} can be evaluated "
+                         f"in floating point")
     # (failed, energy, vertices) per start
     outcomes = []
-    for amp in (0.0, 0.05 * scale, -0.05 * scale):
-        v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
-        v, _, _ = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
-        # remesh toward the wells, then Newton in normal coordinates for
-        # tight stationarity
-        v, _, res, _, _ = _newton_polish(_remesh(v, potential), potential,
-                                         None, 0.0)
-        outcomes.append((not _polish_converged(res, 0.0, 0.0),
-                         _one_pass(v, potential).E, v))
+    for v0 in starts:
+        try:
+            with np.errstate(over="raise"):
+                v, _, _ = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
+                # remesh toward the wells, then Newton in normal coordinates
+                # for tight stationarity
+                v, _, res, _, _ = _newton_polish(_remesh(v, potential),
+                                                 potential, None, 0.0)
+                E = _one_pass(v, potential).E
+        except FloatingPointError as exc:
+            raise ValueError(f"the solve from {p} to {q} overflows floating "
+                             f"point") from exc
+        outcomes.append((not _polish_converged(res, 0.0, 0.0), E, v))
     # the first minimum wins
     failed, _, v = min(outcomes, key=lambda o: o[:2])
     curve = Curve(v)

@@ -224,7 +224,7 @@ def _assemble_band(profile: WaveProfile, potential: Potential):
     stiff = (inv_h[:-1] + inv_h[1:]) / mass_node
     band[4, 0::2] = stiff + hess[:, 0, 0]
     band[4, 1::2] = stiff + hess[:, 1, 1]
-    band[5, 0::2] = 0.5 * (hess[:, 0, 1] + hess[:, 1, 0])
+    band[5, 0::2] = hess[:, 0, 1]
     band[6, :-2] = np.repeat(-inv_h[1:-1]
                              / np.sqrt(mass_node[:-1] * mass_node[1:]), 2)
     band[3, 1:] = band[5, :-1]

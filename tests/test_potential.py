@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from degeo import (DegenerateHessian, InvalidCoefficient, InvalidK,
-                   NonPositiveEigenvalue, from_json_dict, make_custom,
-                   make_homogeneous, make_radial_quartic, make_two_well_k)
+                   NonPositiveEigenvalue, WaveProfile, from_json_dict,
+                   make_custom, make_homogeneous, make_radial_quartic,
+                   make_two_well_k, second_variation_spectrum)
 
 RNG = np.random.default_rng(7)
 
@@ -116,6 +117,64 @@ def test_custom_finite_difference_fallback():
         h_exact = 4.0 * r2 * np.eye(2) + 8.0 * np.outer(p, p)
         assert pot_fd.grad_W(p) == pytest.approx(g_exact, rel=1e-6, abs=1e-8)
         assert pot_fd.hess_W(p) == pytest.approx(h_exact, rel=1e-4, abs=1e-4)
+
+
+def test_custom_hessian_is_the_difference_of_the_given_gradient():
+    # gate 11's double well with grad_W only; its Hessian is
+    # 2 (s0 + s1) I + 4 (d0 d1^T + d1 d0^T) with d_i = p - w_i, s_i = |d_i|^2.
+    # A difference of the exact gradient divides rounding by the step h, a
+    # second difference of W by h^2, which reads 2.4e-6 on these points
+    w0, w1 = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
+
+    def grad(p):
+        d0, d1 = p - w0, p - w1
+        return (2.0 * d0 * np.sum(d1 * d1, axis=-1)[..., None]
+                + 2.0 * d1 * np.sum(d0 * d0, axis=-1)[..., None])
+
+    pot = make_custom(_smooth_double_well([w0, w1]), wells=[w0, w1],
+                      grad_W=grad)
+    pts = np.random.default_rng(11).uniform(-1.5, 1.5, size=(200, 2))
+    d0, d1 = pts - w0, pts - w1
+    s = np.sum(d0 * d0, axis=1) + np.sum(d1 * d1, axis=1)
+    exact = (2.0 * s[:, None, None] * np.eye(2)
+             + 4.0 * (d0[:, :, None] * d1[:, None, :]
+                      + d1[:, :, None] * d0[:, None, :]))
+    err = (np.linalg.norm(pot.hess_W(pts) - exact, axis=(1, 2))
+           / np.linalg.norm(exact, axis=(1, 2)))
+    assert err.max() <= 1e-8
+
+
+def test_custom_hessian_is_symmetrized_where_it_is_made():
+    def W(p):
+        p = np.asarray(p, dtype=float)
+        return p[..., 0]**2 + 0.6 * p[..., 0] * p[..., 1] + 2.0 * p[..., 1]**2
+
+    def asym(p):
+        out = np.empty((p.shape[0], 2, 2))
+        out[:, 0, 0] = 2.0 + p[:, 0]**2
+        out[:, 1, 1] = 4.0 + p[:, 1]**2
+        out[:, 0, 1] = 1.0 + p[:, 0]
+        out[:, 1, 0] = 0.2 + p[:, 1]
+        return out
+
+    def sym(p):
+        h = asym(p)
+        return 0.5 * (h + h.swapaxes(1, 2))
+
+    pot = make_custom(W, wells=[(0.0, 0.0)], hess_W=asym)
+    ref = make_custom(W, wells=[(0.0, 0.0)], hess_W=sym)
+    pts = RNG.normal(size=(8, 2))
+    assert np.array_equal(pot.hess_W(pts), sym(pts))
+    # the well data and the wave's second variation see the same matrix
+    (well,), (ref_well,) = pot.wells, ref.wells
+    assert (well.lambda1, well.lambda2) == (ref_well.lambda1,
+                                            ref_well.lambda2)
+    assert np.array_equal(well.frame, ref_well.frame)
+    y = np.linspace(-1.0, 1.0, 32)
+    prof = WaveProfile(y, np.stack([y, 0.5 * y], axis=1), 0.0)
+    vals, mode = second_variation_spectrum(prof, pot, 3)
+    ref_vals, ref_mode = second_variation_spectrum(prof, ref, 3)
+    assert vals == ref_vals and np.array_equal(mode, ref_mode)
 
 
 def test_custom_scalar_callable_rejected():

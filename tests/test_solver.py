@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -217,6 +218,22 @@ def test_unconstrained_geodesic_on_radial_ray():
         minimize_unconstrained((math.nan, 0.0), (2.0, 0.0), pot, FAST)
 
 
+@pytest.mark.parametrize("pot", [make_homogeneous(1.0, 2.0),
+                                 make_radial_quartic(1.0),
+                                 make_two_well_k(4.0)],
+                         ids=["homogeneous", "radial", "two_well"])
+def test_unconstrained_overflow_raises_value_error(pot):
+    # endpoints whose starts cannot be evaluated in floating point are bad
+    # input, as they are for minimize_constrained: a ValueError, with no
+    # RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for q in ((1e160, 0.0), (1e200, 3.0)):
+            with pytest.raises(ValueError):
+                minimize_unconstrained((0.0, 0.0), q, pot,
+                                       SolverConfig(n_vertices=16))
+
+
 def test_unconstrained_polishes_every_start():
     # an arched start ends L-BFGS-B lowest (2.866363) but its polish fails
     # at 2.906966; the straight start polishes to a cheaper geodesic
@@ -289,6 +306,31 @@ def test_mirror_symmetry_of_constrained_cost():
     dn = minimize_constrained((1.0, 0.0), (0.0, 0.0), -0.05, pot, FAST)
     assert up.energy == pytest.approx(dn.energy, rel=1e-4)
     assert up.multiplier == pytest.approx(-dn.multiplier, abs=1e-3)
+
+
+@pytest.mark.parametrize("case", ["homogeneous", "homogeneous_negative",
+                                  "two_well"])
+def test_swapping_the_endpoints_flips_the_area(case):
+    # reversing the curve negates its signed area, so (q, p, -A) poses the
+    # problem (p, q, A).  The discrete solves are not mirror images: the
+    # bump shapes t^2 (1 - t) and t (1 - t)^2 trade places, and the starts
+    # can stop at different spiral depths at a well endpoint (ROADMAP item
+    # 2).  The gaps measured at n=64 are 2.3e-10, 2.3e-7 and 1.7e-6
+    # relative (up to 1.4e-5 on radial b=1 at A=0.3), so 1e-5 bounds these
+    # cases with room for the depth to move
+    pot, p, q, A = {
+        "homogeneous": (make_homogeneous(1.0, 2.0), (1.0, 0.0), (0.0, 0.0),
+                        0.05),
+        "homogeneous_negative": (make_homogeneous(1.0, 2.0), (1.0, 0.0),
+                                 (0.0, 0.0), -0.2),
+        "two_well": (make_two_well_k(4.0), (-1.0, 0.0), (0.6, 0.5), 0.2),
+    }[case]
+    cfg = SolverConfig(n_vertices=64)
+    fwd = minimize_constrained(p, q, A, pot, cfg)
+    back = minimize_constrained(q, p, -A, pot, cfg)
+    assert fwd.converged and back.converged
+    assert back.energy == pytest.approx(fwd.energy, rel=1e-5)
+    assert back.multiplier == pytest.approx(-fwd.multiplier, abs=1e-3)
 
 
 def test_graded_monitor_has_a_fixed_point(radial_solve):
