@@ -33,9 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, NonConvergence, ZeroBeta
+from .errors import GridTooCoarse, ZeroBeta
 from .functionals import Curve, energy
-from .potential import make_homogeneous
+from .potential import _check_rates, make_homogeneous
 from .radial import _MAX_THETA_STEP
 
 _STOP_RADIUS = 1e-6  # arcs are sampled until |p| <= _STOP_RADIUS |p0|
@@ -58,6 +58,7 @@ def field_V_beta(p, beta: float, lambda1: float, lambda2: float):
 
 def homogeneous_length(p0, beta: float, lambda1: float, lambda2: float) -> float:
     """Weighted length of the arc from p0 to the well at field angle beta."""
+    _check_rates(lambda1, lambda2)
     if beta == 0.0:
         raise ZeroBeta("beta = 0 keeps the flow on the closed level set")
     return float(rtilde(p0, lambda1, lambda2) / abs(math.sin(beta)))
@@ -164,12 +165,15 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     radial's _MAX_THETA_STEP, past which the polyline's area and weighted
     length fall over 1% short of the arc's, raise GridTooCoarse naming the
     area before any sample is made; from (1,0) with rates (1,2) that is
-    every area from about 630 on.
+    every area from about 630 on.  beta = 0 raises ZeroBeta, and rates
+    `make_homogeneous` rejects raise NonPositiveEigenvalue, as they do in
+    `solve_beta_for_area` and `homogeneous_length`.
     """
     p0 = _point(p0)
+    _check_rates(lambda1, lambda2)
     if beta == 0.0:
-        raise NonConvergence("beta = 0: the flow cycles on its level set and "
-                             "never reaches the stop radius")
+        raise ZeroBeta("beta = 0: the flow cycles on its level set and "
+                       "never reaches the stop radius")
     if not (-math.pi / 2 <= beta <= math.pi / 2):
         raise ValueError("beta must lie in [-pi/2, pi/2]")
     if n_out is not None and n_out < 2:
@@ -232,6 +236,7 @@ def solve_beta_for_area(p0, A: float, lambda1: float, lambda2: float) -> float:
     only from underflow and raises ValueError.
     """
     p0 = _point(p0)
+    _check_rates(lambda1, lambda2)
     A = float(A)
     if not math.isfinite(A):
         raise ValueError("the area A must be finite")

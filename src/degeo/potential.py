@@ -204,13 +204,19 @@ def _family(kind, params, wells, w_grad, hess) -> Potential:
                      w_grad=w_grad, hess_W=hess)
 
 
-def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
-    """W(p) = lambda1^2 p1^2 + lambda2^2 p2^2, single well at the origin."""
-    lambda1, lambda2 = float(lambda1), float(lambda2)
+def _check_rates(lambda1: float, lambda2: float) -> None:
+    """Rejects homogeneous rates that are not positive, or whose Hessian
+    rates 2 lambda^2 are not finite."""
     if not all(0.0 < lam and 2.0 * lam * lam < math.inf
                for lam in (lambda1, lambda2)):
         raise NonPositiveEigenvalue("both rates must be positive, with the "
                                     "Hessian rates 2 lambda^2 finite")
+
+
+def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
+    """W(p) = lambda1^2 p1^2 + lambda2^2 p2^2, single well at the origin."""
+    lambda1, lambda2 = float(lambda1), float(lambda2)
+    _check_rates(lambda1, lambda2)
     l1s, l2s = lambda1**2, lambda2**2
     rates = np.array([2.0 * l1s, 2.0 * l2s])
 

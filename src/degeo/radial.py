@@ -97,17 +97,31 @@ def existence_threshold(R0: float, b: float) -> float:
     # a subnormal b or R0 has lost precision, and 1 / b overflows; the
     # closed forms all take b R0, which must be finite
     if not (_NORMAL <= b < math.inf and _NORMAL <= R0 < math.inf):
-        raise InvalidCoefficient("threshold requires finite b > 0 and R0 > 0, "
-                                 "neither subnormal")
+        raise InvalidCoefficient("the radial closed forms require finite "
+                                 "b > 0 and R0 > 0, neither subnormal")
     if b * R0 == math.inf:
         raise InvalidCoefficient(f"b R0 = {b:g} * {R0:g} overflows")
     return math.sqrt(R0) / (2.0 * math.sqrt(b))
 
 
+def _check_C1(C1: float) -> None:
+    if not abs(C1) <= 1.0:  # NaN fails too
+        raise InvalidC1(f"C1 = {C1} is not in [-1, 1]")
+
+
+def _parabola_ends(C1: float, b: float, R0: float) -> Tuple[float, float]:
+    """a = sqrt(1 - C1^2) and u0 = sqrt(a^2 + b R0), the ends of the
+    parabola graph on [0, R0] in u = sqrt(1 - C1^2 + b R); C1 must lie in
+    [-1, 1], and b and R0 pass `existence_threshold`'s rule."""
+    _check_C1(C1)
+    existence_threshold(R0, b)
+    a = math.sqrt(max(0.0, 1.0 - C1 * C1))
+    return a, math.sqrt(a * a + b * R0)
+
+
 def delivered_area(C1: float, R0: float, b: float) -> float:
     """Polar area f_C1(0)/4 delivered by the parabola graph on [0, R0]."""
-    a = math.sqrt(max(0.0, 1.0 - C1 * C1))
-    u0 = math.sqrt(a * a + b * R0)
+    a, u0 = _parabola_ends(C1, b, R0)
     return C1 * (u0 - a) / (2.0 * b)
 
 
@@ -117,14 +131,9 @@ def parabola_geodesic(C1: float, b: float, R0: float, n: int) -> DesingularizedP
     Sampling is uniform in u = sqrt(1 - C1^2 + b R), in which the graph's
     alpha component is linear, so the polyline hugs the parabola tightly.
     """
-    if abs(C1) > 1.0:
-        raise InvalidC1(f"|C1| = {abs(C1)} exceeds 1")
-    if b <= 0.0 or R0 <= 0.0:
-        raise InvalidCoefficient("parabola geodesics require b > 0 and R0 > 0")
+    a, u0 = _parabola_ends(C1, b, R0)
     if n < 2:
         raise ValueError("n must be at least 2")
-    a = math.sqrt(max(0.0, 1.0 - C1 * C1))
-    u0 = math.sqrt(a * a + b * R0)
     u = np.linspace(u0, a, n)
     R = (u * u - a * a) / b
     R[0], R[-1] = R0, 0.0
@@ -156,8 +165,7 @@ def solve_C1_for_area(R0: float, A_tilde: float, b: float) -> float:
 
 def lagrange_multiplier_radial(C1: float) -> float:
     """Area-constraint multiplier of the spiral with parameter C1."""
-    if abs(C1) > 1.0:
-        raise InvalidC1(f"|C1| = {abs(C1)} exceeds 1")
+    _check_C1(C1)
     return 2.0 * C1
 
 
@@ -167,12 +175,7 @@ def parabola_energy(C1: float, R0: float, b: float) -> float:
     In the u substitution the integrand is polynomial:
     ((u0^3 - a^3)/3 + C1^2 (u0 - a)) / b with a = sqrt(1 - C1^2).
     """
-    if abs(C1) > 1.0:
-        raise InvalidC1(f"|C1| = {abs(C1)} exceeds 1")
-    if b <= 0.0 or R0 <= 0.0:
-        raise InvalidCoefficient("parabola energy requires b > 0 and R0 > 0")
-    a = math.sqrt(max(0.0, 1.0 - C1 * C1))
-    u0 = math.sqrt(a * a + b * R0)
+    a, u0 = _parabola_ends(C1, b, R0)
     try:
         cube = u0**3  # overflows once b R0 passes about 3e205
     except OverflowError:
@@ -221,11 +224,10 @@ def spiral_from_C1(C1: float, b: float, r_outer: float,
     step max(5e-3, winding / 2e6) keeps it to at most 2e6 steps; a step
     past _MAX_THETA_STEP raises GridTooCoarse before any sample is made.
     """
-    if abs(C1) > 1.0:
-        raise InvalidC1(f"|C1| = {abs(C1)} exceeds 1")
+    _check_C1(C1)
     if not (0.0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer")
-    if b <= 0.0:
+    if not b > 0.0:
         raise InvalidCoefficient("spiral reconstruction requires b > 0")
 
     # the angle at r_outer; 0.0 + turns a -0.0 angle there into 0.0
@@ -287,7 +289,7 @@ def compare_b_negative(b: float, alpha_gap: float) -> Tuple[float, float]:
     """
     if not (-1.0 < b < 0.0):
         raise InvalidCoefficient("comparison requires -1 < b < 0")
-    if alpha_gap <= 0.0:
+    if not alpha_gap > 0.0:
         raise ValueError("alpha_gap must be positive")
     g = abs(b) * alpha_gap / 4.0
     if g > 0.5:

@@ -46,8 +46,8 @@ certificate (a trunk curve running one small loop at the well, on a level
 ellipse of its quadratic so that the loop packs area at that rate, plus a
 `PackedLoops` count of how often the polyline it stands for runs the
 loop).  It always competes with the standard solve and is adopted when
-strictly cheaper; it is reported as not converged, and the leakage
-diagnostics raise the non-existence flag.
+strictly cheaper; it is reported as not converged, and a result is
+flagged as suspected non-existence exactly when it is the certificate.
 
 A curve that ends at a well can park extra area in vanishing loops there
 at the marginal cost lambda1 + lambda2 of that well, so the least energy is
@@ -699,8 +699,11 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     circle with lam = 0 scores order one, and consistent samplings of
     exact critical curves score at truncation level even next to a well
     endpoint, where forcing a uniform weighted-arclength grid first would
-    pin an order-one artifact on the adjacent vertex.
+    pin an order-one artifact on the adjacent vertex.  A multiplier that
+    is not finite raises ValueError: the scale it enters has no size.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"the multiplier {lam} must be finite")
     v = curve.vertices
     if len(v) < 3:
         return 0.0
@@ -757,22 +760,19 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
     """Per-well, per-radius account of area and arclength near the wells.
 
     The probe radii are 1e-1, 1e-2 and 1e-3 times the well separation, or
-    times the chord |p_plus - p_minus| with fewer than two wells.  Flags
-    non-existence when the area parked inside a well neighborhood refuses
-    to shrink with the neighborhood (consecutive ratio > 0.5 down all the
-    radii) while the reported multiplier sits within 10 percent of that
-    well's packing rate lambda1 + lambda2.  On a certificate the loop's
-    segments count `loop_count` times each.
+    times the chord |p_plus - p_minus| with fewer than two wells.  On a
+    certificate the loop's segments count `loop_count` times each.  The
+    report measures and does not judge: its `nonexistence_suspected` is the
+    result's own, and the well `flagged` is the one holding the
+    certificate's loops.
     """
     v = result.curve.vertices
     radii = _probe_radii(potential, v[0], v[-1])
     geo = segment_geometry(v)
     seg, L, mid = geo.seg, geo.L, geo.mid
-    mult = (np.ones(L.size) if result.packed is None
-            else result.packed.multiplicity(L.size))
-    a_scale = 1.0 + abs(result.A_target)
+    packed = result.packed
+    mult = np.ones(L.size) if packed is None else packed.multiplicity(L.size)
     wells_report = []
-    flagged_any = False
     for i, well in enumerate(potential.wells):
         d = np.linalg.norm(mid - well.location, axis=1)
         levels = []
@@ -786,25 +786,15 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
                            "area_in": area_in,
                            "arclength_in": float(np.sum(L[inside]
                                                         * mult[inside]))})
-        areas = [lv["area_in"] for lv in levels]
-        ratios = []
-        for a_prev, a_next in zip(areas, areas[1:]):
-            ratios.append(abs(a_next) / abs(a_prev) if abs(a_prev) > 0 else 0.0)
-        lam_sum = well.lambda1 + well.lambda2
-        persists = (len(ratios) > 0 and all(r > 0.5 for r in ratios)
-                    and abs(areas[-1]) > 1e-6 * a_scale)
-        near_rate = abs(abs(result.multiplier) - lam_sum) <= 0.1 * lam_sum
-        flagged = bool(persists and near_rate)
-        flagged_any = flagged_any or flagged
         wells_report.append({
             "index": i,
             "levels": levels,
-            "ratios": ratios,
-            "trapped_fraction": abs(areas[-1]) / max(abs(result.A_target), 1e-300)
-            if result.A_target else 0.0,
-            "flagged": flagged,
+            "trapped_fraction": abs(levels[-1]["area_in"])
+            / max(abs(result.A_target), 1e-300) if result.A_target else 0.0,
+            "flagged": packed is not None and packed.well == i,
         })
-    return {"wells": wells_report, "nonexistence_suspected": flagged_any}
+    return {"wells": wells_report,
+            "nonexistence_suspected": result.nonexistence_suspected}
 
 
 # ---------------------------------------------------------------------------
@@ -823,12 +813,13 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     and its vertices lie on a level ellipse of the well's quadratic, so it
     packs area at the well's rate lambda1 + lambda2 as r -> 0.  Its widest
     vertex stays inside 0.85 times the smallest leakage probe radius.  The
-    curve holds the loop once and `SolveResult.packed` its multiplicity;
-    diagnostics are left to _finish.  Returns None when no well is
-    available, when the loop's area rounds to 0 (its radius is lost against
-    the well's coordinates at a tiny excess) or when no loop radius meets A
-    to the area tolerance.  Raises ValueError naming A when the loop count
-    passes floating point.
+    curve holds the loop once and `SolveResult.packed` its multiplicity,
+    and the result is flagged; the EL residual and the leakage report are
+    left to _finish.  Returns None when no well is available, when the
+    loop's area rounds to 0 (its radius is lost against the well's
+    coordinates at a tiny excess) or when no loop radius meets A to the
+    area tolerance.  Raises ValueError naming A when the loop count passes
+    floating point.
     """
     if not potential.wells:
         return None
@@ -908,7 +899,8 @@ def _packing_rate(loop: Curve, potential: Potential, A: float) -> float:
 def _result(curve: Curve, potential: Potential, A_target: float,
             multiplier: float, converged: bool,
             packed: Optional[PackedLoops] = None) -> SolveResult:
-    """Energy and area of a solve's curve; diagnostics left to _finish."""
+    """Energy and area of a solve's curve, flagged exactly when it is the
+    packed certificate; diagnostics left to _finish."""
     E, a = energy(curve, potential), area(curve)
     if packed is not None:
         # the curve runs the loop once; the certificate loop_count times
@@ -918,20 +910,21 @@ def _result(curve: Curve, potential: Potential, A_target: float,
     return SolveResult(curve=curve, energy=E, area_achieved=a,
                        multiplier=multiplier, el_residual_max=math.nan,
                        leakage_report={}, converged=converged,
-                       nonexistence_suspected=False, A_target=A_target,
-                       packed=packed)
+                       nonexistence_suspected=packed is not None,
+                       A_target=A_target, packed=packed)
 
 
 def _finish(result: SolveResult, potential: Potential) -> SolveResult:
-    """Fill in the EL residual and the leakage report."""
-    try:
-        result.el_residual_max = el_residual(result.curve, potential,
-                                             result.multiplier)
-    except ZeroDensityInterior:
-        result.el_residual_max = float("inf")
-    report = detect_area_leakage(result, potential)
-    result.leakage_report = report
-    result.nonexistence_suspected = report["nonexistence_suspected"]
+    """Fill in the EL residual, inf where the multiplier is not finite or
+    the density vanishes at an interior vertex, and the leakage report."""
+    result.el_residual_max = math.inf
+    if math.isfinite(result.multiplier):
+        try:
+            result.el_residual_max = el_residual(result.curve, potential,
+                                                 result.multiplier)
+        except ZeroDensityInterior:
+            pass
+    result.leakage_report = detect_area_leakage(result, potential)
     return result
 
 
@@ -1033,8 +1026,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     When the potential has wells, the packed certificate is built once,
     before the starts, and replaces the winner exactly when it is strictly
     cheaper; in the non-existence regime the result is that certificate
-    (`packed` set, not converged) with the nonexistence flag instead of a
-    fabricated minimizer.  Only the returned result is finished with its
+    (`packed` set, not converged, flagged) instead of a fabricated
+    minimizer.  Only the returned result is finished with its
     diagnostics.
 
     A start that ends feasible and polished ends the search, skipping the
@@ -1047,10 +1040,13 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
       feasible, polished start, so it reached that start's critical curve
       (logged at debug level).
 
-    A start that overflows floating point raises ValueError naming A.
+    A start that overflows floating point raises ValueError naming A, and
+    a mu0 that is not finite raises ValueError before any start runs.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
+    if not math.isfinite(mu0):
+        raise ValueError(f"the multiplier estimate mu0 = {mu0} must be finite")
     tol_c = _TOL_AREA * (1.0 + abs(A))
 
     # starts as (vertices, mu0, warm): a warm start runs first and ends the
@@ -1143,7 +1139,7 @@ def area_sweep(p_minus, p_plus, A_list: Sequence[float], potential: Potential,
     for A in As:
         res = minimize_constrained(p_minus, p_plus, A, potential, config,
                                    init_curve=prev_curve, mu0=prev_mu)
-        if res.converged and not res.nonexistence_suspected:
+        if res.converged:
             prev_curve, prev_mu = res.curve, -res.multiplier
         else:
             prev_curve, prev_mu = None, 0.0

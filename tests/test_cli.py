@@ -552,6 +552,29 @@ def test_overflowing_solve_exits_1(tmp_path, capsys):
             assert err[0].startswith("degeo: ") and f"{A:g}" in err[0]
 
 
+def test_start_check_catches_a_penalty_overflowing_in_python_floats(
+        tmp_path, capsys):
+    # the bump starts' areas come out near 1e183: their quadratic self-term
+    # cancels only in exact arithmetic.  E + c^2/2 then overflows in Python
+    # floats, which np.errstate does not see; only the start check does,
+    # and without it the solve ends in a flag exit 2 on a meaningless curve
+    cfg = {"potential": {"kind": "two_well", "params": {"k": 4.0}},
+           "endpoints": [[-1.0, 0.0], [0.6, 0.5]], "A": 1e100,
+           "solver": {"n_vertices": 16}}
+    path = _write(tmp_path, "start.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="1e\\+100"):
+            minimize_constrained(*cfg["endpoints"], cfg["A"],
+                                 from_json_dict(cfg["potential"]),
+                                 SolverConfig(n_vertices=16))
+        code = main(["solve", path, "--out", str(tmp_path / "out"),
+                     "--quiet"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("degeo: "), \
+        (code, err)
+
+
 def test_huge_two_well_areas_end_flagged(tmp_path):
     # the Newton polish meets these areas with overflowing border products;
     # like 1e101 to 1e105 they end in a flag exit 2: the packed certificate

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from degeo import (GridTooCoarse, ZeroBeta, area, energy, field_V_beta,
-                   homogeneous_length, integrate_integral_curve,
-                   make_homogeneous, minimizing_ellipse, rtilde,
-                   solve_beta_for_area, solve_homogeneous,
-                   vertical_fiber_distance)
+from degeo import (GridTooCoarse, NonPositiveEigenvalue, ZeroBeta, area,
+                   energy, field_V_beta, homogeneous_length,
+                   integrate_integral_curve, make_homogeneous,
+                   minimizing_ellipse, rtilde, solve_beta_for_area,
+                   solve_homogeneous, vertical_fiber_distance)
 from degeo.homogeneous import _arc_area, _exp_flow, _flow_matrix
 
 RNG = np.random.default_rng(101)
@@ -43,6 +43,22 @@ def test_homogeneous_length_closed_form():
         rt / math.sin(0.7))
     with pytest.raises(ZeroBeta):
         homogeneous_length(p0, 0.0, 1.0, 2.0)
+
+
+def test_zero_beta_and_bad_rates_raise_everywhere():
+    p0 = np.array([1.0, 0.0])
+    for call in (homogeneous_length, integrate_integral_curve):
+        with pytest.raises(ZeroBeta):
+            call(p0, 0.0, 1.0, 2.0)
+    # the rates make_homogeneous rejects; unchecked, (1, -2) solves to a
+    # negative energy at A = 0.3
+    for rates in ((1.0, -2.0), (0.0, 2.0), (math.nan, 2.0), (1.0, 1e200)):
+        for call, arg in ((solve_homogeneous, 0.3),
+                          (solve_beta_for_area, 0.3),
+                          (integrate_integral_curve, 0.5),
+                          (homogeneous_length, 0.5)):
+            with pytest.raises(NonPositiveEigenvalue):
+                call(p0, arg, *rates)
 
 
 def test_integrated_arc_reaches_well_at_predicted_cost():

@@ -16,6 +16,26 @@ from degeo import (Curve, GapTooLarge, InvalidC1, InvalidCoefficient,
 
 RNG = np.random.default_rng(23)
 
+NAN = math.nan
+
+
+# unchecked, these return NaN (a path of NaNs, or (nan, nan) for the
+# comparison) or fail with a bare ValueError that names no parameter
+@pytest.mark.parametrize("call, args, error", [
+    (parabola_energy, (0.5, NAN, 1.0), InvalidCoefficient),
+    (parabola_energy, (NAN, 1.0, 1.0), InvalidC1),
+    (delivered_area, (0.5, 1.0, NAN), InvalidCoefficient),
+    (delivered_area, (0.5, 1.0, -1.0), InvalidCoefficient),
+    (lagrange_multiplier_radial, (NAN,), InvalidC1),
+    (parabola_geodesic, (0.5, NAN, 1.0, 8), InvalidCoefficient),
+    (spiral_from_C1, (NAN, 1.0, 1.0, 0.1), InvalidC1),
+    (spiral_from_C1, (0.5, NAN, 1.0, 0.1), InvalidCoefficient),
+    (compare_b_negative, (-0.5, NAN), ValueError),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_closed_forms_reject_nan_and_negative_parameters(call, args, error):
+    with pytest.raises(error):
+        call(*args)
+
 
 def test_existence_threshold_values():
     assert existence_threshold(1.0, 1.0) == pytest.approx(0.5)

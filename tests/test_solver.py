@@ -204,6 +204,23 @@ def test_el_residual_discriminates_multiplier():
     assert el_residual(c, pot, 0.0) > 0.1
 
 
+def test_el_residual_rejects_a_multiplier_that_is_not_finite():
+    # unchecked, a NaN multiplier scores a perfect 0.0 (the scale maps NaN
+    # to 0), and inf gives NaN with an "invalid value" RuntimeWarning
+    pot = make_radial_quartic(1.0)
+    res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.1, pot,
+                               SolverConfig(n_vertices=32))
+    assert 0.0 < res.el_residual_max < 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="multiplier"):
+                el_residual(res.curve, pot, lam)
+    # a result without a finite multiplier reports no residual
+    res.multiplier = math.nan
+    assert solver._finish(res, pot).el_residual_max == math.inf
+
+
 def test_unconstrained_geodesic_on_radial_ray():
     # for F = |p| the ray through the well is the geodesic; cost r^2/2 gap
     pot = make_homogeneous(1.0, 1.0)
@@ -676,18 +693,29 @@ def _fake_result(curve, multiplier, A_target):
                        A_target=A_target)
 
 
-def test_leakage_flags_persistent_coil_at_packing_rate():
+def test_leakage_reports_a_coil_and_flags_only_the_certificate_well():
     pot = make_two_well_k(4.0)
-    # trunk plus a coil tighter than the smallest probe radius
+    # trunk plus a coil tighter than the smallest probe radius, at the
+    # packing rate: every level holds its three turns, but only the
+    # certificate carries the flag
     trunk = np.linspace([-1.0, 0.0], [1.0 - 1e-3, 0.0], 50)
-    coil = _coil((1.0, 0.0), 8e-4, 3)
-    v = np.vstack([trunk, coil])
+    r = 8e-4
+    v = np.vstack([trunk, _coil((1.0, 0.0), r, 3)])
     report = detect_area_leakage(_fake_result(v, 2.0, 0.5), pot)
-    assert report["nonexistence_suspected"]
-    flagged = report["wells"][1]
-    assert flagged["flagged"]
-    assert all(r > 0.5 for r in flagged["ratios"])
-    assert not report["wells"][0]["flagged"]
+    assert not report["nonexistence_suspected"]
+    assert not any(w["flagged"] for w in report["wells"])
+    turns = 3 * 30 * r * r * math.sin(math.pi / 30)
+    for level in report["wells"][1]["levels"]:
+        assert level["area_in"] == pytest.approx(turns, rel=1e-9)
+    assert report["wells"][1]["trapped_fraction"] == pytest.approx(
+        turns / 0.5, rel=1e-9)
+    # a certificate flags the well holding its loops, and no other
+    cert = _packed_certificate(np.array([-1.0, 0.0]), np.array([0.6, 0.5]),
+                               -0.3, pot)
+    report = detect_area_leakage(cert, pot)
+    assert cert.nonexistence_suspected and report["nonexistence_suspected"]
+    assert [w["flagged"] for w in report["wells"]] == [
+        i == cert.packed.well for i in range(len(pot.wells))]
 
 
 def test_leakage_not_flagged_when_multiplier_low():
@@ -1030,6 +1058,23 @@ def test_init_curve_must_run_between_the_endpoints(homogeneous_solve):
     # starts pass the check
     assert (res.curve.vertices[0] == p).all()
     assert (res.curve.vertices[-1] == q).all()
+
+
+def test_warm_start_rejects_a_multiplier_estimate_that_is_not_finite(
+        homogeneous_solve, monkeypatch):
+    pot, res = homogeneous_solve
+    ran = []
+    monkeypatch.setattr(solver, "_augmented_lagrangian",
+                        lambda *args, **kwargs: ran.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for mu0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mu0"):
+                minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.05, pot,
+                                     SolverConfig(n_vertices=64),
+                                     init_curve=res.curve, mu0=mu0)
+    # rejected before any start runs
+    assert not ran
 
 
 def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
