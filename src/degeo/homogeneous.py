@@ -57,15 +57,21 @@ def field_V_beta(p, beta: float, lambda1: float, lambda2: float):
 
 
 def homogeneous_length(p0, beta: float, lambda1: float, lambda2: float) -> float:
-    """Weighted length of the arc from p0 to the well at field angle beta."""
+    """Weighted length of the arc from p0 to the well at field angle beta.
+    p0, beta and the rates are checked as in `integrate_integral_curve`."""
+    p0 = _point(p0)
     _check_rates(lambda1, lambda2)
-    if beta == 0.0:
-        raise ZeroBeta("beta = 0 keeps the flow on the closed level set")
+    _check_beta(beta)
     return float(rtilde(p0, lambda1, lambda2) / abs(math.sin(beta)))
 
 
 def vertical_fiber_distance(A: float, lambda1: float, lambda2: float) -> float:
-    """Cost of moving the lifted height by A while sitting over the well."""
+    """Cost of moving the lifted height by A while sitting over the well.
+    Rates `make_homogeneous` rejects raise NonPositiveEigenvalue, and an A
+    that is not finite raises ValueError."""
+    _check_rates(lambda1, lambda2)
+    if not math.isfinite(A):
+        raise ValueError("the area A must be finite")
     return (lambda1 + lambda2) * abs(A)
 
 
@@ -77,6 +83,17 @@ def _point(p0) -> np.ndarray:
     if not p0.any():
         raise ValueError("p0 must differ from the well")
     return p0
+
+
+def _check_beta(beta: float) -> None:
+    """Rejects beta = 0 (ZeroBeta: the flow cycles on its level set and
+    never reaches the well) and a beta outside [-pi/2, pi/2], NaN
+    included (ValueError)."""
+    if beta == 0.0:
+        raise ZeroBeta("beta = 0: the flow cycles on its level set and "
+                       "never reaches the well")
+    if not -math.pi / 2 <= beta <= math.pi / 2:
+        raise ValueError(f"beta = {beta} must lie in [-pi/2, pi/2]")
 
 
 def _flow_matrix(beta: float, lambda1: float, lambda2: float) -> np.ndarray:
@@ -171,11 +188,7 @@ def integrate_integral_curve(p0, beta: float, lambda1: float, lambda2: float,
     """
     p0 = _point(p0)
     _check_rates(lambda1, lambda2)
-    if beta == 0.0:
-        raise ZeroBeta("beta = 0: the flow cycles on its level set and "
-                       "never reaches the stop radius")
-    if not (-math.pi / 2 <= beta <= math.pi / 2):
-        raise ValueError("beta must lie in [-pi/2, pi/2]")
+    _check_beta(beta)
     if n_out is not None and n_out < 2:
         raise ValueError("n_out must be at least 2")
     lam_min = min(lambda1, lambda2)
@@ -256,9 +269,11 @@ def minimizing_ellipse(p0, lambda1: float, lambda2: float, n: int):
     Returns (curve, weighted length of the polyline).  The polyline has n
     distinct vertices, starting at p0's angle, and n + 1 rows: the loop
     repeats its first vertex as its last.  The continuum loop earns exactly
-    (l1 + l2) per unit enclosed area.
+    (l1 + l2) per unit enclosed area.  Rates `make_homogeneous` rejects
+    raise NonPositiveEigenvalue.
     """
     p0 = _point(p0)
+    _check_rates(lambda1, lambda2)
     if n < 3:
         raise ValueError("the ellipse needs n >= 3 vertices")
     rt0 = float(rtilde(p0, lambda1, lambda2))

@@ -12,11 +12,12 @@ Each iterate is evaluated in one pass (`_one_pass`): the chords, lengths and
 midpoints are formed once, W and grad W come from one call at the
 midpoints, and E, the area and both interior gradients follow, bit for bit
 equal to `discrete_energy_gradient` and `discrete_area_gradient`.  The
-L-BFGS-B objective, every polish evaluation, `el_residual` and the start
-energies use it, and the polish Hessian reuses the geometry and density of
-the evaluation it was accepted at.  A polish trial evaluates only what its
-acceptance test reads (`_normal_gradient`); the residual's scale
-(`_scaled_residual`) is formed once a trial is accepted.
+L-BFGS-B objective, every polish evaluation and `el_residual` use it, and
+the polish Hessian reuses the geometry and density of the evaluation it was
+accepted at.  A polish trial evaluates only what its acceptance test reads
+(`_normal_gradient`); the residual's scale (`_scaled_residual`) is formed
+once a trial is accepted.  A start's energy comes once from `energy`, the
+function that reports it.
 
 An augmented-Lagrangian outer loop around L-BFGS-B on the interior vertices
 brings each start near feasibility and hands it to a damped Newton polish as
@@ -286,7 +287,7 @@ def _one_pass(v: np.ndarray, potential: Potential) -> _Pass:
 
 
 def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
-                    N: np.ndarray) -> np.ndarray:
+                    N: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Hessian of energy + w * area along the interior normals N.
 
     Segment k joins vertices k and k+1; its 2x2 Hessian blocks are `aa`
@@ -299,10 +300,9 @@ def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
     harmless).
 
     Moving interior vertex i along N_i only couples it to its neighbors,
-    so the matrix is tridiagonal: diagonal N_i^T (bb[i-1] + aa[i]) N_i and
-    off-diagonal N_i^T ab[i] N_{i+1}.  Returned in the (3, n-2) band
-    layout of `scipy.linalg.solve_banded((1, 1), ...)`: superdiagonal
-    (from column 1), diagonal, subdiagonal (to column n-4).
+    so the matrix is symmetric tridiagonal.  Returned as (diag, off), the
+    diagonal N_i^T (bb[i-1] + aa[i]) N_i and the off-diagonal
+    N_i^T ab[i] N_{i+1}, one shorter: both of dgtsv's outer diagonals.
     """
     L = np.maximum(geo.L, 1e-12 * max(float(geo.L.max()), 1e-12))
     T = geo.seg / L[:, None]
@@ -322,12 +322,8 @@ def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
     aa = core - sym + FPL + w * np.array([[0.0, -0.5], [-0.5, 0.0]])
     bb = core + sym + FPL + w * np.array([[0.0, 0.5], [0.5, 0.0]])
     ab = core + asym - FPL + w * np.array([[0.0, 0.5], [-0.5, 0.0]])
-    band = np.zeros((3, N.shape[0]))
-    band[1] = np.einsum("ij,ijk,ik->i", N, bb[:-1] + aa[1:], N)
-    off = np.einsum("ij,ijk,ik->i", N[:-1], ab[1:-1], N[1:])
-    band[0, 1:] = off
-    band[2, :-1] = off
-    return band
+    return (np.einsum("ij,ijk,ik->i", N, bb[:-1] + aa[1:], N),
+            np.einsum("ij,ijk,ik->i", N[:-1], ab[1:-1], N[1:]))
 
 
 def vertex_normals(v: np.ndarray) -> np.ndarray:
@@ -356,9 +352,9 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     row u.d = -c then fixes dlam = (u.d0 + c) / (u.d_u) and the step
     d = d0 - dlam d_u.  The Levenberg-Marquardt shift lm grows tenfold
     after each rejected trial (and on a singular or non-finite solve), and
-    the band and right-hand side are formed, and checked finite, once per
-    step.  Normals are recomputed after every accepted step.  A=None
-    solves without the border (lam stays as given).
+    H's two diagonals and the right-hand side are formed, and checked
+    finite, once per step.  Normals are recomputed after every accepted
+    step.  A=None solves without the border (lam stays as given).
 
     A trial is accepted when it lowers max(|g_n|, |c|), which is all it
     evaluates (`_normal_gradient`); the residual's scale is formed only
@@ -386,18 +382,17 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             raise NonConvergence("newton polish produced non-finite values")
         if _polish_converged(res, c, tol_c):
             break
-        band = _normal_hessian(one.geo, potential, lam, N)
+        diag, off = _normal_hessian(one.geo, potential, lam, N)
         un = np.einsum("ij,ij->i", one.gA, N)
         rhs = np.stack([-gn, un], axis=1)
-        if not (np.all(np.isfinite(band)) and np.all(np.isfinite(rhs))):
+        if not all(np.isfinite(x).all() for x in (diag, off, rhs)):
             raise ValueError("newton polish: non-finite Hessian or gradient")
-        lower, upper = band[2, :-1], band[0, 1:]
         # keep each vertex within a fraction of its local spacing so
         # normal moves of neighbors cannot collide into a stack
         seg = _row_norms(one.geo.seg)
         cap = 0.4 * np.minimum(seg[:-1], seg[1:])
         for _ in range(25):
-            *_, x, info = _flapack.dgtsv(lower, band[1] + lm, upper, rhs,
+            *_, x, info = _flapack.dgtsv(off, diag + lm, off, rhs,
                                          overwrite_d=1)
             if info > 0:  # singular
                 lm *= 10.0
@@ -762,9 +757,9 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
     The probe radii are 1e-1, 1e-2 and 1e-3 times the well separation, or
     times the chord |p_plus - p_minus| with fewer than two wells.  On a
     certificate the loop's segments count `loop_count` times each.  The
-    report measures and does not judge: its `nonexistence_suspected` is the
-    result's own, and the well `flagged` is the one holding the
-    certificate's loops.
+    report measures and does not judge: {"wells": [...]}, each well with its
+    `index`, its `levels` (radius, area_in, arclength_in) and `flagged`,
+    true only at the well holding a certificate's loops.
     """
     v = result.curve.vertices
     radii = _probe_radii(potential, v[0], v[-1])
@@ -786,15 +781,9 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
                            "area_in": area_in,
                            "arclength_in": float(np.sum(L[inside]
                                                         * mult[inside]))})
-        wells_report.append({
-            "index": i,
-            "levels": levels,
-            "trapped_fraction": abs(levels[-1]["area_in"])
-            / max(abs(result.A_target), 1e-300) if result.A_target else 0.0,
-            "flagged": packed is not None and packed.well == i,
-        })
-    return {"wells": wells_report,
-            "nonexistence_suspected": result.nonexistence_suspected}
+        wells_report.append({"index": i, "levels": levels, "flagged":
+                             packed is not None and packed.well == i})
+    return {"wells": wells_report}
 
 
 # ---------------------------------------------------------------------------
@@ -813,13 +802,15 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     and its vertices lie on a level ellipse of the well's quadratic, so it
     packs area at the well's rate lambda1 + lambda2 as r -> 0.  Its widest
     vertex stays inside 0.85 times the smallest leakage probe radius.  The
-    curve holds the loop once and `SolveResult.packed` its multiplicity,
-    and the result is flagged; the EL residual and the leakage report are
-    left to _finish.  Returns None when no well is available, when the
-    loop's area rounds to 0 (its radius is lost against the well's
-    coordinates at a tiny excess) or when no loop radius meets A to the
-    area tolerance.  Raises ValueError naming A when the loop count passes
-    floating point.
+    curve holds the loop once and `SolveResult.packed` its multiplicity.
+    The loop's energy and area, each evaluated once, give the totals (the
+    curve's plus loop_count - 1 more loops) and the multiplier, the loops'
+    marginal cost signed like A; the result is flagged, and the EL
+    residual and the leakage report are left to _finish.  Returns None
+    when no well is available, when the loop's area rounds to 0 (its
+    radius is lost against the well's coordinates at a tiny excess) or
+    when no loop radius meets A to the area tolerance.  Raises ValueError
+    naming A when the loop count passes floating point.
     """
     if not potential.wells:
         return None
@@ -870,13 +861,17 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     packed = PackedLoops(well=i_well, loop_radius=r, loop_count=n_loops,
                          orientation=sign, anchor=n_leg - 1)
     loop = packed.loop(curve)
-    if area(loop) == 0.0:  # r is lost against the well's coordinates
+    a_loop = area(loop)
+    if a_loop == 0.0:  # r is lost against the well's coordinates
         return None
-    rate = _packing_rate(loop, potential, A)
-    result = _result(curve, potential, A, rate, False, packed)
-    if abs(result.area_achieved - A) > _TOL_AREA * (1.0 + abs(A)):
+    # the curve runs the loop once; the certificate loop_count times
+    a = area(curve) + (n_loops - 1) * a_loop
+    if abs(a - A) > _TOL_AREA * (1.0 + abs(A)):
         return None
-    return result
+    e_loop = energy(loop, potential)
+    E = energy(curve, potential) + (n_loops - 1) * e_loop
+    return _result(curve, E, a, A, math.copysign(e_loop / abs(a_loop), A),
+                   False, packed)
 
 
 def _end_rate(p: np.ndarray, q: np.ndarray, potential: Potential) -> float:
@@ -887,26 +882,16 @@ def _end_rate(p: np.ndarray, q: np.ndarray, potential: Potential) -> float:
                 or np.array_equal(w.location, q)), default=math.inf)
 
 
-def _packing_rate(loop: Curve, potential: Potential, A: float) -> float:
-    """Discrete marginal cost of the packed loops, signed like the area."""
-    return math.copysign(energy(loop, potential) / abs(area(loop)), A)
-
-
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
-def _result(curve: Curve, potential: Potential, A_target: float,
+def _result(curve: Curve, E: float, a: float, A_target: float,
             multiplier: float, converged: bool,
             packed: Optional[PackedLoops] = None) -> SolveResult:
-    """Energy and area of a solve's curve, flagged exactly when it is the
-    packed certificate; diagnostics left to _finish."""
-    E, a = energy(curve, potential), area(curve)
-    if packed is not None:
-        # the curve runs the loop once; the certificate loop_count times
-        loop = packed.loop(curve)
-        E += (packed.loop_count - 1) * energy(loop, potential)
-        a += (packed.loop_count - 1) * area(loop)
+    """A solve's result with the energy E and area a its caller evaluated,
+    flagged exactly when it is the packed certificate (`packed` set);
+    diagnostics left to _finish."""
     return SolveResult(curve=curve, energy=E, area_achieved=a,
                        multiplier=multiplier, el_residual_max=math.nan,
                        leakage_report={}, converged=converged,
@@ -995,16 +980,16 @@ def minimize_unconstrained(p, q, potential: Potential,
                 # for tight stationarity
                 v, _, res, _, _ = _newton_polish(_remesh(v, potential),
                                                  potential, None, 0.0)
-                E = _one_pass(v, potential).E
+                E = energy(Curve(v), potential)
         except FloatingPointError as exc:
             raise ValueError(f"the solve from {p} to {q} overflows floating "
                              f"point") from exc
         outcomes.append((not _polish_converged(res, 0.0, 0.0), E, v))
     # the first minimum wins
-    failed, _, v = min(outcomes, key=lambda o: o[:2])
+    failed, E, v = min(outcomes, key=lambda o: o[:2])
     curve = Curve(v)
-    return _finish(_result(curve, potential, area(curve), 0.0, not failed),
-                   potential)
+    a = area(curve)
+    return _finish(_result(curve, E, a, a, 0.0, not failed), potential)
 
 
 def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
@@ -1077,7 +1062,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         except FloatingPointError as exc:
             raise ValueError(f"the solve for the area {A:g} overflows "
                              f"floating point") from exc
-        E = _one_pass(v, potential).E
+        E = energy(Curve(v), potential)
         feasible = abs(c) <= tol_c
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
                   j, E, feasible, ok)
@@ -1116,7 +1101,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         log.debug("start %d of %d won unopposed", j, len(outcomes))
 
     converged = not (infeasible or failed) and math.isfinite(mu)
-    result = _result(Curve(v), potential, A, -mu, converged)
+    curve = Curve(v)
+    result = _result(curve, E, area(curve), A, -mu, converged)
     if certificate is not None and certificate.energy < result.energy:
         log.info("adopting packed certificate: energy %.6g vs %.6g",
                  certificate.energy, result.energy)

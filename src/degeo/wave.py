@@ -100,8 +100,7 @@ def to_traveling_wave(result: SolveResult, potential: Potential) -> WaveProfile:
     if not result.converged:
         raise ValueError("wave profile requires a converged result")
     v = result.curve.vertices.copy()
-    n = len(v)
-    if n < 4:
+    if len(v) < 4:
         raise ValueError("curve too short for a profile")
     scale = potential.length_scale(v[0], v[-1])
     tol = 1e-4 * scale
@@ -109,19 +108,14 @@ def to_traveling_wave(result: SolveResult, potential: Potential) -> WaveProfile:
     if potential.wells:
         dists, nearest = potential.nearest_well(v)
         inside = dists < tol
-        idx = np.flatnonzero(inside)
-        keep = np.ones(n, dtype=bool)
-        if idx.size:
-            runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-            for run in runs:
-                if run[0] == 0 or run[-1] == n - 1:
-                    # trim the run to its outermost vertex, snapped below
-                    end = 0 if run[0] == 0 else n - 1
-                    keep[run] = False
-                    keep[end] = True
-                else:
-                    raise BubbleDetected(
-                        "curve revisits a well neighborhood away from its ends")
+        outside = np.flatnonzero(~inside)
+        if outside.size and inside[outside[0]:outside[-1]].any():
+            raise BubbleDetected(
+                "curve revisits a well neighborhood away from its ends")
+        # trim each end's run to its outermost vertex, snapped below; a
+        # curve wholly inside keeps its first vertex alone
+        keep = ~inside
+        keep[0], keep[-1] = True, outside.size > 0
         v = v[keep]
         # the trim keeps both ends, so theirs are dists' first and last
         d0, d1 = dists[[0, -1]]

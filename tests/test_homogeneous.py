@@ -169,6 +169,26 @@ def test_bad_input_raises_value_error():
             solve_homogeneous([1.0, 0.0], bad_A, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: homogeneous_length((1.0, 0.0), math.nan, 1.0, 2.0), ValueError),
+    # integrate_integral_curve rejects |beta| > pi/2 too
+    (lambda: homogeneous_length((1.0, 0.0), 2.0, 1.0, 2.0), ValueError),
+    (lambda: homogeneous_length((math.nan, 0.0), 0.5, 1.0, 2.0), ValueError),
+    (lambda: vertical_fiber_distance(math.nan, 1.0, 2.0), ValueError),
+    (lambda: vertical_fiber_distance(math.inf, 1.0, 2.0), ValueError),
+    (lambda: vertical_fiber_distance(0.3, -1.0, 2.0), NonPositiveEigenvalue),
+    (lambda: minimizing_ellipse((1.0, 0.0), 1.0, -2.0, 16),
+     NonPositiveEigenvalue)],
+    ids=["length_nan_beta", "length_beta_past_pi_2", "length_nan_p0",
+         "fiber_nan_A", "fiber_inf_A", "fiber_negative_rate",
+         "ellipse_negative_rate"])
+def test_closed_forms_reject_bad_input(call, error):
+    # each of these returned a number (NaN, inf or a wrong finite value)
+    # or a bare math domain error before the closed forms checked input
+    with pytest.raises(error):
+        call()
+
+
 BETAS = (0.1, 0.3, 0.7, 1.2, math.pi / 2, -0.2, -1.0)
 
 

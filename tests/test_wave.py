@@ -225,6 +225,26 @@ def test_bubble_detected_on_interior_well_revisit():
         to_traveling_wave(res, pot)
 
 
+def test_end_runs_inside_a_well_trim_to_their_outer_vertex():
+    pot = _double_well()
+    # an arc between the wells, then three more vertices within 1e-4 of
+    # the well separation at each end: each end run trims to its outermost
+    # vertex, which is snapped onto the well, so the profile is the arc's
+    t = np.linspace(0.0, 1.0, 101)
+    arc = np.stack([-1.0 + 2.0 * t, 0.4 * np.sin(math.pi * t)], axis=1)
+    near = np.array([[3e-5, 1e-5], [8e-5, 3e-5], [1.2e-4, 6e-5]])
+    crowded = np.vstack([arc[:1], WELLS[0] + near, arc[1:-1],
+                         (WELLS[1] - near)[::-1], arc[-1:]])
+    base = dict(energy=1.0, area_achieved=0.0, multiplier=0.05,
+                el_residual_max=0.0, leakage_report={}, converged=True,
+                nonexistence_suspected=False, A_target=0.0)
+    got = to_traveling_wave(SolveResult(curve=Curve(crowded), **base), pot)
+    ref = to_traveling_wave(SolveResult(curve=Curve(arc), **base), pot)
+    assert np.array_equal(got.y_grid, ref.y_grid)
+    assert np.array_equal(got.U, ref.U)
+    assert got.nu == ref.nu
+
+
 def test_grid_too_coarse():
     pot = _double_well()
     y = np.linspace(-1.0, 1.0, 10)
