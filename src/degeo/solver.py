@@ -219,7 +219,8 @@ class SolveResult:
             out["packed"] = {"well": self.packed.well,
                              "loop_radius": float(self.packed.loop_radius),
                              "loop_count": self.packed.loop_count,
-                             "orientation": self.packed.orientation}
+                             "orientation": self.packed.orientation,
+                             "anchor": self.packed.anchor}
         return out
 
 
@@ -795,22 +796,27 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     """Trunk plus the whole area excess parked in loops at one well.
 
     Straight legs run from p to an anchor on the first axis e1 of the
-    cheapest well's frame and on to q; `loop_count` loops around the well,
-    each from the anchor back to it, hold the rest of the area.  A loop is
-    the diamond through +-kappa r e1 and +-(r / kappa) e2, kappa =
-    (lambda2 / lambda1)^(1/4), anchored at +kappa r e1.  It holds 2 r^2,
-    and its vertices lie on a level ellipse of the well's quadratic, so it
-    packs area at the well's rate lambda1 + lambda2 as r -> 0.  Its widest
-    vertex stays inside 0.85 times the smallest leakage probe radius.  The
-    curve holds the loop once and `SolveResult.packed` its multiplicity.
+    cheapest well's frame and on to q, at one spacing: the longer leg has
+    2048 vertices and the shorter max(2, ceil(2047 L_short / L_long) + 1).
+    `loop_count` loops around the well, each from the anchor back to it,
+    hold the rest of the area.  A loop is the diamond through +-kappa r e1
+    and +-(r / kappa) e2, kappa = (lambda2 / lambda1)^(1/4), anchored at
+    +kappa r e1.  It holds 2 r^2, and its vertices lie on a level ellipse
+    of the well's quadratic, so it packs area at the well's rate
+    lambda1 + lambda2 as r -> 0.  Its widest vertex stays inside 0.85
+    times the smallest leakage probe radius.  The curve holds the loop
+    once and `SolveResult.packed` its multiplicity and its anchor vertex.
     The loop's energy and area, each evaluated once, give the totals (the
     curve's plus loop_count - 1 more loops) and the multiplier, the loops'
-    marginal cost signed like A; the result is flagged, and the EL
-    residual and the leakage report are left to _finish.  Returns None
-    when no well is available, when the loop's area rounds to 0 (its
-    radius is lost against the well's coordinates at a tiny excess) or
-    when no loop radius meets A to the area tolerance.  Raises ValueError
-    naming A when the loop count passes floating point.
+    marginal cost signed like A.  Areas are taken about the well, so that
+    its coordinates do not swallow the loop's digits: the loop's from the
+    diamond in the frame, the curve's from its vertices less the well's.
+    The result is flagged, and the EL residual and the leakage report are
+    left to _finish.  Returns None when no well is available, when the
+    written loop's area rounds to 0 (its radius is lost against the well's
+    coordinates at a tiny excess) or when no loop radius meets A to the
+    area tolerance.  Raises ValueError naming A when the loop count passes
+    floating point.
     """
     if not potential.wells:
         return None
@@ -821,11 +827,19 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     e1, e2 = well.frame.T
     rho = 0.85 * min(_probe_radii(potential, p, q)) / kappa
 
-    n_leg = 2048
-    anchor = well.location + kappa * rho * e1
-    leg_in = _straight(p, anchor, n_leg)
-    leg_out = _straight(anchor, q, n_leg)
-    a_trunk = area(Curve(np.vstack([leg_in, leg_out[1:]])))
+    # areas are taken about the well o, whose coordinates would swallow
+    # the loop's digits: an open curve from p to q holds
+    # area(v - o) + o1 (q2 - p2)
+    o = well.location
+    anchor = o + kappa * rho * e1
+    L_in, L_out = math.dist(p, anchor), math.dist(anchor, q)
+    n_short = max(2, math.ceil(2047 * min(L_in, L_out) / max(L_in, L_out))
+                  + 1)
+    n_in, n_out = (2048, n_short) if L_in >= L_out else (n_short, 2048)
+    leg_in = _straight(p, anchor, n_in)
+    leg_out = _straight(anchor, q, n_out)
+    shift = float(o[0]) * float(q[1] - p[1])
+    a_trunk = area(Curve(np.vstack([leg_in, leg_out[1:]]) - o)) + shift
     payload = A - a_trunk
     if payload == 0.0:
         return None
@@ -856,16 +870,17 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     turn = sign if e1[0] * e2[1] > e1[1] * e2[0] else -sign
     a1, a2 = kappa * r, turn * r / kappa
     xy = np.array([[a1, 0.0], [0.0, a2], [-a1, 0.0], [0.0, -a2], [a1, 0.0]])
-    loop = xy[:, :1] * e1 + xy[:, 1:] * e2 + well.location
-    curve = Curve(np.vstack([leg_in[:-1], loop, leg_out[1:]]))
+    diamond = xy[:, :1] * e1 + xy[:, 1:] * e2
+    curve = Curve(np.vstack([leg_in[:-1], diamond + o, leg_out[1:]]))
     packed = PackedLoops(well=i_well, loop_radius=r, loop_count=n_loops,
-                         orientation=sign, anchor=n_leg - 1)
+                         orientation=sign, anchor=n_in - 1)
     loop = packed.loop(curve)
-    a_loop = area(loop)
-    if a_loop == 0.0:  # r is lost against the well's coordinates
+    if area(loop) == 0.0:  # r is lost against the well's coordinates
         return None
+    # a closed loop's area does not depend on the origin
+    a_loop = area(Curve(diamond))
     # the curve runs the loop once; the certificate loop_count times
-    a = area(curve) + (n_loops - 1) * a_loop
+    a = area(Curve(curve.vertices - o)) + shift + (n_loops - 1) * a_loop
     if abs(a - A) > _TOL_AREA * (1.0 + abs(A)):
         return None
     e_loop = energy(loop, potential)

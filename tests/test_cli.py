@@ -6,9 +6,10 @@ import warnings
 
 import pytest
 
-from degeo import (NonConvergence, SolverConfig, area, curve_from_csv,
-                   energy, from_json_dict, make_radial_quartic,
-                   minimize_constrained, minimize_unconstrained)
+from degeo import (Curve, NonConvergence, SolverConfig, area,
+                   curve_from_csv, energy, from_json_dict,
+                   make_radial_quartic, minimize_constrained,
+                   minimize_unconstrained)
 from degeo.cli import main
 
 RADIAL_POT = {"kind": "radial_quartic", "params": {"b": 1.0}}
@@ -93,11 +94,36 @@ def test_solve_certifies_nonexistence_past_the_old_loop_cap(tmp_path):
     assert result["energy"] == pytest.approx(2.8 + 2.0 * 4.0, rel=1e-3)
     packed = result["packed"]
     assert set(packed) == {"well", "loop_radius", "loop_count",
-                           "orientation"}
+                           "orientation", "anchor"}
     assert packed["loop_count"] > 600_000 and packed["orientation"] == 1
     # curve.csv holds the trunk and the loop once
     curve = curve_from_csv(out / "curve.csv")
     assert len(curve.vertices) < 5000
+
+
+def test_certificate_curve_reads_back_to_its_energy(tmp_path):
+    # the short leg from the well at p_minus to the anchor is sampled at the
+    # long leg's spacing, so the file holds one 2048-vertex leg, a few
+    # vertices of the other and the loop once, closing at packed.anchor
+    two_well = {"kind": "two_well", "params": {"k": 4.0}}
+    cfg = _write(tmp_path, "ne.json", {
+        "potential": two_well,
+        "endpoints": [[-1.0, 0.0], [1.0, 0.0]],
+        "A": 2.0,
+        "solver": {"n_vertices": 64}})
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out), "--quiet"]) == 2
+    assert len((out / "curve.csv").read_text().splitlines()) <= 2060
+    result = json.loads((out / "result.json").read_text())
+    packed = result["packed"]
+    v = curve_from_csv(out / "curve.csv").vertices
+    k = packed["anchor"]
+    assert (v[k] == v[k + 4]).all()
+    pot = from_json_dict(two_well)
+    loop = Curve(v[k:k + 5])
+    total = (energy(Curve(v), pot)
+             + (packed["loop_count"] - 1) * energy(loop, pot))
+    assert total == pytest.approx(result["energy"], rel=1e-12)
 
 
 def test_sweep_table(tmp_path):

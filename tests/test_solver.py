@@ -1041,6 +1041,48 @@ def test_certificate_totals_equal_the_literal_polyline(q, A):
             assert mine[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
 
 
+
+@pytest.mark.parametrize("p, q, A", [
+    ((-1.0, 0.0), (1.0, 0.0), 2.0), ((-1.0, 0.0), (1.0, 0.0), 6e-4),
+    ((-1.0, 0.0), (0.6, 0.5), -0.3), ((1.0, 0.0), (-1.0, 0.0), 2.0)])
+def test_certificate_legs_share_the_longer_legs_spacing(p, q, A):
+    # the leg ending at the well (-1, 0) is 1.7e-3 long: it takes the few
+    # vertices the other leg's spacing needs, not 2048 of its own
+    pot = make_two_well_k(4.0)
+    p, q = np.array(p), np.array(q)
+    cert = _packed_certificate(p, q, A, pot)
+    packed = cert.packed
+    v, k = cert.curve.vertices, packed.anchor
+    legs = [v[:k + 1], v[k + 4:]]
+    lengths = [math.dist(leg[0], leg[-1]) for leg in legs]
+    long = int(lengths[1] > lengths[0])
+    assert len(legs[long]) == 2048 and len(legs[1 - long]) < 10
+    spacing = [L / (len(leg) - 1) for L, leg in zip(lengths, legs)]
+    assert spacing[1 - long] <= spacing[long]
+    # the trunk with its short leg redrawn at 2048 vertices costs the same
+    legs[1 - long] = np.linspace(legs[1 - long][0], legs[1 - long][-1], 2048)
+    full = Curve(np.vstack([legs[0], v[k + 1:k + 4], legs[1]]))
+    E_full = (energy(full, pot)
+              + (packed.loop_count - 1) * energy(packed.loop(cert.curve), pot))
+    assert cert.energy == pytest.approx(E_full, rel=1e-9)
+
+
+@pytest.mark.parametrize("A", [5.0, 50.0])
+@pytest.mark.parametrize("c", [1e6, 1e7])
+def test_certificate_far_from_the_origin(c, A):
+    # millions of loops at a well near (c, 0): their area, taken about the
+    # origin, would lose its digits against c and miss A by more than the
+    # area tolerance, leaving no certificate
+    cfg = SolverConfig(n_vertices=64)
+    ref = minimize_constrained((1.0, 0.0), (0.0, 0.0), A,
+                               make_radial_quartic(1.0), cfg)
+    res = minimize_constrained((c + 1.0, 0.0), (c, 0.0), A,
+                               make_radial_quartic(1.0, center=(c, 0.0)), cfg)
+    assert ref.packed is not None and res.packed is not None
+    assert res.nonexistence_suspected and not res.converged
+    assert res.energy == pytest.approx(ref.energy, rel=1e-6)
+
+
 def test_area_sweep_slope_tracks_multiplier():
     pot = make_radial_quartic(1.0)
     rows = area_sweep((1.0, 0.0), (0.0, 0.0), [0.08, 0.10, 0.12], pot, FAST)
