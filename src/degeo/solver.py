@@ -47,8 +47,8 @@ certificate (a trunk curve running one small loop at the well, on a level
 ellipse of its quadratic so that the loop packs area at that rate, plus a
 `PackedLoops` count of how often the polyline it stands for runs the
 loop).  It always competes with the standard solve and is adopted when
-strictly cheaper; it is reported as not converged, and a result is
-flagged as suspected non-existence exactly when it is the certificate.
+strictly cheaper; a result is flagged exactly when it is the certificate,
+which is never converged (`SolveResult` derives both verdicts).
 
 A curve that ends at a well can park extra area in vanishing loops there
 at the marginal cost lambda1 + lambda2 of that well, so the least energy is
@@ -68,7 +68,7 @@ import logging
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,17 +185,28 @@ class PackedLoops:
 
 @dataclass
 class SolveResult:
+    """A solve's curve and numbers, from which both verdicts are derived:
+    flagged exactly when `packed` is set, converged exactly when it is not
+    and `el_residual_max` and the area gap pass `_polish_converged`."""
     curve: Curve
     energy: float
     area_achieved: float
     multiplier: float
-    el_residual_max: float
-    leakage_report: dict
-    converged: bool
-    nonexistence_suspected: bool
     A_target: float
     # set on a non-existence certificate: `curve` then holds its loop once
     packed: Optional[PackedLoops] = None
+    el_residual_max: float = math.nan
+    leakage_report: dict = field(default_factory=dict)
+
+    @property
+    def nonexistence_suspected(self) -> bool:
+        return self.packed is not None
+
+    @property
+    def converged(self) -> bool:
+        return self.packed is None and _polish_converged(
+            self.el_residual_max, self.area_achieved - self.A_target,
+            _TOL_AREA * (1.0 + abs(self.A_target)))
 
     def to_json_dict(self) -> dict:
         leakage = []
@@ -885,8 +896,8 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
         return None
     e_loop = energy(loop, potential)
     E = energy(curve, potential) + (n_loops - 1) * e_loop
-    return _result(curve, E, a, A, math.copysign(e_loop / abs(a_loop), A),
-                   False, packed)
+    return SolveResult(curve, E, a, math.copysign(e_loop / abs(a_loop), A),
+                       A, packed)
 
 
 def _end_rate(p: np.ndarray, q: np.ndarray, potential: Potential) -> float:
@@ -900,19 +911,6 @@ def _end_rate(p: np.ndarray, q: np.ndarray, potential: Potential) -> float:
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
-
-def _result(curve: Curve, E: float, a: float, A_target: float,
-            multiplier: float, converged: bool,
-            packed: Optional[PackedLoops] = None) -> SolveResult:
-    """A solve's result with the energy E and area a its caller evaluated,
-    flagged exactly when it is the packed certificate (`packed` set);
-    diagnostics left to _finish."""
-    return SolveResult(curve=curve, energy=E, area_achieved=a,
-                       multiplier=multiplier, el_residual_max=math.nan,
-                       leakage_report={}, converged=converged,
-                       nonexistence_suspected=packed is not None,
-                       A_target=A_target, packed=packed)
-
 
 def _finish(result: SolveResult, potential: Potential) -> SolveResult:
     """Fill in the EL residual, inf where the multiplier is not finite or
@@ -931,9 +929,12 @@ def _finish(result: SolveResult, potential: Potential) -> SolveResult:
 def _endpoints(p_minus, p_plus, A: float = 0.0
                ) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoints as arrays; rejects a non-finite area and endpoints that
-    are non-finite or closer than floating point resolves."""
+    are not finite points (p1, p2) or closer than floating point resolves."""
     p = np.asarray(p_minus, dtype=float)
     q = np.asarray(p_plus, dtype=float)
+    if p.shape != (2,) or q.shape != (2,):
+        raise ValueError(f"endpoints {p.tolist()} and {q.tolist()} must be "
+                         f"points (p1, p2)")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
             and math.isfinite(A)):
         raise ValueError("endpoints and area must be finite")
@@ -1001,10 +1002,10 @@ def minimize_unconstrained(p, q, potential: Potential,
                              f"point") from exc
         outcomes.append((not _polish_converged(res, 0.0, 0.0), E, v))
     # the first minimum wins
-    failed, E, v = min(outcomes, key=lambda o: o[:2])
+    _, E, v = min(outcomes, key=lambda o: o[:2])
     curve = Curve(v)
     a = area(curve)
-    return _finish(_result(curve, E, a, a, 0.0, not failed), potential)
+    return _finish(SolveResult(curve, E, a, 0.0, a), potential)
 
 
 def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
@@ -1082,7 +1083,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
                   j, E, feasible, ok)
         outcomes.append((not feasible, not ok, E, v, mu))
-        if not (feasible and ok):
+        # a polish that converged met the area tolerance too
+        if not ok:
             continue
         if warm:
             break
@@ -1095,9 +1097,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
                       -mu, j, rate_end, certificate.energy, left)
             break
         # earlier feasible, polished starts on the same critical curve
-        same = [i for i, (off, unpolished, E_i, _, _)
-                in enumerate(outcomes[:j]) if not (off or unpolished)
-                and abs(E - E_i) <= _START_AGREEMENT * abs(E)]
+        same = [i for i, (_, failed, E_i, _, _) in enumerate(outcomes[:j])
+                if not failed and abs(E - E_i) <= _START_AGREEMENT * abs(E)]
         if same and left:
             log.debug("start %d agrees with start %d within %.3g relative "
                       "energy: skipping the %d remaining starts", j, same[0],
@@ -1105,7 +1106,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
             break
     # the first minimum wins
     j = min(range(len(outcomes)), key=lambda i: outcomes[i][:3])
-    infeasible, failed, E, v, mu = outcomes[j]
+    *_, E, v, mu = outcomes[j]
     others = [o[2] for i, o in enumerate(outcomes) if i != j]
     if others:
         # negative when a cheaper start lost on feasibility or polish
@@ -1115,9 +1116,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     else:
         log.debug("start %d of %d won unopposed", j, len(outcomes))
 
-    converged = not (infeasible or failed) and math.isfinite(mu)
     curve = Curve(v)
-    result = _result(curve, E, area(curve), A, -mu, converged)
+    result = SolveResult(curve, E, area(curve), -mu, A)
     if certificate is not None and certificate.energy < result.energy:
         log.info("adopting packed certificate: energy %.6g vs %.6g",
                  certificate.energy, result.energy)

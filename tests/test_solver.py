@@ -721,9 +721,7 @@ def _fake_result(curve, multiplier, A_target):
     c = Curve(curve)
     return SolveResult(curve=c, energy=energy(c, make_two_well_k(4.0)),
                        area_achieved=A_target, multiplier=multiplier,
-                       el_residual_max=0.0, leakage_report={},
-                       converged=True, nonexistence_suspected=False,
-                       A_target=A_target)
+                       el_residual_max=0.0, A_target=A_target)
 
 
 def test_leakage_reports_a_coil_and_flags_only_the_certificate_well():
@@ -931,6 +929,39 @@ def test_reflections_are_exact(case):
         assert res.converged, (sx, sy)
 
 
+@pytest.mark.parametrize("s", [0.5, 2.0, 4.0])
+def test_homogeneous_scaling_scales_the_energy(homogeneous_solve, s):
+    # F is homogeneous of degree 1, so p -> s p maps a curve of area A and
+    # energy E to one of area s^2 A and energy s^2 E at the same
+    # multiplier.  The image solve rounds differently: at n = 64 and 96 the
+    # energies differ by at most 2.7e-9 relative and the multipliers by
+    # 2.8e-7, so 1e-8 and 1e-6 bound them
+    pot, ref = homogeneous_solve
+    res = minimize_constrained((s, 0.0), (0.0, 0.0), s * s * 0.05, pot,
+                               FAST)
+    assert res.converged
+    assert res.energy == pytest.approx(s * s * ref.energy, rel=1e-8)
+    assert res.multiplier == pytest.approx(ref.multiplier, rel=1e-6)
+
+
+@pytest.mark.parametrize("A", [0.1, 0.25])
+def test_quarter_turn_about_the_radial_well(A):
+    # a quarter turn about the well leaves W unchanged and maps (1, 0) to
+    # (0, 1).  The area integral of p1 dp2 is the rotation-invariant
+    # (1/2) of p1 dp2 - p2 dp1 plus (1/2)[p1 p2], which vanishes at both
+    # ends, so A and the multiplier stay.  At n = 64 and 96 the energies
+    # differ by at most 8.8e-7 relative and the multipliers by 8.8e-6; the
+    # starts can stop at different spiral depths at the well (6.8e-6 apart
+    # at A = 0.25, n = 64), so the bounds are the endpoint swap's 1e-5 on
+    # the energy and ten times that on the multiplier
+    pot, cfg = make_radial_quartic(1.0), SolverConfig(n_vertices=64)
+    ref = minimize_constrained((1.0, 0.0), (0.0, 0.0), A, pot, cfg)
+    res = minimize_constrained((0.0, 1.0), (0.0, 0.0), A, pot, cfg)
+    assert ref.converged and res.converged
+    assert res.energy == pytest.approx(ref.energy, rel=1e-5)
+    assert res.multiplier == pytest.approx(ref.multiplier, rel=1e-4)
+
+
 def test_cheaper_failed_solve_is_not_replaced_by_the_certificate():
     # every start ends feasible but unpolished, the cheapest at E 6.0366
     # (the exact arc costs 6.0208), while the flagged certificate costs
@@ -1013,6 +1044,20 @@ def test_certificate_is_none_at_a_tiny_area_excess(A):
     res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=32))
     assert res.converged and res.packed is None
     assert res.energy == pytest.approx(2.8010365985535, rel=1e-12)
+
+
+def test_certificate_is_none_where_the_loop_radius_has_no_root():
+    # the straight legs through the anchor enclose -0.099575; 1e-9 below
+    # it the anchor segments' area term outweighs the payload, so the
+    # radius equation 2 n r^2 + b r = |payload| + b rho has no positive
+    # root (its right-hand side is negative), and without the give-up the
+    # square root raises "math domain error"
+    pot, A = make_two_well_k(4.0), -0.099575 - 1e-9
+    p, q = np.array([-1.0, 0.0]), np.array([0.6, 0.5])
+    assert _packed_certificate(p, q, A, pot) is None
+    res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=64))
+    assert res.converged and not res.nonexistence_suspected
+    assert res.energy == pytest.approx(3.244584093, rel=1e-9)
 
 
 @pytest.mark.parametrize("q, A", [((1.0, 0.0), 6e-4), ((0.6, 0.5), -0.3)])
@@ -1109,6 +1154,21 @@ def test_area_sweep_restarts_cold_after_a_flagged_row(monkeypatch):
     # flagged certificate, so it starts cold, not from the A=1 curve
     assert calls[1]["init_curve"] is rows[0]["result"].curve
     assert calls[2]["init_curve"] is None and calls[2]["mu0"] == 0.0
+
+
+@pytest.mark.parametrize("p, q", [((1.0,), (0.0,)), (1.0, 0.0),
+                                  ([[1.0, 0.0]], [[0.0, 0.0]]),
+                                  ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))],
+                         ids=["1-vectors", "scalars", "rows", "3-vectors"])
+@pytest.mark.parametrize("driver", ["constrained", "unconstrained"])
+def test_endpoints_must_be_points_in_the_plane(driver, p, q):
+    pot, cfg = make_two_well_k(4.0), SolverConfig(n_vertices=16)
+    solve = {"constrained": lambda: minimize_constrained(p, q, 0.1, pot, cfg),
+             "unconstrained": lambda: minimize_unconstrained(p, q, pot, cfg),
+             }[driver]
+    with pytest.raises(ValueError, match=r"endpoints .* must be points "
+                                         r"\(p1, p2\)"):
+        solve()
 
 
 def test_init_curve_must_run_between_the_endpoints(homogeneous_solve):

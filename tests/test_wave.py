@@ -11,6 +11,7 @@ from degeo import (BubbleDetected, Curve, GridTooCoarse, SolveResult,
                    minimize_constrained, profile_from_csv, profile_to_csv,
                    second_variation_spectrum, to_traveling_wave,
                    wave_residual, zero_mode_alignment)
+from degeo.solver import PackedLoops
 
 WELLS = [(-1.0, 0.0), (1.0, 0.0)]
 
@@ -193,20 +194,16 @@ def test_wave_rejects_bad_results():
     y = np.linspace(-1.0, 1.0, 32)
     curve = Curve(np.stack([y, np.zeros_like(y)], axis=1))
     base = dict(curve=curve, energy=1.0, area_achieved=0.0, multiplier=0.0,
-                el_residual_max=0.0, leakage_report={}, A_target=0.0)
+                A_target=0.0)
+    # an EL residual far above tolerance: not converged
     with pytest.raises(ValueError):
-        to_traveling_wave(SolveResult(converged=False,
-                                      nonexistence_suspected=False, **base),
-                          pot)
-    with pytest.raises(BubbleDetected):
-        to_traveling_wave(SolveResult(converged=True,
-                                      nonexistence_suspected=True, **base),
-                          pot)
+        to_traveling_wave(SolveResult(el_residual_max=1.0, **base), pot)
     # a non-existence certificate is flagged and not converged
+    packed = PackedLoops(well=0, loop_radius=0.1, loop_count=2,
+                         orientation=1, anchor=0)
     with pytest.raises(BubbleDetected):
-        to_traveling_wave(SolveResult(converged=False,
-                                      nonexistence_suspected=True, **base),
-                          pot)
+        to_traveling_wave(SolveResult(packed=packed, el_residual_max=0.0,
+                                      **base), pot)
 
 
 def test_bubble_detected_on_interior_well_revisit():
@@ -218,9 +215,7 @@ def test_bubble_detected_on_interior_well_revisit():
     v = np.stack([x, y], axis=1)
     v[100] = [-1.0 + 1e-9, 0.0]  # revisit of the starting well
     res = SolveResult(curve=Curve(v), energy=1.0, area_achieved=0.0,
-                      multiplier=0.0, el_residual_max=0.0, leakage_report={},
-                      converged=True, nonexistence_suspected=False,
-                      A_target=0.0)
+                      multiplier=0.0, el_residual_max=0.0, A_target=0.0)
     with pytest.raises(BubbleDetected):
         to_traveling_wave(res, pot)
 
@@ -236,8 +231,7 @@ def test_end_runs_inside_a_well_trim_to_their_outer_vertex():
     crowded = np.vstack([arc[:1], WELLS[0] + near, arc[1:-1],
                          (WELLS[1] - near)[::-1], arc[-1:]])
     base = dict(energy=1.0, area_achieved=0.0, multiplier=0.05,
-                el_residual_max=0.0, leakage_report={}, converged=True,
-                nonexistence_suspected=False, A_target=0.0)
+                el_residual_max=0.0, A_target=0.0)
     got = to_traveling_wave(SolveResult(curve=Curve(crowded), **base), pot)
     ref = to_traveling_wave(SolveResult(curve=Curve(arc), **base), pot)
     assert np.array_equal(got.y_grid, ref.y_grid)
