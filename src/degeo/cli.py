@@ -44,8 +44,6 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .errors import (BubbleDetected, DegeoError, GapTooLarge,
                      NonConvergence, NonExistence)
 from .functionals import area, curve_to_csv, energy
@@ -118,10 +116,9 @@ def _solver_config(config: dict) -> SolverConfig:
 
 def _endpoints(config: dict):
     eps = config.get("endpoints")
-    if (not isinstance(eps, (list, tuple)) or len(eps) != 2
-            or any(len(e) != 2 for e in eps)):
+    if not isinstance(eps, (list, tuple)) or len(eps) != 2:
         raise ValueError("config needs \"endpoints\": [[x,y],[x,y]]")
-    return np.asarray(eps[0], dtype=float), np.asarray(eps[1], dtype=float)
+    return eps
 
 
 def _require_kind(potential, kind: str) -> None:

@@ -79,7 +79,7 @@ class Potential:
     """Bundle of W and its derivatives plus declared wells.
 
     Build one through the make_* factories; the constructor is internal.
-    `w_grad(p)` returns (W, grad W) at p from one pass over the points and
+    `W_and_grad(p)` gives (W, grad W) at p in one pass over the points and
     `eval_W(p)` W alone, at float points of shape (2,) or (N, 2); `hess_W(p)`
     the Hessians of W on an (N, 2) batch.  Each is called unchecked.
     """

@@ -5,12 +5,13 @@ The curve is a polyline with pinned endpoints and free interior vertices.
 Weighted length E and signed area are the midpoint-rule discretizations from
 the functionals module, both with exact analytic gradients, so the discrete
 optimality system is an honest finite-dimensional Lagrange system: at a
-stationary point grad(E) = lambda * grad(area) with lambda = -mu, the
-negative of the multiplier of E + mu * (area - A).
+stationary point grad(E) = lambda * grad(area), and lambda = dE/dA is the
+multiplier every result reports.
 
 Each iterate is evaluated in one pass (`_one_pass`): the chords, lengths and
 midpoints are formed once, W and grad W come from one call at the
-midpoints, and E, the area and both interior gradients follow, bit for bit
+midpoints, and the Lagrangian E - lambda c + rho c^2 / 2, c = area - A, its
+interior gradient, the area and its gradient follow, from parts bit for bit
 equal to `discrete_energy_gradient` and `discrete_area_gradient`.  The
 L-BFGS-B objective, every polish evaluation and `el_residual` use it, and
 the polish Hessian reuses the geometry and density of the evaluation it was
@@ -25,7 +26,7 @@ soon as that polish converges.  The inner solves drive scipy's L-BFGS-B
 routine `setulb` themselves, with the settings and stopping rule of
 `scipy.optimize.minimize`, so the iterates are the ones it gives, without
 its per-evaluation wrapper; `setulb` moves the vertices in place.  The
-polish solves the KKT system for the vertex-normal offsets and mu, one
+polish solves the KKT system for the vertex-normal offsets and lambda, one
 tridiagonal solve (LAPACK's dgtsv) with a scalar border per trial, and
 stops on the normal gradient in `el_residual`'s normalization.  Both
 routines come from scipy's compiled extension modules, `_lbfgsb` and
@@ -54,7 +55,7 @@ A curve that ends at a well can park extra area in vanishing loops there
 at the marginal cost lambda1 + lambda2 of that well, so the least energy is
 Lipschitz in A with that rate, and a critical curve whose multiplier
 exceeds it is no minimizer.  One rule ends the search at a start that ends
-feasible and polished: when it is the warm start, when |mu| is above the
+feasible and polished: when it is the warm start, when |lambda| is above the
 smallest such rate of the endpoint wells and the certificate is strictly
 cheaper, or when its energy is within _START_AGREEMENT relative of an
 earlier such start (the two have found the same critical curve).
@@ -268,22 +269,24 @@ def discrete_area_gradient(vertices: np.ndarray) -> Tuple[float, np.ndarray]:
 
 
 class _Pass(NamedTuple):
-    """One evaluation of the discrete functionals at a vertex array."""
+    """One evaluation of the penalized Lagrangian at a vertex array."""
 
-    E: float
+    f: float
     area: float
-    gE: np.ndarray   # gradient of E at the interior vertices
+    g: np.ndarray    # gradient of f at the interior vertices
     gA: np.ndarray   # gradient of the area at the interior vertices
     geo: SegmentGeometry
 
 
-def _one_pass(v: np.ndarray, potential: Potential) -> _Pass:
-    """E, the area and their interior gradients from one pass over v.
+def _one_pass(v: np.ndarray, potential: Potential, A: float, lam: float,
+              rho: float) -> _Pass:
+    """f = E - lam c + rho c^2 / 2 with c = area - A, the area, and the
+    interior gradients of both, from one pass over v.
 
     The chords, lengths and midpoints are formed once and W and grad W come
-    from one evaluation at the midpoints.  Every value equals, bit for bit,
-    the one `discrete_energy_gradient` and `discrete_area_gradient` give,
-    so callers may form the gradient of E + w * area as gE + w * gA.
+    from one evaluation at the midpoints.  E, the area and their gradients
+    equal, bit for bit, the ones `discrete_energy_gradient` and
+    `discrete_area_gradient` give, and g = gE - (lam - rho c) gA.
     """
     geo = segment_geometry(v, potential, derivatives=True)
     half = 0.5 * geo.gF * geo.L[:, None]
@@ -294,13 +297,15 @@ def _one_pass(v: np.ndarray, potential: Potential) -> _Pass:
     gA = np.empty_like(gE)
     gA[:, 0] = half2[1:] + half2[:-1]
     gA[:, 1] = mid1[:-1] - mid1[1:]
-    return _Pass(float((geo.F * geo.L).sum()),
-                 float((mid1 * seg2).cumsum()[-1]), gE, gA, geo)
+    a = float((mid1 * seg2).cumsum()[-1])
+    c = a - A
+    return _Pass(float((geo.F * geo.L).sum()) - lam * c + 0.5 * rho * c * c,
+                 a, gE - (lam - rho * c) * gA, gA, geo)
 
 
-def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
+def _normal_hessian(geo: SegmentGeometry, potential: Potential, lam: float,
                     N: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Hessian of energy + w * area along the interior normals N.
+    """Hessian of energy - lam * area along the interior normals N.
 
     Segment k joins vertices k and k+1; its 2x2 Hessian blocks are `aa`
     in vertex k twice, `bb` in vertex k+1 twice and `ab` in k, then k+1.
@@ -331,9 +336,9 @@ def _normal_hessian(geo: SegmentGeometry, potential: Potential, w: float,
     FPL = F[:, None, None] * P / L[:, None, None]
 
     # area rule (a_x+b_x)(b_y-a_y)/2 contributes constant 2x2 blocks
-    aa = core - sym + FPL + w * np.array([[0.0, -0.5], [-0.5, 0.0]])
-    bb = core + sym + FPL + w * np.array([[0.0, 0.5], [0.5, 0.0]])
-    ab = core + asym - FPL + w * np.array([[0.0, 0.5], [-0.5, 0.0]])
+    aa = core - sym + FPL - lam * np.array([[0.0, -0.5], [-0.5, 0.0]])
+    bb = core + sym + FPL - lam * np.array([[0.0, 0.5], [0.5, 0.0]])
+    ab = core + asym - FPL - lam * np.array([[0.0, 0.5], [-0.5, 0.0]])
     return (np.einsum("ij,ijk,ik->i", N, bb[:-1] + aa[1:], N),
             np.einsum("ij,ijk,ik->i", N[:-1], ab[1:-1], N[1:]))
 
@@ -352,7 +357,7 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
 
 def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
                    lam: float) -> Tuple[np.ndarray, float, float, float, int]:
-    """Damped Newton on the KKT system of E + lam * (area - A).
+    """Damped Newton on the KKT system of E - lam * (area - A).
 
     The full-coordinate problem is gauge degenerate: sliding vertices along
     the curve is free, so Newton (and quasi-Newton) steps drift vertices
@@ -361,8 +366,8 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     and leaves the tridiagonal Hessian H of `_normal_hessian`; the area
     constraint borders it with the normal area gradient u.  One call of
     LAPACK's dgtsv on H + lm I gives H d0 = -g_n and H d_u = u; the border
-    row u.d = -c then fixes dlam = (u.d0 + c) / (u.d_u) and the step
-    d = d0 - dlam d_u.  The Levenberg-Marquardt shift lm grows tenfold
+    row u.d = -c then fixes dlam = -(u.d0 + c) / (u.d_u) and the step
+    d = d0 + dlam d_u.  The Levenberg-Marquardt shift lm grows tenfold
     after each rejected trial (and on a singular or non-finite solve), and
     H's two diagonals and the right-hand side are formed, and checked
     finite, once per step.  Normals are recomputed after every accepted
@@ -415,8 +420,8 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             with np.errstate(over="ignore", invalid="ignore"):
                 if A is not None:
                     s = float(un @ du)
-                    dlam = (float(un @ d0) + c) / s if s else math.inf
-                d = d0 - dlam * du
+                    dlam = -(float(un @ d0) + c) / s if s else math.inf
+                d = d0 + dlam * du
             if not (math.isfinite(dlam) and np.all(np.isfinite(d))):
                 lm *= 10.0
                 continue
@@ -441,9 +446,9 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
 # inner minimization
 # ---------------------------------------------------------------------------
 
-def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
+def _inner_solve(v0: np.ndarray, potential: Potential, A: float, lam: float,
                  rho: float) -> Tuple[np.ndarray, bool, int]:
-    """One L-BFGS-B pass on E + mu*(area-A) + rho/2*(area-A)^2.
+    """One L-BFGS-B pass on `_one_pass`'s f = E - lam c + rho c^2 / 2.
 
     Runs on the interior vertices as they are.  Inexact: at most
     _INNER_ITERATIONS iterations, since the Newton polish finishes the
@@ -476,14 +481,11 @@ def _inner_solve(v0: np.ndarray, potential: Potential, A: float, mu: float,
         if task[0] == 3:  # f and g wanted at x
             if not np.array_equal(x, x_eval):
                 x_eval = x.copy()
-                E, a, gE, gA, _ = _one_pass(v, potential)
-                c = a - A
-                f_eval = E + mu * c + 0.5 * rho * c * c
-                g_eval = (gE + (mu + rho * c) * gA).ravel()
+                f_eval, _, g_eval, _, _ = _one_pass(v, potential, A, lam, rho)
                 nfev += 1
             # setulb may overwrite g, so it gets a copy
             f = f_eval
-            g[:] = g_eval
+            g[:] = g_eval.ravel()
         elif task[0] == 1:  # a new iterate
             nit += 1
             if nit >= _INNER_ITERATIONS:
@@ -543,11 +545,11 @@ def _polish_converged(res: float, c: float, tol_c: float) -> bool:
 
 
 def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
-                          mu0: float = 0.0
+                          init_multiplier: float = 0.0
                           ) -> Tuple[np.ndarray, float, float, bool]:
-    """Solve from one start; returns (vertices, mu, area gap, polish ok).
+    """Solve from one start; returns (vertices, lam, area gap, polish ok).
 
-    The outer loop updates the multiplier mu around an inexact L-BFGS-B
+    The outer loop updates the multiplier lam around an inexact L-BFGS-B
     inner solve of the penalized objective, raising the penalty rho
     whenever the area gap fails to shrink fourfold, and resamples each
     inner solve's curve once, with the graded `_remesh`: the next inner
@@ -562,17 +564,17 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
     to tolerance.
     """
     v = v0.copy()
-    mu, rho = mu0, _PENALTY_START
+    lam, rho = init_multiplier, _PENALTY_START
     scale = 1.0 + abs(A)
     tol_c = _TOL_AREA * scale
     c_prev = np.inf
     polished, tried = None, math.inf
     for k in range(_OUTER_ITERATIONS):
-        v, _, nit = _inner_solve(v, potential, A, mu, rho)
+        v, _, nit = _inner_solve(v, potential, A, lam, rho)
         c = area(Curve(v)) - A
-        log.debug("outer iteration %d: mu %.6g, rho %.3g, area gap %.3g, "
-                  "%d inner iterations", k, mu, rho, abs(c), nit)
-        mu += rho * c
+        log.debug("outer iteration %d: lambda %.6g, rho %.3g, area gap %.3g, "
+                  "%d inner iterations", k, lam, rho, abs(c), nit)
+        lam -= rho * c
         v = _remesh(v, potential)
         if abs(c) <= tol_c:
             break
@@ -580,7 +582,7 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
         if gap <= _HANDOFF_GAP and math.floor(math.log10(gap)) < tried:
             tried = math.floor(math.log10(gap))
             try:
-                attempt = _newton_polish(v, potential, A, mu)
+                attempt = _newton_polish(v, potential, A, lam)
             except NonConvergence:
                 attempt = None
             if (attempt is not None
@@ -597,17 +599,17 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
                 break
             # the cap bounds the penalty's ill-conditioning of the inner
             # solves and, with the stall exit above, the outer iterations;
-            # it does not steady mu, which gap noise still moves by rho * c
+            # it does not steady lam, which gap noise still moves by rho * c
             rho = min(rho * _PENALTY_FACTOR, _PENALTY_CAP)
         c_prev = c
     if polished is None:
         # Newton on the KKT system in normal coordinates, which takes over
         # the multiplier
-        polished = _newton_polish(v, potential, A, mu)
+        polished = _newton_polish(v, potential, A, lam)
         log.debug("no handoff; polish after %d outer iterations took %d "
                   "steps", k + 1, polished[4])
-    v, mu, res, c, _ = polished
-    return v, mu, c, _polish_converged(res, c, tol_c)
+    v, lam, res, c, _ = polished
+    return v, lam, c, _polish_converged(res, c, tol_c)
 
 
 # ---------------------------------------------------------------------------
@@ -646,18 +648,14 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
     return inits or [base]
 
 
-def _finite_start(v: np.ndarray, potential: Potential,
-                  A: Optional[float] = None) -> bool:
-    """Whether the first inner solve's objective and its gradient evaluate
-    at v without overflow: E alone when A is None, else the penalized
-    objective at mu = 0, rho = 1."""
+def _finite_start(v: np.ndarray, potential: Potential, A: float,
+                  rho: float) -> bool:
+    """Whether the first inner solve's objective, `_one_pass`'s f at
+    (A, 0, rho), and its gradient evaluate at v without overflow."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            E, a, gE, gA, _ = _one_pass(v, potential)
-            if A is not None:
-                c = a - A
-                E, gE = E + 0.5 * c * c, gE + c * gA
-            return math.isfinite(E) and bool(np.all(np.isfinite(gE)))
+            f, _, g, _, _ = _one_pass(v, potential, A, 0.0, rho)
+            return math.isfinite(f) and bool(np.all(np.isfinite(g)))
     except FloatingPointError:
         return False
 
@@ -666,22 +664,22 @@ def _finite_start(v: np.ndarray, potential: Potential,
 # residuals, curvature, multiplier estimates
 # ---------------------------------------------------------------------------
 
-def _normal_gradient(v: np.ndarray, potential: Potential, w: float
+def _normal_gradient(v: np.ndarray, potential: Potential, lam: float
                      ) -> Tuple[np.ndarray, np.ndarray, _Pass]:
-    """Interior normals N, the normal gradient g_n of E + w * area at the
-    interior vertices, and the `_one_pass` evaluation of v."""
-    one = _one_pass(v, potential)
+    """Interior normals N, the normal gradient g_n of E - lam * area at the
+    interior vertices, and the `_one_pass` evaluation of v at rho = 0."""
+    one = _one_pass(v, potential, 0.0, lam, 0.0)
     N = vertex_normals(v)[1:-1]
-    return N, np.einsum("ij,ij->i", one.gE + w * one.gA, N), one
+    return N, np.einsum("ij,ij->i", one.g, N), one
 
 
-def _scaled_residual(v: np.ndarray, potential: Potential, w: float,
+def _scaled_residual(v: np.ndarray, potential: Potential, lam: float,
                      gn: np.ndarray, geo: SegmentGeometry
                      ) -> Tuple[float, np.ndarray]:
     """Size of the normal gradient gn of `_normal_gradient` in
     `el_residual`'s normalization, and F at the interior vertices.
 
-    The local scale is |grad F| + |w| + F * (discrete turning rate), times
+    The local scale is |grad F| + |lam| + F * (discrete turning rate), times
     the mean spacing s of the two adjacent segments; the size is
     max |g_n| / scale over the interior vertices (0 where the scale
     vanishes).
@@ -689,7 +687,7 @@ def _scaled_residual(v: np.ndarray, potential: Potential, w: float,
     Fv, gFv = potential.density(v[1:-1])
     s = 0.5 * (geo.L[:-1] + geo.L[1:])
     turn = _row_norms(geo.T[1:] - geo.T[:-1]) / s
-    scale = s * (_row_norms(gFv) + abs(w) + Fv * turn)
+    scale = s * (_row_norms(gFv) + abs(lam) + Fv * turn)
     res = np.where(scale > 0.0, np.abs(gn) / np.maximum(scale, 1e-300), 0.0)
     return float(res.max()), Fv
 
@@ -714,8 +712,8 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     v = curve.vertices
     if len(v) < 3:
         return 0.0
-    _, gn, one = _normal_gradient(v, potential, -lam)
-    res, Fv = _scaled_residual(v, potential, -lam, gn, one.geo)
+    _, gn, one = _normal_gradient(v, potential, lam)
+    res, Fv = _scaled_residual(v, potential, lam, gn, one.geo)
     if np.any(Fv <= 0.0):
         raise ZeroDensityInterior("density vanishes at an interior vertex")
     return res
@@ -930,11 +928,13 @@ def _endpoints(p_minus, p_plus, A: float = 0.0
                ) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoints as arrays; rejects a non-finite area and endpoints that
     are not finite points (p1, p2) or closer than floating point resolves."""
-    p = np.asarray(p_minus, dtype=float)
-    q = np.asarray(p_plus, dtype=float)
+    try:
+        p, q = (np.asarray(e, dtype=float) for e in (p_minus, p_plus))
+    except (TypeError, ValueError, OverflowError):
+        p = q = np.empty(0)
     if p.shape != (2,) or q.shape != (2,):
-        raise ValueError(f"endpoints {p.tolist()} and {q.tolist()} must be "
-                         f"points (p1, p2)")
+        raise ValueError(f"endpoints {p_minus} and {p_plus} must be points "
+                         f"(p1, p2)")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
             and math.isfinite(A)):
         raise ValueError("endpoints and area must be finite")
@@ -981,7 +981,7 @@ def minimize_unconstrained(p, q, potential: Potential,
     if math.isfinite(scale):
         for amp in (0.0, 0.05 * scale, -0.05 * scale):
             v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
-            if _finite_start(v0, potential):
+            if _finite_start(v0, potential, 0.0, 0.0):
                 starts.append(v0)
     if not starts:
         raise ValueError(f"no start curve from {p} to {q} can be evaluated "
@@ -1011,18 +1011,17 @@ def minimize_unconstrained(p, q, potential: Potential,
 def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
                          config: Optional[SolverConfig] = None,
                          init_curve: Optional[Curve] = None,
-                         mu0: float = 0.0) -> SolveResult:
+                         init_multiplier: float = 0.0) -> SolveResult:
     """Area-constrained weighted-length minimization between two points.
 
     Solves from each start with `_augmented_lagrangian`: the warm start
     `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
-    mu0) when given, then the bump starts.  Each start runs the
+    init_multiplier) when given, then the bump starts.  Each start runs the
     augmented-Lagrangian loop until the KKT Newton polish converges on a
     mesh graded toward the wells, and ends there.  The first best result
     by feasibility, then polish success, then energy wins, and the result
     is converged only when the winner is both.  The returned multiplier is
-    the negative of the polish's mu, which matches the sign of
-    d(energy)/d(area).
+    the polish's, lambda = d(energy)/d(area).
 
     When the potential has wells, the packed certificate is built once,
     before the starts, and replaces the winner exactly when it is strictly
@@ -1034,47 +1033,47 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
     A start that ends feasible and polished ends the search, skipping the
     remaining starts, in three cases:
     - it is the warm start;
-    - |mu| is above the smallest packing rate lambda1 + lambda2 of a well
+    - |lambda| is above the smallest packing rate lambda1 + lambda2 of a well
       at p_minus or p_plus, so it is no minimizer, and the certificate is
       strictly cheaper (logged at debug level);
     - its energy E_j is within _START_AGREEMENT * |E_j| of an earlier
       feasible, polished start, so it reached that start's critical curve
       (logged at debug level).
 
-    A start that overflows floating point raises ValueError naming A, and
-    a mu0 that is not finite raises ValueError before any start runs.
+    A start that overflows floating point raises ValueError naming A; a
+    non-finite init_multiplier raises it before any start runs.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
-    if not math.isfinite(mu0):
-        raise ValueError(f"the multiplier estimate mu0 = {mu0} must be finite")
+    if not math.isfinite(init_multiplier):
+        raise ValueError(f"init_multiplier {init_multiplier} must be finite")
     tol_c = _TOL_AREA * (1.0 + abs(A))
 
-    # starts as (vertices, mu0, warm): a warm start runs first and ends the
-    # search when it converges; if it goes astray the cold starts still get
-    # their shot.  mu0 belongs to the first start, the warm one if any
+    # starts as (vertices, multiplier, warm): a warm start runs first and
+    # ends the search when it converges; if it goes astray the cold starts
+    # still get their shot.  init_multiplier is the first start's, warm or not
     inits = _bump_inits(p, q, A, config.n_vertices)
     if init_curve is not None:
         inits.insert(0, _warm_start(init_curve, p, q))
     # an area past floating-point reach overflows the bump starts or the
     # penalty at the warm start; such starts are dropped
-    starts = [(v0, mu0 if i == 0 else 0.0, i == 0 and init_curve is not None)
-              for i, v0 in enumerate(inits) if _finite_start(v0, potential, A)]
+    starts = [(v0, init_multiplier if i == 0 else 0.0,
+               i == 0 and init_curve is not None) for i, v0 in enumerate(inits)
+              if _finite_start(v0, potential, A, _PENALTY_START)]
     if not starts:
         raise ValueError(f"no start curve for the area {A:g} can be "
                          f"evaluated in floating point")
 
     certificate = _packed_certificate(p, q, A, potential)
     rate_end = _end_rate(p, q, potential)
-    # (infeasible, failed, energy, vertices, mu) per start run
+    # (infeasible, failed, energy, vertices, lam) per start run
     outcomes = []
-    for j, (v0, mu_start, warm) in enumerate(starts):
+    for j, (v0, lam0, warm) in enumerate(starts):
         # a start can pass _finite_start and still overflow once the penalty
         # and the multiplier grow, at an area near floating-point reach
         try:
             with np.errstate(over="raise"):
-                v, mu, c, ok = _augmented_lagrangian(v0, potential, A,
-                                                     mu0=mu_start)
+                v, lam, c, ok = _augmented_lagrangian(v0, potential, A, lam0)
         except FloatingPointError as exc:
             raise ValueError(f"the solve for the area {A:g} overflows "
                              f"floating point") from exc
@@ -1082,19 +1081,19 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         feasible = abs(c) <= tol_c
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
                   j, E, feasible, ok)
-        outcomes.append((not feasible, not ok, E, v, mu))
+        outcomes.append((not feasible, not ok, E, v, lam))
         # a polish that converged met the area tolerance too
         if not ok:
             continue
         if warm:
             break
         left = len(starts) - j - 1
-        if (abs(mu) > rate_end and certificate is not None
+        if (abs(lam) > rate_end and certificate is not None
                 and certificate.energy < E):
             log.debug("multiplier %.6g of start %d passes the endpoint "
                       "packing rate %.6g and the certificate costs %.12g: "
                       "skipping the %d remaining starts",
-                      -mu, j, rate_end, certificate.energy, left)
+                      lam, j, rate_end, certificate.energy, left)
             break
         # earlier feasible, polished starts on the same critical curve
         same = [i for i, (_, failed, E_i, _, _) in enumerate(outcomes[:j])
@@ -1106,7 +1105,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
             break
     # the first minimum wins
     j = min(range(len(outcomes)), key=lambda i: outcomes[i][:3])
-    *_, E, v, mu = outcomes[j]
+    *_, E, v, lam = outcomes[j]
     others = [o[2] for i, o in enumerate(outcomes) if i != j]
     if others:
         # negative when a cheaper start lost on feasibility or polish
@@ -1117,7 +1116,7 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         log.debug("start %d of %d won unopposed", j, len(outcomes))
 
     curve = Curve(v)
-    result = SolveResult(curve, E, area(curve), -mu, A)
+    result = SolveResult(curve, E, area(curve), lam, A)
     if certificate is not None and certificate.energy < result.energy:
         log.info("adopting packed certificate: energy %.6g vs %.6g",
                  certificate.energy, result.energy)
@@ -1136,14 +1135,15 @@ def area_sweep(p_minus, p_plus, A_list: Sequence[float], potential: Potential,
     config = config or SolverConfig()
     As = sorted(float(a) for a in A_list)
     rows = []
-    prev_curve, prev_mu = None, 0.0
+    prev_curve, prev_lam = None, 0.0
     for A in As:
         res = minimize_constrained(p_minus, p_plus, A, potential, config,
-                                   init_curve=prev_curve, mu0=prev_mu)
+                                   init_curve=prev_curve,
+                                   init_multiplier=prev_lam)
         if res.converged:
-            prev_curve, prev_mu = res.curve, -res.multiplier
+            prev_curve, prev_lam = res.curve, res.multiplier
         else:
-            prev_curve, prev_mu = None, 0.0
+            prev_curve, prev_lam = None, 0.0
         rows.append({"A": A, "energy": res.energy,
                      "multiplier": res.multiplier,
                      "converged": res.converged,

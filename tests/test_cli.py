@@ -359,6 +359,8 @@ def test_bad_configs_exit_1(tmp_path):
     assert main(["solve", str(bad_json), "--quiet"]) == 1
     no_pot = _write(tmp_path, "nopot.json", {"endpoints": [[0, 0], [1, 0]]})
     assert main(["solve", no_pot, "--quiet"]) == 1
+    listed = _write(tmp_path, "list.json", [{"potential": HOM_POT}])
+    assert main(["solve", listed, "--quiet"]) == 1
     kind_mismatch = _write(tmp_path, "mix.json", {
         "potential": HOM_POT, "A_tilde": 0.1})
     assert main(["radial", kind_mismatch, "--quiet"]) == 1
@@ -479,7 +481,8 @@ _BAD_FIELDS = _OUT_OF_RANGE + (
     ("solve", "A", _NOT_NUMBERS),
     ("solve", "endpoints", _NOT_NUMBERS + ([[1.0, 0.0], [1.0, 0.0]],
                                            [[1.0, 0.0], [10**400, 0.0]],
-                                           [[1.0, 0.0]])),
+                                           [[1.0, 0.0]], [1, 2],
+                                           [[1, "a"], [0, 0]])),
     ("solve", "solver", (None, "x", [], {"n_vertices": 2},
                          {"n_vertices": 8.5}, {"n_vertices": float("inf")},
                          {"typo": 1})),
@@ -489,6 +492,9 @@ _BAD_FIELDS = _OUT_OF_RANGE + (
     ("homogeneous", "p0", _NOT_NUMBERS + ([0.0, 0.0], [1.0, 0.0, 0.0])),
     ("homogeneous", "mode", (None, "x", [], 1.0)),
     ("radial", "R0", _NOT_NUMBERS),
+    # a radial potential that the figure bundle cannot use (-1 < b <= 0)
+    ("radial", "potential", ({"kind": "radial_quartic",
+                              "params": {"b": -0.5}},)),
     ("radial", "A_tilde", _NOT_NUMBERS),
     ("radial", "n", (None, "x", [], float("nan"), float("inf"), 1)),
     ("radial", "r_inner", _NOT_NUMBERS + (0.0, -1.0, 2.0)),
@@ -523,6 +529,9 @@ def test_malformed_configs_exit_with_a_message(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert code in (1, 2) and err and err[-1].startswith("degeo: "), \
             (command, cfg, code, err)
+        # a rejected endpoint pair is named as such
+        if cfg.get("endpoints") != _FUZZ_BASES[command].get("endpoints"):
+            assert "endpoints" in err[-1], (cfg, err)
         n += 1
     assert n > 400
 

@@ -67,7 +67,8 @@ def test_area_equals_the_solver_pass_bit_for_bit(points, closed):
     if closed:
         v = np.vstack([v, v[:1]])
     a = area(Curve(v))
-    assert a == _one_pass(v, make_homogeneous(1.0, 2.0)).area
+    one = _one_pass(v, make_homogeneous(1.0, 2.0), 0.0, 0.0, 0.0)
+    assert a == one.area
     assert a == discrete_area_gradient(v)[0]
 
 

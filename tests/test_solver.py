@@ -119,10 +119,19 @@ def test_one_pass_equals_the_reference_bit_for_bit(pot):
     for v in _kernel_curves():
         E, gE = discrete_energy_gradient(v, pot)
         a, gA = discrete_area_gradient(v)
-        one = solver._one_pass(v, pot)
-        assert one.E == E and one.area == a
+        one = solver._one_pass(v, pot, 0.0, 0.0, 0.0)
+        assert one.f == E and one.area == a
+        assert np.array_equal(one.gA, gA[1:-1])
         for w in (0.0, -0.7, 1.3 + 10.0 * (a - 0.25)):
-            assert np.array_equal(one.gE + w * one.gA, (gE + w * gA)[1:-1])
+            assert np.array_equal(solver._one_pass(v, pot, 0.0, -w, 0.0).g,
+                                  (gE + w * gA)[1:-1])
+        # the penalized Lagrangian of the inner solves, c = area - A
+        for A, lam, rho in ((0.25, 0.0, 1.0), (-0.4, 0.7, 10.0),
+                            (a + 0.01, -1.3, 1e8)):
+            one = solver._one_pass(v, pot, A, lam, rho)
+            c = a - A
+            assert one.f == E - lam * c + 0.5 * rho * c * c
+            assert np.array_equal(one.g, (gE - (lam - rho * c) * gA)[1:-1])
 
 
 @pytest.mark.parametrize("pot, center", [
@@ -138,17 +147,17 @@ def test_normal_hessian_matches_finite_differences(pot, center):
     v = np.asarray(center) + r[:, None] * np.stack([np.cos(theta),
                                                       np.sin(theta)], axis=1)
     N = vertex_normals(v)[1:-1]
-    w = 0.7
+    lam = -0.7
 
     def gn(eta):
         vv = v.copy()
         vv[1:-1] += eta[:, None] * N
         g = (discrete_energy_gradient(vv, pot)[1]
-             + w * discrete_area_gradient(vv)[1])
+             - lam * discrete_area_gradient(vv)[1])
         return np.einsum("ij,ij->i", g[1:-1], N)
 
-    diag, off = solver._normal_hessian(solver._one_pass(v, pot).geo, pot, w,
-                                       N)
+    diag, off = solver._normal_hessian(
+        solver._one_pass(v, pot, 0.0, lam, 0.0).geo, pot, lam, N)
     H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     h = 1e-6
     fd = np.empty_like(H)
@@ -416,7 +425,7 @@ def test_solve_logs_each_handoff(caplog):
     for m in outer:
         rho = float(m.split("rho ")[1].split(",")[0])
         nit = int(m.split(", ")[-1].split(" ")[0])
-        assert math.isfinite(float(m.split("mu ")[1].split(",")[0]))
+        assert math.isfinite(float(m.split("lambda ")[1].split(",")[0]))
         assert solver._PENALTY_START <= rho <= solver._PENALTY_CAP
         assert float(m.split("area gap ")[1].split(",")[0]) >= 0.0
         assert 0 <= nit <= solver._INNER_ITERATIONS
@@ -469,7 +478,7 @@ def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
     A = area(Curve(v_stuck)) - 1e-3
     penalties = []
 
-    def stuck_inner(v, potential, A, mu, rho):
+    def stuck_inner(v, potential, A, lam, rho):
         penalties.append(rho)
         return v_stuck.copy(), False, solver._INNER_ITERATIONS
 
@@ -515,12 +524,13 @@ def test_handoff_polish_runs_once_per_decade_of_the_gap(monkeypatch):
 
 def _minimize_reference(v0, potential, A, mu, rho):
     """The inner solve through scipy's minimize(method="L-BFGS-B"), with the
-    settings `_inner_solve` drives setulb with."""
+    settings `_inner_solve` drives setulb with, on E + mu * c + rho c^2 / 2:
+    `_inner_solve`'s objective at lam = -mu."""
     v = v0.copy()
 
     def objective(x):
         v[1:-1] = x.reshape(-1, 2)
-        E, a, gE, gA, _ = solver._one_pass(v, potential)
+        E, a, gE, gA, _ = solver._one_pass(v, potential, 0.0, 0.0, 0.0)
         c = a - A
         return (E + mu * c + 0.5 * rho * c * c,
                 (gE + (mu + rho * c) * gA).ravel())
@@ -564,9 +574,9 @@ def _arched(p, q, n, amp):
         amp * t * (1.0 - t), [-(q[1] - p[1]), q[0] - p[0]])
 
 
-# (potential factory, start, A, mu, rho, scipy's message, the logged stop)
+# (potential factory, start, A, lam, rho, scipy's message, the logged stop)
 _INNER_CASES = {
-    # the first inner solve of a start: mu = 0, rho = 1
+    # the first inner solve of a start: lam = 0, rho = 1
     "radial": (lambda: make_radial_quartic(1.0),
                _first_start((1.0, 0.0), (0.0, 0.0), 0.1, 64), 0.1, 0.0, 1.0,
                "STOP: TOTAL NO. OF ITERATIONS", "iteration budget"),
@@ -604,21 +614,21 @@ def test_inner_solve_matches_scipy_minimize_bit_for_bit(case, monkeypatch,
                                                        caplog):
     # the setulb driver keeps minimize's iterates, stopping rule and
     # evaluation count; a change in the private setulb signature fails here
-    make_pot, v0, A, mu, rho, message, stop = _INNER_CASES[case]
+    make_pot, v0, A, lam, rho, message, stop = _INNER_CASES[case]
     if case in _INNER_BUDGETS:
         monkeypatch.setattr(solver, "_INNER_ITERATIONS", _INNER_BUDGETS[case])
-    v_ref, ref = _minimize_reference(v0, make_pot(), A, mu, rho)
+    v_ref, ref = _minimize_reference(v0, make_pot(), A, -lam, rho)
     assert ref.message.startswith(message)
     evaluations = []
     one_pass = solver._one_pass
 
-    def counted(v, potential):
+    def counted(v, potential, *lagrangian):
         evaluations.append(v[1:-1].copy())
-        return one_pass(v, potential)
+        return one_pass(v, potential, *lagrangian)
 
     monkeypatch.setattr(solver, "_one_pass", counted)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
-        v, ok, nit = solver._inner_solve(v0, make_pot(), A, mu, rho)
+        v, ok, nit = solver._inner_solve(v0, make_pot(), A, lam, rho)
     assert np.array_equal(v, v_ref)
     assert (ok, nit, len(evaluations)) == (ref.success, ref.nit, ref.nfev)
     # x0 is the first evaluation, and no point is evaluated twice running
@@ -856,12 +866,12 @@ def test_converged_warm_start_ends_the_search(caplog):
             if re.match(r"start \d+ of \d+ won", solves[-1][-1]):
                 solves.append([])
     assert len(solves) == 4 and not solves[-1]
-    for lines, prev, mu in zip(solves[1:3], rows, ("-0.7346", "-0.894368")):
+    for lines, prev, lam in zip(solves[1:3], rows, ("0.7346", "0.894368")):
         starts = [m for m in lines if re.match(r"start \d+: ", m)]
         assert len(starts) == 1 and starts[0].startswith("start 0: ")
         first = next(m for m in lines if m.startswith("outer iteration 0:"))
-        assert first.startswith(f"outer iteration 0: mu {mu}, ")
-        assert f"{-prev['multiplier']:.6g}" == mu
+        assert first.startswith(f"outer iteration 0: lambda {lam}, ")
+        assert f"{prev['multiplier']:.6g}" == lam
     assert all(row["converged"] for row in rows)
 
 
@@ -927,6 +937,16 @@ def test_reflections_are_exact(case):
         assert res.energy == ref.energy, (sx, sy)
         assert res.multiplier == sx * sy * ref.multiplier, (sx, sy)
         assert res.converged, (sx, sy)
+
+
+def test_a_zero_multiplier_is_positive_zero():
+    # the straight line between the two wells meets A = 0 and is critical
+    # with multiplier exactly 0; the solver carries lambda itself, so no
+    # negation turns that 0.0 into -0.0
+    pot, cfg = make_two_well_k(2.0), SolverConfig(n_vertices=64)
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), 0.0, pot, cfg)
+    assert res.converged and res.multiplier == 0.0
+    assert math.copysign(1.0, res.multiplier) == 1.0
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 4.0])
@@ -1153,13 +1173,17 @@ def test_area_sweep_restarts_cold_after_a_flagged_row(monkeypatch):
     # A=2 warm-starts from the converged A=1 curve; A=2.5 follows the
     # flagged certificate, so it starts cold, not from the A=1 curve
     assert calls[1]["init_curve"] is rows[0]["result"].curve
-    assert calls[2]["init_curve"] is None and calls[2]["mu0"] == 0.0
+    assert calls[2]["init_curve"] is None
+    assert calls[2]["init_multiplier"] == 0.0
 
 
 @pytest.mark.parametrize("p, q", [((1.0,), (0.0,)), (1.0, 0.0),
                                   ([[1.0, 0.0]], [[0.0, 0.0]]),
-                                  ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))],
-                         ids=["1-vectors", "scalars", "rows", "3-vectors"])
+                                  ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                                  (("a", 0), (0.0, 0.0)),
+                                  ({"p1": 1.0, "p2": 0.0}, (0.0, 0.0))],
+                         ids=["1-vectors", "scalars", "rows", "3-vectors",
+                              "string", "dict"])
 @pytest.mark.parametrize("driver", ["constrained", "unconstrained"])
 def test_endpoints_must_be_points_in_the_plane(driver, p, q):
     pot, cfg = make_two_well_k(4.0), SolverConfig(n_vertices=16)
@@ -1199,18 +1223,19 @@ def test_warm_start_rejects_a_multiplier_estimate_that_is_not_finite(
                         lambda *args, **kwargs: ran.append(args))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for mu0 in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="mu0"):
+        for lam0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="init_multiplier"):
                 minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.05, pot,
                                      SolverConfig(n_vertices=64),
-                                     init_curve=res.curve, mu0=mu0)
+                                     init_curve=res.curve,
+                                     init_multiplier=lam0)
     # rejected before any start runs
     assert not ran
 
 
 def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
     # each start returned as given: the bump starts meet A exactly
-    def as_given(v0, potential, A, mu0=0.0):
+    def as_given(v0, potential, A, init_multiplier=0.0):
         return v0, 0.0, area(Curve(v0)) - A, True
 
     monkeypatch.setattr(solver, "_augmented_lagrangian", as_given)
@@ -1234,7 +1259,7 @@ def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
 
 def test_unpolished_winner_is_not_converged(monkeypatch, caplog):
     # every start meets A exactly but its polish fails
-    def unpolished(v0, potential, A, mu0=0.0):
+    def unpolished(v0, potential, A, init_multiplier=0.0):
         return v0, 0.0, area(Curve(v0)) - A, False
 
     monkeypatch.setattr(solver, "_augmented_lagrangian", unpolished)
@@ -1361,16 +1386,17 @@ def _reference_residual(v, potential, w):
     return N, gn, un, a, float(res.max()), geo
 
 
-def _reference_polish(v, potential, A, lam):
-    """The polish before dgtsv and the split residual: every trial copies
-    the band, solves with solve_banded and evaluates the whole residual."""
+def _reference_polish(v, potential, A, mu):
+    """The polish before dgtsv and the split residual, in the multiplier mu
+    of E + mu * (area - A): every trial copies the band, solves with
+    solve_banded and evaluates the whole residual."""
     tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
 
-    def evaluate(v, lam):
-        N, gn, un, a, res, geo = _reference_residual(v, potential, lam)
+    def evaluate(v, mu):
+        N, gn, un, a, res, geo = _reference_residual(v, potential, mu)
         return N, gn, un, 0.0 if A is None else a - A, res, geo
 
-    N, gn, un, c, res, geo = evaluate(v, lam)
+    N, gn, un, c, res, geo = evaluate(v, mu)
     lm = 1e-9
     steps = 0
     for _ in range(solver._NEWTON_ITERATIONS):
@@ -1378,7 +1404,7 @@ def _reference_polish(v, potential, A, lam):
         assert math.isfinite(err)
         if solver._polish_converged(res, c, tol_c):
             break
-        diag, off = solver._normal_hessian(geo, potential, lam, N)
+        diag, off = solver._normal_hessian(geo, potential, -mu, N)
         band = np.zeros((3, diag.size))
         band[0, 1:], band[1], band[2, :-1] = off, diag, off
         seg = np.linalg.norm(geo.seg, axis=1)
@@ -1402,9 +1428,9 @@ def _reference_polish(v, potential, A, lam):
                 continue
             vt = v.copy()
             vt[1:-1] += np.clip(d, -cap, cap)[:, None] * N
-            trial = evaluate(vt, lam + dlam)
+            trial = evaluate(vt, mu + dlam)
             if max(float(np.abs(trial[1]).max()), abs(trial[3])) < err:
-                v, lam = vt, lam + dlam
+                v, mu = vt, mu + dlam
                 N, gn, un, c, res, geo = trial
                 steps += 1
                 lm = max(lm / 3.0, 1e-12)
@@ -1412,7 +1438,7 @@ def _reference_polish(v, potential, A, lam):
             lm *= 10.0
         else:
             break
-    return v, lam, res, c, steps
+    return v, mu, res, c, steps
 
 
 class _Captured(Exception):
@@ -1468,9 +1494,10 @@ def test_newton_polish_equals_the_reference_bit_for_bit(case, monkeypatch):
     total_steps = 0
     for v, potential, A, lam in inputs:
         got = solver._newton_polish(v, potential, A, lam)
-        ref = _reference_polish(v, potential, A, lam)
+        # the reference polishes in mu = -lam, the multiplier of E + mu c
+        ref = _reference_polish(v, potential, A, -lam)
         assert np.array_equal(got[0], ref[0])
-        assert got[1:] == ref[1:]
+        assert got[1] == -ref[1] and got[2:] == ref[2:]
         total_steps += got[4]
     assert total_steps > 0
 
