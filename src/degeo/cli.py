@@ -6,7 +6,8 @@ Commands
     homogeneous   closed-form one-well quadratic runs (ellipse or integral
                   curve); writes result.json + curve.csv
     radial        one-well quartic closed forms; writes figure1.json,
-                  result.json, curve.csv (planar spiral) and table.csv
+                  result.json, curve.csv (planar spiral into the well's
+                  center) and table.csv
                   (desingularized path, header R,alpha)
     wave          solve + traveling-wave conversion; writes profile.csv,
                   spectrum.json and result.json
@@ -46,7 +47,7 @@ from typing import Optional
 
 from .errors import (BubbleDetected, DegeoError, GapTooLarge,
                      NonConvergence, NonExistence)
-from .functionals import area, curve_to_csv, energy
+from .functionals import Curve, area, curve_to_csv, energy
 from .homogeneous import minimizing_ellipse, solve_homogeneous
 from .potential import from_json_dict as potential_from_json
 from .radial import (figure1_bundle, lagrange_multiplier_radial,
@@ -194,8 +195,9 @@ def cmd_radial(config: dict, args) -> int:
     pot = potential_from_json(config["potential"])
     _require_kind(pot, "radial_quartic")
     b = pot.params["b"]
-    if b <= 0.0:
-        raise ValueError("the figure bundle needs b > 0")
+    if not b >= sys.float_info.min:
+        raise ValueError("the figure bundle needs a potential with b > 0, "
+                         "not subnormal")
     R0 = float(config.get("R0", 1.0))
     A_tilde = float(config["A_tilde"])
     n = int(config.get("n", 1024))
@@ -212,7 +214,9 @@ def cmd_radial(config: dict, args) -> int:
     r_inner = float(config.get("r_inner", 1e-3 * r_outer))
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < sqrt(R0)")
-    curve = spiral_from_C1(bundle["C1"], b, r_outer, r_inner)
+    # the closed forms are about the origin; the spiral winds into the well
+    spiral = spiral_from_C1(bundle["C1"], b, r_outer, r_inner)
+    curve = Curve(spiral.vertices + pot.wells[0].location)
 
     out = _out_dir(config, args)
     _write_json(os.path.join(out, "figure1.json"), bundle)

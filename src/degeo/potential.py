@@ -179,17 +179,37 @@ class Potential:
 
 
 def from_json_dict(data: dict) -> Potential:
-    """Rebuild a built-in potential from {"kind": ..., "params": {...}}."""
+    """Rebuild a built-in potential from {"kind": ..., "params": {...}}.
+
+    A potential or params entry that is no object, and a parameter that is
+    no number, raise ValueError naming the entry and the form it takes; a
+    missing entry raises KeyError with its name.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f'the potential {data!r:.40} must be an object '
+                         f'{{"kind": ..., "params": {{...}}}}')
     kind = data["kind"]
     params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f'the potential\'s params {params!r:.40} must be an '
+                         f'object {{"name": value, ...}}')
+
+    def number(name, default=None):
+        value = params[name] if default is None else params.get(name, default)
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"the potential parameter {name!r} must be a "
+                             f"number, not {value!r:.40}") from None
+
     if kind == "homogeneous":
-        return make_homogeneous(params["lambda1"], params["lambda2"])
+        return make_homogeneous(number("lambda1"), number("lambda2"))
     if kind == "radial_quartic":
-        return make_radial_quartic(params["b"],
-                                   center=tuple(params.get("center", (0.0, 0.0))),
-                                   r_max=params.get("r_max", 1.0))
+        return make_radial_quartic(number("b"),
+                                   center=params.get("center", (0.0, 0.0)),
+                                   r_max=number("r_max", 1.0))
     if kind == "two_well":
-        return make_two_well_k(params["k"])
+        return make_two_well_k(number("k"))
     raise ValueError(f"unknown potential kind {kind!r}")
 
 
@@ -209,8 +229,9 @@ def _check_rates(lambda1: float, lambda2: float) -> None:
     rates 2 lambda^2 are not finite."""
     if not all(0.0 < lam and 2.0 * lam * lam < math.inf
                for lam in (lambda1, lambda2)):
-        raise NonPositiveEigenvalue("both rates must be positive, with the "
-                                    "Hessian rates 2 lambda^2 finite")
+        raise NonPositiveEigenvalue(
+            f"lambda1 = {lambda1} and lambda2 = {lambda2} must be positive, "
+            f"with the Hessian rates 2 lambda^2 finite")
 
 
 def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
@@ -238,7 +259,10 @@ def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Pote
     working disc of radius r_max must stay strictly inside it.
     """
     b, r_max = float(b), float(r_max)
-    c = np.asarray(center, dtype=float)
+    try:
+        c = np.asarray(center, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        c = np.empty(0)
     if c.shape != (2,) or not np.all(np.isfinite(c)):
         raise ValueError("center must be a finite point (p1, p2)")
     if not 0.0 < r_max < math.inf:

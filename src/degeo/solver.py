@@ -404,6 +404,10 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
         rhs = np.stack([-gn, un], axis=1)
         if not all(np.isfinite(x).all() for x in (diag, off, rhs)):
             raise ValueError("newton polish: non-finite Hessian or gradient")
+        if not off.size:
+            # one interior vertex: LAPACK reads no off-diagonal at order 1,
+            # but scipy's dgtsv wrapper wants arrays of length 1
+            off = np.zeros(1)
         # keep each vertex within a fraction of its local spacing so
         # normal moves of neighbors cannot collide into a stack
         seg = _row_norms(one.geo.seg)
@@ -801,12 +805,14 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
 # ---------------------------------------------------------------------------
 
 def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
-                        potential: Potential) -> Optional[SolveResult]:
+                        potential: Potential, n: int
+                        ) -> Optional[SolveResult]:
     """Trunk plus the whole area excess parked in loops at one well.
 
     Straight legs run from p to an anchor on the first axis e1 of the
-    cheapest well's frame and on to q, at one spacing: the longer leg has
-    2048 vertices and the shorter max(2, ceil(2047 L_short / L_long) + 1).
+    cheapest well's frame and on to q, each resampled toward the wells by
+    `_remesh` like every start curve: the longer leg has the solve's n
+    vertices and the shorter max(2, ceil((n - 1) L_short / L_long) + 1).
     `loop_count` loops around the well, each from the anchor back to it,
     hold the rest of the area.  A loop is the diamond through +-kappa r e1
     and +-(r / kappa) e2, kappa = (lambda2 / lambda1)^(1/4), anchored at
@@ -842,11 +848,17 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     o = well.location
     anchor = o + kappa * rho * e1
     L_in, L_out = math.dist(p, anchor), math.dist(anchor, q)
-    n_short = max(2, math.ceil(2047 * min(L_in, L_out) / max(L_in, L_out))
-                  + 1)
-    n_in, n_out = (2048, n_short) if L_in >= L_out else (n_short, 2048)
+    n_short = max(2, math.ceil((n - 1) * min(L_in, L_out)
+                               / max(L_in, L_out)) + 1)
+    n_in, n_out = (n, n_short) if L_in >= L_out else (n_short, n)
     leg_in = _straight(p, anchor, n_in)
     leg_out = _straight(anchor, q, n_out)
+    # a leg of length 0, from an endpoint at the anchor, has nothing to
+    # grade and no weight for `_remesh` to spread
+    if L_in:
+        leg_in = _remesh(leg_in, potential)
+    if L_out:
+        leg_out = _remesh(leg_out, potential)
     shift = float(o[0]) * float(q[1] - p[1])
     a_trunk = area(Curve(np.vstack([leg_in, leg_out[1:]]) - o)) + shift
     payload = A - a_trunk
@@ -1064,7 +1076,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         raise ValueError(f"no start curve for the area {A:g} can be "
                          f"evaluated in floating point")
 
-    certificate = _packed_certificate(p, q, A, potential)
+    certificate = _packed_certificate(p, q, A, potential,
+                                      config.n_vertices)
     rate_end = _end_rate(p, q, potential)
     # (infeasible, failed, energy, vertices, lam) per start run
     outcomes = []

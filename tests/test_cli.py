@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from degeo import (Curve, NonConvergence, SolverConfig, area,
@@ -102,9 +104,9 @@ def test_solve_certifies_nonexistence_past_the_old_loop_cap(tmp_path):
 
 
 def test_certificate_curve_reads_back_to_its_energy(tmp_path):
-    # the short leg from the well at p_minus to the anchor is sampled at the
-    # long leg's spacing, so the file holds one 2048-vertex leg, a few
-    # vertices of the other and the loop once, closing at packed.anchor
+    # the long leg has the solve's n vertices and the short one from the
+    # well at p_minus to the anchor as few as its spacing needs, so the file
+    # holds at most 2 n vertices and the loop once, closing at packed.anchor
     two_well = {"kind": "two_well", "params": {"k": 4.0}}
     cfg = _write(tmp_path, "ne.json", {
         "potential": two_well,
@@ -113,7 +115,7 @@ def test_certificate_curve_reads_back_to_its_energy(tmp_path):
         "solver": {"n_vertices": 64}})
     out = tmp_path / "out"
     assert main(["solve", cfg, "--out", str(out), "--quiet"]) == 2
-    assert len((out / "curve.csv").read_text().splitlines()) <= 2060
+    assert len((out / "curve.csv").read_text().splitlines()) <= 2 * 64 + 5
     result = json.loads((out / "result.json").read_text())
     packed = result["packed"]
     v = curve_from_csv(out / "curve.csv").vertices
@@ -124,6 +126,14 @@ def test_certificate_curve_reads_back_to_its_energy(tmp_path):
     total = (energy(Curve(v), pot)
              + (packed["loop_count"] - 1) * energy(loop, pot))
     assert total == pytest.approx(result["energy"], rel=1e-12)
+
+
+def test_solve_at_three_vertices(tmp_path):
+    # the fewest vertices the solver config admits: one interior vertex
+    cfg = _solve_cfg(tmp_path, solver={"n_vertices": 3})
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out), "--quiet"]) == 0
+    assert len(curve_from_csv(out / "curve.csv").vertices) == 3
 
 
 def test_sweep_table(tmp_path):
@@ -267,6 +277,28 @@ def test_radial_below_threshold(tmp_path):
     assert table[0] == "R,alpha"
     spiral = (out / "curve.csv").read_text().splitlines()
     assert spiral[0] == "p1,p2"
+
+
+def test_radial_spiral_winds_into_the_center(tmp_path):
+    # the closed forms are about the origin; the spiral is written about
+    # the potential's center, and every other output is the same
+    outs = []
+    for center in ([0.0, 0.0], [5.0, 0.0]):
+        cfg = _write(tmp_path, "radc.json", {
+            "potential": {"kind": "radial_quartic",
+                          "params": {"b": 1.0, "center": center}},
+            "R0": 1.0, "A_tilde": 0.3})
+        outs.append(tmp_path / f"out{center[0]:g}")
+        assert main(["radial", cfg, "--out", str(outs[-1]), "--quiet"]) == 0
+    for name in ("figure1.json", "result.json", "table.csv"):
+        assert ((outs[0] / name).read_bytes()
+                == (outs[1] / name).read_bytes()), name
+    at_origin, at_center = (curve_from_csv(out / "curve.csv").vertices
+                            for out in outs)
+    assert np.array_equal(at_center, at_origin + [5.0, 0.0])
+    assert np.array_equal(at_center[0], [6.0, 0.0])
+    assert math.dist(at_center[-1], (5.0, 0.0)) == pytest.approx(1e-3,
+                                                                 rel=1e-9)
 
 
 def test_radial_at_zero_area_writes_the_sampled_ray(tmp_path):
@@ -483,6 +515,10 @@ _BAD_FIELDS = _OUT_OF_RANGE + (
                                            [[1.0, 0.0], [10**400, 0.0]],
                                            [[1.0, 0.0]], [1, 2],
                                            [[1, "a"], [0, 0]])),
+    ("solve", "potential", ("homogeneous", None, [],
+                            {"kind": "homogeneous", "params": [1, 2]},
+                            {"kind": "radial_quartic",
+                             "params": {"b": None}})),
     ("solve", "solver", (None, "x", [], {"n_vertices": 2},
                          {"n_vertices": 8.5}, {"n_vertices": float("inf")},
                          {"typo": 1})),
@@ -504,16 +540,18 @@ _BAD_FIELDS = _OUT_OF_RANGE + (
 
 
 def _fuzz_cases():
+    """(command, config, the name its message must hold, or None)."""
     for kind, name, values in _BAD_POTENTIALS:
         params = next(b["potential"]["params"] for b in _FUZZ_BASES.values()
                       if b["potential"]["kind"] == kind)
         for value in values:
             for command, base in _FUZZ_BASES.items():
                 yield command, {**base, "potential": {
-                    "kind": kind, "params": {**params, name: value}}}
+                    "kind": kind, "params": {**params, name: value}}}, name
     for command, field, values in _BAD_FIELDS:
         for value in values:
-            yield command, {**_FUZZ_BASES[command], field: value}
+            yield command, {**_FUZZ_BASES[command], field: value}, (
+                field if field in ("endpoints", "potential") else None)
 
 
 def test_malformed_configs_exit_with_a_message(tmp_path, capsys):
@@ -523,15 +561,16 @@ def test_malformed_configs_exit_with_a_message(tmp_path, capsys):
     path = tmp_path / "fuzz.json"
     out = str(tmp_path / "out")
     n = 0
-    for command, cfg in _fuzz_cases():
+    for command, cfg, entry in _fuzz_cases():
         path.write_text(json.dumps(cfg))
         code = main([command, str(path), "--out", out, "--quiet"])
         err = capsys.readouterr().err.strip().splitlines()
         assert code in (1, 2) and err and err[-1].startswith("degeo: "), \
             (command, cfg, code, err)
-        # a rejected endpoint pair is named as such
-        if cfg.get("endpoints") != _FUZZ_BASES[command].get("endpoints"):
-            assert "endpoints" in err[-1], (cfg, err)
+        # a rejected endpoint pair, potential or potential parameter is
+        # named as such
+        if entry is not None:
+            assert entry in err[-1], (cfg, err)
         n += 1
     assert n > 400
 

@@ -749,7 +749,7 @@ def test_leakage_reports_a_coil_and_flags_only_the_certificate_well():
         assert level["area_in"] == pytest.approx(turns, rel=1e-9)
     # a certificate flags the well holding its loops, and no other
     cert = _packed_certificate(np.array([-1.0, 0.0]), np.array([0.6, 0.5]),
-                               -0.3, pot)
+                               -0.3, pot, 256)
     report = detect_area_leakage(cert, pot)
     assert cert.nonexistence_suspected
     assert [w["flagged"] for w in report["wells"]] == [
@@ -768,6 +768,20 @@ def test_leakage_report_holds_only_what_is_read():
         assert set(well) == {"index", "levels", "flagged"}
         assert all(set(level) == {"radius", "area_in", "arclength_in"}
                    for level in well["levels"])
+
+
+@pytest.mark.parametrize("pot, p, q, A", [
+    (make_homogeneous(1.0, 2.0), (1.0, 0.0), (0.0, 0.0), 0.05),
+    (make_radial_quartic(1.0), (1.0, 0.0), (0.0, 0.0), 0.1),
+    (make_two_well_k(4.0), (-1.0, 0.0), (1.0, 0.0), 0.5)])
+def test_three_vertices_solve_in_both_drivers(pot, p, q, A):
+    # one interior vertex: the polish system has order 1 and no
+    # off-diagonal, which scipy's dgtsv wrapper still takes of length 1
+    cfg = SolverConfig(n_vertices=3)
+    res = minimize_constrained(p, q, A, pot, cfg)
+    assert res.converged and res.curve.vertices.shape == (3, 2)
+    geodesic = minimize_unconstrained(p, q, pot, cfg)
+    assert geodesic.converged and geodesic.curve.vertices.shape == (3, 2)
 
 
 def test_nonexistence_run_packs_area_at_a_well():
@@ -1044,7 +1058,7 @@ def test_certificate_loop_turns_with_a_reflecting_frame(A):
     well = pot.wells[0]
     assert np.linalg.det(well.frame) < 0.0
     cert = _packed_certificate(np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
-                               A, pot)
+                               A, pot, 256)
     assert cert.packed.orientation == math.copysign(1, A)
     loop = cert.packed.loop(cert.curve)
     assert math.copysign(1.0, area(loop)) == math.copysign(1, A)
@@ -1060,7 +1074,7 @@ def test_certificate_is_none_at_a_tiny_area_excess(A):
     # straight geodesic as it does without a certificate
     pot = make_two_well_k(4.0)
     p, q = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
-    assert _packed_certificate(p, q, A, pot) is None
+    assert _packed_certificate(p, q, A, pot, 32) is None
     res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=32))
     assert res.converged and res.packed is None
     assert res.energy == pytest.approx(2.8010365985535, rel=1e-12)
@@ -1074,7 +1088,7 @@ def test_certificate_is_none_where_the_loop_radius_has_no_root():
     # square root raises "math domain error"
     pot, A = make_two_well_k(4.0), -0.099575 - 1e-9
     p, q = np.array([-1.0, 0.0]), np.array([0.6, 0.5])
-    assert _packed_certificate(p, q, A, pot) is None
+    assert _packed_certificate(p, q, A, pot, 64) is None
     res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=64))
     assert res.converged and not res.nonexistence_suspected
     assert res.energy == pytest.approx(3.244584093, rel=1e-9)
@@ -1083,7 +1097,8 @@ def test_certificate_is_none_where_the_loop_radius_has_no_root():
 @pytest.mark.parametrize("q, A", [((1.0, 0.0), 6e-4), ((0.6, 0.5), -0.3)])
 def test_certificate_totals_equal_the_literal_polyline(q, A):
     pot = make_two_well_k(4.0)
-    cert = _packed_certificate(np.array([-1.0, 0.0]), np.array(q), A, pot)
+    cert = _packed_certificate(np.array([-1.0, 0.0]), np.array(q), A, pot,
+                               256)
     packed = cert.packed
     assert packed.orientation == math.copysign(1, A)
     # write every loop out: the polyline the certificate stands for
@@ -1109,27 +1124,48 @@ def test_certificate_totals_equal_the_literal_polyline(q, A):
 
 @pytest.mark.parametrize("p, q, A", [
     ((-1.0, 0.0), (1.0, 0.0), 2.0), ((-1.0, 0.0), (1.0, 0.0), 6e-4),
-    ((-1.0, 0.0), (0.6, 0.5), -0.3), ((1.0, 0.0), (-1.0, 0.0), 2.0)])
+    ((-1.0, 0.0), (0.6, 0.5), -0.3), ((1.0, 0.0), (-1.0, 0.0), 2.0),
+    ((-1.0 + 0.85 * 2e-3, 0.0), (1.0, 0.0), 2.0)])
 def test_certificate_legs_share_the_longer_legs_spacing(p, q, A):
-    # the leg ending at the well (-1, 0) is 1.7e-3 long: it takes the few
-    # vertices the other leg's spacing needs, not 2048 of its own
-    pot = make_two_well_k(4.0)
+    # the longer leg gets the solve's n vertices and the shorter (1.7e-3
+    # long, ending at the well (-1, 0)) the few its mean spacing needs, both
+    # graded toward the wells by the resampler every start curve gets.  The
+    # last p is the anchor itself (0.85 times the smallest probe radius
+    # 2e-3 from the well): its leg of length 0 keeps its two vertices
+    pot, n = make_two_well_k(4.0), 256
     p, q = np.array(p), np.array(q)
-    cert = _packed_certificate(p, q, A, pot)
+    cert = _packed_certificate(p, q, A, pot, n)
     packed = cert.packed
     v, k = cert.curve.vertices, packed.anchor
+    assert np.array_equal(v[0], p) and np.array_equal(v[-1], q)
+    assert np.array_equal(v[k], v[k + 4])
     legs = [v[:k + 1], v[k + 4:]]
     lengths = [math.dist(leg[0], leg[-1]) for leg in legs]
     long = int(lengths[1] > lengths[0])
-    assert len(legs[long]) == 2048 and len(legs[1 - long]) < 10
-    spacing = [L / (len(leg) - 1) for L, leg in zip(lengths, legs)]
-    assert spacing[1 - long] <= spacing[long]
-    # the trunk with its short leg redrawn at 2048 vertices costs the same
-    legs[1 - long] = np.linspace(legs[1 - long][0], legs[1 - long][-1], 2048)
-    full = Curve(np.vstack([legs[0], v[k + 1:k + 4], legs[1]]))
-    E_full = (energy(full, pot)
-              + (packed.loop_count - 1) * energy(packed.loop(cert.curve), pot))
-    assert cert.energy == pytest.approx(E_full, rel=1e-9)
+    assert len(legs[long]) == n
+    assert len(legs[1 - long]) == max(
+        2, math.ceil((n - 1) * lengths[1 - long] / lengths[long]) + 1)
+    for leg in (legs[0][:-1], legs[1][1:]):
+        # each leg less the anchor, which the loop radius moves along e1,
+        # lies on one line, in order
+        chord = leg[-1] - leg[0]
+        offset = leg - leg[0]
+        across = offset[:, 0] * chord[1] - offset[:, 1] * chord[0]
+        assert np.abs(across).max() <= 1e-12 * chord @ chord
+        assert np.all(np.diff(offset @ chord) > 0.0)
+    # graded: closer together at the anchor's well (0.44 to 0.54 of the
+    # mean step, where a uniform leg has 1)
+    steps = np.linalg.norm(np.diff(legs[long], axis=0), axis=1)
+    assert steps[0 if long else -1] < 0.75 * steps.mean()
+    # against the limit of this trunk, the legs through the written anchor
+    # drawn finely plus the excess packed at the rate lambda1 + lambda2 = 2:
+    # -2.2e-6, -2.1e-5, -7.0e-6, -2.2e-6 and -2.2e-6 relative, from the legs'
+    # midpoint rule (O(n^-2)) less the loops' finite radius
+    m = 2 ** 16 + 1
+    trunk = Curve(np.vstack([np.linspace(p, v[k], m),
+                             np.linspace(v[k], q, m)[1:]]))
+    limit = energy(trunk, pot) + 2.0 * abs(A - area(trunk))
+    assert cert.energy == pytest.approx(limit, rel=3e-5)
 
 
 @pytest.mark.parametrize("A", [5.0, 50.0])
