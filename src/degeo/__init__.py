@@ -27,8 +27,7 @@ from .solver import (SolveResult, SolverConfig, area_sweep,
                      detect_area_leakage, discrete_area_gradient,
                      discrete_energy_gradient, el_residual,
                      estimate_multiplier, geodesic_curvature,
-                     minimize_constrained, minimize_unconstrained,
-                     vertex_normals)
+                     minimize_constrained, vertex_normals)
 from .wave import (WaveProfile, hamiltonian_energy, hamiltonian_splits,
                    profile_from_csv, profile_to_csv,
                    second_variation_spectrum, to_traveling_wave,
@@ -53,8 +52,8 @@ __all__ = [
     "homogeneous_length",
     "integrate_integral_curve", "lagrange_multiplier_radial", "lift",
     "make_custom", "make_homogeneous", "make_radial_quartic",
-    "make_two_well_k", "minimize_constrained", "minimize_unconstrained",
-    "minimizing_ellipse", "parabola_energy", "parabola_geodesic",
+    "make_two_well_k", "minimize_constrained", "minimizing_ellipse",
+    "parabola_energy", "parabola_geodesic",
     "path_from_csv", "path_to_csv", "profile_from_csv", "profile_to_csv",
     "rtilde", "second_variation_spectrum", "solve_C1_for_area",
     "solve_beta_for_area", "solve_homogeneous", "spiral_from_C1", "to_RA",

@@ -178,12 +178,19 @@ class Potential:
         return {"kind": self.kind, "params": dict(self.params)}
 
 
+# the parameters each built-in family takes
+_FAMILY_PARAMS = {"homogeneous": ("lambda1", "lambda2"),
+                  "radial_quartic": ("b", "center", "r_max"),
+                  "two_well": ("k",)}
+
+
 def from_json_dict(data: dict) -> Potential:
     """Rebuild a built-in potential from {"kind": ..., "params": {...}}.
 
-    A potential or params entry that is no object, and a parameter that is
-    no number, raise ValueError naming the entry and the form it takes; a
-    missing entry raises KeyError with its name.
+    A potential or params entry that is no object, a parameter its family
+    does not take and a parameter that is no number raise ValueError naming
+    the entry and the form it takes; a missing entry raises KeyError with
+    its name.
     """
     if not isinstance(data, dict):
         raise ValueError(f'the potential {data!r:.40} must be an object '
@@ -193,6 +200,13 @@ def from_json_dict(data: dict) -> Potential:
     if not isinstance(params, dict):
         raise ValueError(f'the potential\'s params {params!r:.40} must be an '
                          f'object {{"name": value, ...}}')
+    if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    for name in params:
+        if name not in _FAMILY_PARAMS[kind]:
+            raise ValueError(f"the {kind} potential takes no parameter "
+                             f"{name!r:.40}, only "
+                             f"{', '.join(_FAMILY_PARAMS[kind])}")
 
     def number(name, default=None):
         value = params[name] if default is None else params.get(name, default)
@@ -208,9 +222,7 @@ def from_json_dict(data: dict) -> Potential:
         return make_radial_quartic(number("b"),
                                    center=params.get("center", (0.0, 0.0)),
                                    r_max=number("r_max", 1.0))
-    if kind == "two_well":
-        return make_two_well_k(number("k"))
-    raise ValueError(f"unknown potential kind {kind!r}")
+    return make_two_well_k(number("k"))
 
 
 # ---------------------------------------------------------------------------

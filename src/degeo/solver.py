@@ -59,6 +59,11 @@ feasible and polished: when it is the warm start, when |lambda| is above the
 smallest such rate of the endpoint wells and the certificate is strictly
 cheaper, or when its energy is within _START_AGREEMENT relative of an
 earlier such start (the two have found the same critical curve).
+
+Without an area (A=None) the driver finds the geodesic gamma0 from p_minus
+to p_plus, against which the paper measures every area: the area gap is
+taken as 0, so each start is one inner solve, one resample and a polish
+without the area border, and no certificate is built.
 """
 
 from __future__ import annotations
@@ -207,7 +212,7 @@ class SolveResult:
     def converged(self) -> bool:
         return self.packed is None and _polish_converged(
             self.el_residual_max, self.area_achieved - self.A_target,
-            _TOL_AREA * (1.0 + abs(self.A_target)))
+            _area_tol(self.A_target))
 
     def to_json_dict(self) -> dict:
         leakage = []
@@ -278,10 +283,16 @@ class _Pass(NamedTuple):
     geo: SegmentGeometry
 
 
-def _one_pass(v: np.ndarray, potential: Potential, A: float, lam: float,
-              rho: float) -> _Pass:
-    """f = E - lam c + rho c^2 / 2 with c = area - A, the area, and the
-    interior gradients of both, from one pass over v.
+def _area_tol(A: Optional[float]) -> float:
+    """Tolerance on the area gap: _TOL_AREA relative to 1 + |A|, and 0
+    without an area, whose gap is 0."""
+    return 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
+
+
+def _one_pass(v: np.ndarray, potential: Potential, A: Optional[float],
+              lam: float, rho: float) -> _Pass:
+    """f = E - lam c + rho c^2 / 2 with c = area - A (0 for A=None), the
+    area, and the interior gradients of both, from one pass over v.
 
     The chords, lengths and midpoints are formed once and W and grad W come
     from one evaluation at the midpoints.  E, the area and their gradients
@@ -298,7 +309,7 @@ def _one_pass(v: np.ndarray, potential: Potential, A: float, lam: float,
     gA[:, 0] = half2[1:] + half2[:-1]
     gA[:, 1] = mid1[:-1] - mid1[1:]
     a = float((mid1 * seg2).cumsum()[-1])
-    c = a - A
+    c = 0.0 if A is None else a - A
     return _Pass(float((geo.F * geo.L).sum()) - lam * c + 0.5 * rho * c * c,
                  a, gE - (lam - rho * c) * gA, gA, geo)
 
@@ -383,7 +394,7 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     residual, the area gap c (0 for A=None) and the number of accepted
     steps.
     """
-    tol_c = 0.0 if A is None else _TOL_AREA * (1.0 + abs(A))
+    tol_c = _area_tol(A)
 
     def evaluate(v, lam):
         N, gn, one = _normal_gradient(v, potential, lam)
@@ -450,8 +461,8 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
 # inner minimization
 # ---------------------------------------------------------------------------
 
-def _inner_solve(v0: np.ndarray, potential: Potential, A: float, lam: float,
-                 rho: float) -> Tuple[np.ndarray, bool, int]:
+def _inner_solve(v0: np.ndarray, potential: Potential, A: Optional[float],
+                 lam: float, rho: float) -> Tuple[np.ndarray, bool, int]:
     """One L-BFGS-B pass on `_one_pass`'s f = E - lam c + rho c^2 / 2.
 
     Runs on the interior vertices as they are.  Inexact: at most
@@ -548,8 +559,8 @@ def _polish_converged(res: float, c: float, tol_c: float) -> bool:
     return res <= _TOL_EL and abs(c) <= tol_c
 
 
-def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
-                          init_multiplier: float = 0.0
+def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
+                          A: Optional[float], init_multiplier: float = 0.0
                           ) -> Tuple[np.ndarray, float, float, bool]:
     """Solve from one start; returns (vertices, lam, area gap, polish ok).
 
@@ -563,26 +574,26 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential, A: float,
     first that converges.  Otherwise it polishes after the last outer
     iteration, or after the first at which the gap again fails to shrink
     with rho already at _PENALTY_CAP, since more outer iterations would
-    not move it.
+    not move it.  Without an area (A=None) the gap is 0: one inner solve,
+    one resample and the polish without the area border.
     `ok` says whether the polish got the normal gradient and the area gap
     to tolerance.
     """
     v = v0.copy()
     lam, rho = init_multiplier, _PENALTY_START
-    scale = 1.0 + abs(A)
-    tol_c = _TOL_AREA * scale
+    tol_c = _area_tol(A)
     c_prev = np.inf
     polished, tried = None, math.inf
     for k in range(_OUTER_ITERATIONS):
         v, _, nit = _inner_solve(v, potential, A, lam, rho)
-        c = area(Curve(v)) - A
+        c = 0.0 if A is None else area(Curve(v)) - A
         log.debug("outer iteration %d: lambda %.6g, rho %.3g, area gap %.3g, "
                   "%d inner iterations", k, lam, rho, abs(c), nit)
         lam -= rho * c
         v = _remesh(v, potential)
         if abs(c) <= tol_c:
             break
-        gap = abs(c) / scale
+        gap = abs(c) / (1.0 + abs(A))
         if gap <= _HANDOFF_GAP and math.floor(math.log10(gap)) < tried:
             tried = math.floor(math.log10(gap))
             try:
@@ -625,19 +636,31 @@ def _straight(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     return (1.0 - t) * p + t * q
 
 
-def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
+def _bump_inits(p: np.ndarray, q: np.ndarray, A: Optional[float], n: int
                 ) -> List[np.ndarray]:
     """Straight segment plus one smooth transverse bump per candidate shape.
 
     The discrete area is exactly affine in the bump amplitude (the quadratic
     self-term telescopes to zero for a profile vanishing at both ends), so
-    the amplitude meeting the target area is solved for directly.
+    the amplitude meeting the target area is solved for directly.  Without
+    an area (A=None) the starts are the straight segment and the two arches
+    +-0.05 |q - p| t (1 - t) along its normal, and none when |q - p|
+    overflows.
     """
     base = _straight(p, q, n)
     chord = q - p
     nrm = np.array([-chord[1], chord[0]])
-    nrm = nrm / np.linalg.norm(nrm)
     t = np.linspace(0.0, 1.0, n)
+    if A is None:
+        # |q - p| squared can overflow where q - p does not
+        with np.errstate(over="ignore"):
+            scale = float(np.linalg.norm(chord))
+        if not math.isfinite(scale):
+            return []
+        nrm = nrm / scale
+        return [base + (amp * t * (1.0 - t))[:, None] * nrm
+                for amp in (0.0, 0.05 * scale, -0.05 * scale)]
+    nrm = nrm / np.linalg.norm(nrm)
     a0 = area(Curve(base))
     if abs(A - a0) <= 1e-12 * (1.0 + abs(A)):
         # every bump would have amplitude 0
@@ -652,7 +675,7 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: float, n: int
     return inits or [base]
 
 
-def _finite_start(v: np.ndarray, potential: Potential, A: float,
+def _finite_start(v: np.ndarray, potential: Potential, A: Optional[float],
                   rho: float) -> bool:
     """Whether the first inner solve's objective, `_one_pass`'s f at
     (A, 0, rho), and its gradient evaluate at v without overflow."""
@@ -902,7 +925,7 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     a_loop = area(Curve(diamond))
     # the curve runs the loop once; the certificate loop_count times
     a = area(Curve(curve.vertices - o)) + shift + (n_loops - 1) * a_loop
-    if abs(a - A) > _TOL_AREA * (1.0 + abs(A)):
+    if abs(a - A) > _area_tol(A):
         return None
     e_loop = energy(loop, potential)
     E = energy(curve, potential) + (n_loops - 1) * e_loop
@@ -936,10 +959,11 @@ def _finish(result: SolveResult, potential: Potential) -> SolveResult:
     return result
 
 
-def _endpoints(p_minus, p_plus, A: float = 0.0
+def _endpoints(p_minus, p_plus, A: Optional[float]
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Endpoints as arrays; rejects a non-finite area and endpoints that
-    are not finite points (p1, p2) or closer than floating point resolves."""
+    """Endpoints as arrays; rejects a non-finite area (A=None is none) and
+    endpoints that are not finite points (p1, p2) or closer than floating
+    point resolves."""
     try:
         p, q = (np.asarray(e, dtype=float) for e in (p_minus, p_plus))
     except (TypeError, ValueError, OverflowError):
@@ -948,7 +972,7 @@ def _endpoints(p_minus, p_plus, A: float = 0.0
         raise ValueError(f"endpoints {p_minus} and {p_plus} must be points "
                          f"(p1, p2)")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
-            and math.isfinite(A)):
+            and (A is None or math.isfinite(A))):
         raise ValueError("endpoints and area must be finite")
     # a squared distance that is 0 or subnormal has lost the chord's direction
     if not math.dist(p, q) >= math.sqrt(np.finfo(float).tiny):
@@ -968,63 +992,17 @@ def _warm_start(init_curve: Curve, p: np.ndarray, q: np.ndarray
     return v
 
 
-def minimize_unconstrained(p, q, potential: Potential,
-                           config: Optional[SolverConfig] = None) -> SolveResult:
-    """Weighted-length geodesic between pinned endpoints (no area term).
-
-    Runs the straight start and two arched ones through L-BFGS-B and the
-    Newton polish each; the first best by polish success, then energy,
-    wins, and the result is converged when its polish is.  A start whose
-    energy or gradient does not evaluate is dropped, as in
-    `minimize_constrained`, and ValueError is raised when none is left or
-    a start overflows floating point.
-    """
-    config = config or SolverConfig()
-    p, q = _endpoints(p, q)
-    # |q - p| squared can overflow where q - p does not; then no start is
-    # built
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(q - p))
-    n = config.n_vertices
-    t = np.linspace(0.0, 1.0, n)
-    chord = q - p
-    nrm = np.array([-chord[1], chord[0]]) / scale
-    starts = []
-    if math.isfinite(scale):
-        for amp in (0.0, 0.05 * scale, -0.05 * scale):
-            v0 = _straight(p, q, n) + (amp * t * (1.0 - t))[:, None] * nrm
-            if _finite_start(v0, potential, 0.0, 0.0):
-                starts.append(v0)
-    if not starts:
-        raise ValueError(f"no start curve from {p} to {q} can be evaluated "
-                         f"in floating point")
-    # (failed, energy, vertices) per start
-    outcomes = []
-    for v0 in starts:
-        try:
-            with np.errstate(over="raise"):
-                v, _, _ = _inner_solve(v0, potential, 0.0, 0.0, 0.0)
-                # remesh toward the wells, then Newton in normal coordinates
-                # for tight stationarity
-                v, _, res, _, _ = _newton_polish(_remesh(v, potential),
-                                                 potential, None, 0.0)
-                E = energy(Curve(v), potential)
-        except FloatingPointError as exc:
-            raise ValueError(f"the solve from {p} to {q} overflows floating "
-                             f"point") from exc
-        outcomes.append((not _polish_converged(res, 0.0, 0.0), E, v))
-    # the first minimum wins
-    _, E, v = min(outcomes, key=lambda o: o[:2])
-    curve = Curve(v)
-    a = area(curve)
-    return _finish(SolveResult(curve, E, a, 0.0, a), potential)
-
-
-def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
+def minimize_constrained(p_minus, p_plus, A: Optional[float],
+                         potential: Potential,
                          config: Optional[SolverConfig] = None,
                          init_curve: Optional[Curve] = None,
                          init_multiplier: float = 0.0) -> SolveResult:
     """Area-constrained weighted-length minimization between two points.
+
+    A=None asks for the geodesic gamma0 from p_minus to p_plus: the
+    straight and two arched starts, the area gap taken as 0 and no
+    certificate; the result reports its own area as `A_target`, with
+    multiplier 0.0.
 
     Solves from each start with `_augmented_lagrangian`: the warm start
     `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
@@ -1052,14 +1030,19 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
       feasible, polished start, so it reached that start's critical curve
       (logged at debug level).
 
-    A start that overflows floating point raises ValueError naming A; a
-    non-finite init_multiplier raises it before any start runs.
+    A start that overflows floating point raises ValueError naming A, or
+    both endpoints for A=None; a non-finite init_multiplier, or a nonzero
+    one for A=None, raises it before any start runs.
     """
     config = config or SolverConfig()
     p, q = _endpoints(p_minus, p_plus, A)
     if not math.isfinite(init_multiplier):
         raise ValueError(f"init_multiplier {init_multiplier} must be finite")
-    tol_c = _TOL_AREA * (1.0 + abs(A))
+    if A is None and init_multiplier:
+        raise ValueError(f"init_multiplier {init_multiplier} must be 0 "
+                         f"without an area")
+    what = f"from {p} to {q}" if A is None else f"for the area {A:g}"
+    tol_c = _area_tol(A)
 
     # starts as (vertices, multiplier, warm): a warm start runs first and
     # ends the search when it converges; if it goes astray the cold starts
@@ -1073,11 +1056,11 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
                i == 0 and init_curve is not None) for i, v0 in enumerate(inits)
               if _finite_start(v0, potential, A, _PENALTY_START)]
     if not starts:
-        raise ValueError(f"no start curve for the area {A:g} can be "
-                         f"evaluated in floating point")
+        raise ValueError(f"no start curve {what} can be evaluated in "
+                         f"floating point")
 
-    certificate = _packed_certificate(p, q, A, potential,
-                                      config.n_vertices)
+    certificate = None if A is None else _packed_certificate(
+        p, q, A, potential, config.n_vertices)
     rate_end = _end_rate(p, q, potential)
     # (infeasible, failed, energy, vertices, lam) per start run
     outcomes = []
@@ -1088,8 +1071,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
             with np.errstate(over="raise"):
                 v, lam, c, ok = _augmented_lagrangian(v0, potential, A, lam0)
         except FloatingPointError as exc:
-            raise ValueError(f"the solve for the area {A:g} overflows "
-                             f"floating point") from exc
+            raise ValueError(f"the solve {what} overflows floating "
+                             f"point") from exc
         E = energy(Curve(v), potential)
         feasible = abs(c) <= tol_c
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
@@ -1129,7 +1112,8 @@ def minimize_constrained(p_minus, p_plus, A: float, potential: Potential,
         log.debug("start %d of %d won unopposed", j, len(outcomes))
 
     curve = Curve(v)
-    result = SolveResult(curve, E, area(curve), lam, A)
+    a = area(curve)
+    result = SolveResult(curve, E, a, lam, a if A is None else A)
     if certificate is not None and certificate.energy < result.energy:
         log.info("adopting packed certificate: energy %.6g vs %.6g",
                  certificate.energy, result.energy)

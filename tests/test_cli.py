@@ -10,8 +10,7 @@ import pytest
 
 from degeo import (Curve, NonConvergence, SolverConfig, area,
                    curve_from_csv, energy, from_json_dict,
-                   make_radial_quartic, minimize_constrained,
-                   minimize_unconstrained)
+                   make_radial_quartic, minimize_constrained)
 from degeo.cli import main
 
 RADIAL_POT = {"kind": "radial_quartic", "params": {"b": 1.0}}
@@ -518,7 +517,9 @@ _BAD_FIELDS = _OUT_OF_RANGE + (
     ("solve", "potential", ("homogeneous", None, [],
                             {"kind": "homogeneous", "params": [1, 2]},
                             {"kind": "radial_quartic",
-                             "params": {"b": None}})),
+                             "params": {"b": None}},
+                            {"kind": "radial_quartic",
+                             "params": {"b": 1, "typo": 3}})),
     ("solve", "solver", (None, "x", [], {"n_vertices": 2},
                          {"n_vertices": 8.5}, {"n_vertices": float("inf")},
                          {"typo": 1})),
@@ -695,8 +696,8 @@ def test_unresolved_endpoints_exit_1(tmp_path, capsys, potential, p_plus, A):
                                  SolverConfig(n_vertices=16))
         if p_plus[0] < 1e-154:  # the geodesic solve rejects them too
             with pytest.raises(ValueError):
-                minimize_unconstrained((0.0, 0.0), p_plus, pot,
-                                       SolverConfig(n_vertices=16))
+                minimize_constrained((0.0, 0.0), p_plus, None, pot,
+                                     SolverConfig(n_vertices=16))
         code = main(["solve", path, "--out", str(tmp_path / "out"),
                      "--quiet"])
     err = capsys.readouterr().err.strip().splitlines()

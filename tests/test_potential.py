@@ -425,6 +425,21 @@ def test_json_roundtrip_builtin_kinds():
         make_custom(lambda p: 1.0, wells=()).to_json_dict()
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("homogeneous", {"lambda1": 1.0, "lambda2": 2.0}),
+    ("radial_quartic", {"b": 1.0, "center": [0.0, 0.0], "r_max": 1.0}),
+    ("two_well", {"k": 4.0})])
+def test_from_json_dict_rejects_a_parameter_its_family_does_not_take(
+        kind, params):
+    # every accepted name builds the potential; one more is named in the
+    # message, not dropped
+    assert from_json_dict({"kind": kind, "params": params}).kind == kind
+    for extra in ("typo", "lambda3", "k" if kind != "two_well" else "b"):
+        with pytest.raises(ValueError, match=f"{kind} potential takes no "
+                                             f"parameter '{extra}'"):
+            from_json_dict({"kind": kind, "params": {**params, extra: 3}})
+
+
 def test_length_scale_is_the_well_separation_else_the_chord_else_one():
     assert make_two_well_k(2.0).length_scale(
         (0.0, 0.0), (3.0, 4.0)) == pytest.approx(2.0)

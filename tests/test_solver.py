@@ -20,8 +20,8 @@ from degeo import (Curve, Potential, SolveResult, SolverConfig,
                    el_residual, energy, estimate_multiplier,
                    geodesic_curvature, make_custom, make_homogeneous,
                    make_radial_quartic, make_two_well_k, minimize_constrained,
-                   minimize_unconstrained, parabola_energy, solve_C1_for_area,
-                   solve_homogeneous, spiral_from_C1, vertex_normals)
+                   parabola_energy, solve_C1_for_area, solve_homogeneous,
+                   spiral_from_C1, vertex_normals)
 from degeo import solver
 from degeo.errors import NonConvergence
 from degeo.functionals import SegmentGeometry
@@ -235,15 +235,15 @@ def test_el_residual_rejects_a_multiplier_that_is_not_finite():
 def test_unconstrained_geodesic_on_radial_ray():
     # for F = |p| the ray through the well is the geodesic; cost r^2/2 gap
     pot = make_homogeneous(1.0, 1.0)
-    res = minimize_unconstrained((1.0, 0.0), (2.0, 0.0), pot, FAST)
+    res = minimize_constrained((1.0, 0.0), (2.0, 0.0), None, pot, FAST)
     assert res.converged
     assert res.energy == pytest.approx(1.5, rel=1e-6)
     assert np.abs(res.curve.vertices[:, 1]).max() < 1e-6
     assert res.multiplier == 0.0
     with pytest.raises(ValueError):
-        minimize_unconstrained((1.0, 0.0), (1.0, 0.0), pot, FAST)
+        minimize_constrained((1.0, 0.0), (1.0, 0.0), None, pot, FAST)
     with pytest.raises(ValueError):
-        minimize_unconstrained((math.nan, 0.0), (2.0, 0.0), pot, FAST)
+        minimize_constrained((math.nan, 0.0), (2.0, 0.0), None, pot, FAST)
 
 
 @pytest.mark.parametrize("pot", [make_homogeneous(1.0, 2.0),
@@ -258,16 +258,16 @@ def test_unconstrained_overflow_raises_value_error(pot):
         warnings.simplefilter("error", RuntimeWarning)
         for q in ((1e160, 0.0), (1e200, 3.0)):
             with pytest.raises(ValueError):
-                minimize_unconstrained((0.0, 0.0), q, pot,
-                                       SolverConfig(n_vertices=16))
+                minimize_constrained((0.0, 0.0), q, None, pot,
+                                     SolverConfig(n_vertices=16))
 
 
 def test_unconstrained_polishes_every_start():
     # an arched start ends L-BFGS-B lowest (2.866363) but its polish fails
     # at 2.906966; the straight start polishes to a cheaper geodesic
     pot = make_two_well_k(4.0)
-    res = minimize_unconstrained((-1.0, 0.3), (1.0, 0.2), pot,
-                                 SolverConfig(n_vertices=64))
+    res = minimize_constrained((-1.0, 0.3), (1.0, 0.2), None, pot,
+                               SolverConfig(n_vertices=64))
     assert res.converged
     assert res.energy == pytest.approx(2.880226, abs=1e-6)
 
@@ -289,11 +289,59 @@ def test_unconstrained_arched_starts_find_the_way_around_two_bumps():
         d, e = bumps(p)
         return np.sum(e[..., None] * (-2.0 / 0.05) * d, axis=-2)
 
-    res = minimize_unconstrained((-1.0, 0.0), (1.0, 0.0),
-                                 make_custom(W, grad_W=grad),
-                                 SolverConfig(n_vertices=64))
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), None,
+                               make_custom(W, grad_W=grad),
+                               SolverConfig(n_vertices=64))
     assert res.converged
     assert res.energy < 2.6
+
+
+def test_agreement_rule_ends_a_geodesic_search(monkeypatch):
+    # A=None shares the constrained driver's start rule: the straight start
+    # and the first arch polish to the same geodesic within
+    # _START_AGREEMENT, so the second arch is never polished.  All three
+    # starts gave 0.750000001695987
+    pot = make_homogeneous(1.0, 2.0)
+    areas = []
+    polish = solver._newton_polish
+
+    def counted(v, potential, A, lam):
+        areas.append(A)
+        return polish(v, potential, A, lam)
+
+    monkeypatch.setattr(solver, "_newton_polish", counted)
+    res = minimize_constrained((1.0, 0.5), (0.0, 0.0), None, pot,
+                               SolverConfig(n_vertices=64))
+    assert areas == [None, None]
+    assert res.converged and res.multiplier == 0.0
+    assert res.area_achieved == res.A_target
+    assert res.energy == pytest.approx(0.750000001695987,
+                                       rel=solver._START_AGREEMENT)
+
+
+def test_geodesic_between_two_wells_builds_no_certificate(monkeypatch):
+    # without an area there is nothing to pack at a well, so no
+    # certificate is built: building one would call None here
+    monkeypatch.setattr(solver, "_packed_certificate", None)
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), None,
+                               make_two_well_k(4.0),
+                               SolverConfig(n_vertices=128))
+    assert res.packed is None and res.converged
+    assert res.energy == pytest.approx(2.799927652214592, rel=1e-12)
+
+
+def test_geodesic_messages_name_the_endpoints():
+    pot = make_homogeneous(1.0, 2.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "no start curve from [0. 0.] to [1.e+160 0.e+000] can be "
+            "evaluated in floating point")):
+        minimize_constrained((0.0, 0.0), (1e160, 0.0), None, pot,
+                             SolverConfig(n_vertices=16))
+    # a geodesic's multiplier is 0: a warm multiplier has nothing to warm
+    with pytest.raises(ValueError, match="init_multiplier 0.5 must be 0 "
+                                         "without an area"):
+        minimize_constrained((1.0, 0.0), (0.0, 0.0), None, pot, FAST,
+                             init_multiplier=0.5)
 
 
 def test_constrained_matches_radial_closed_form(radial_solve):
@@ -587,7 +635,8 @@ _INNER_CASES = {
     "two_well": (lambda: make_two_well_k(4.0),
                  _first_start((-1.0, 0.0), (1.0, 0.0), 0.3, 128), 0.3, 0.0,
                  1.0, "STOP: TOTAL NO. OF ITERATIONS", "iteration budget"),
-    # minimize_unconstrained's inner solve, converged within the budget
+    # lam = rho = 0: the objective is E alone, as in a geodesic's (A=None)
+    # inner solve; converged within the budget
     "geodesic": (lambda: make_homogeneous(1.0, 2.0),
                  _arched((1.0, 0.0), (0.0, 0.0), 32, 0.2), 0.0, 0.0, 0.0,
                  "CONVERGENCE", "converged"),
@@ -780,7 +829,7 @@ def test_three_vertices_solve_in_both_drivers(pot, p, q, A):
     cfg = SolverConfig(n_vertices=3)
     res = minimize_constrained(p, q, A, pot, cfg)
     assert res.converged and res.curve.vertices.shape == (3, 2)
-    geodesic = minimize_unconstrained(p, q, pot, cfg)
+    geodesic = minimize_constrained(p, q, None, pot, cfg)
     assert geodesic.converged and geodesic.curve.vertices.shape == (3, 2)
 
 
@@ -1224,7 +1273,8 @@ def test_area_sweep_restarts_cold_after_a_flagged_row(monkeypatch):
 def test_endpoints_must_be_points_in_the_plane(driver, p, q):
     pot, cfg = make_two_well_k(4.0), SolverConfig(n_vertices=16)
     solve = {"constrained": lambda: minimize_constrained(p, q, 0.1, pot, cfg),
-             "unconstrained": lambda: minimize_unconstrained(p, q, pot, cfg),
+             "unconstrained": lambda: minimize_constrained(p, q, None, pot,
+                                                           cfg),
              }[driver]
     with pytest.raises(ValueError, match=r"endpoints .* must be points "
                                          r"\(p1, p2\)"):
@@ -1517,14 +1567,14 @@ def test_newton_polish_equals_the_reference_bit_for_bit(case, monkeypatch):
                                              pot, config)
     elif case == "homogeneous_geodesic":
         pot, calls = make_homogeneous(1.0, 2.0), 1
-        solve = lambda: minimize_unconstrained((1.0, 0.5), (0.0, 0.0), pot,
-                                               config)
+        solve = lambda: minimize_constrained((1.0, 0.5), (0.0, 0.0), None,
+                                             pot, config)
     else:
         # every start's polish; the two arched ones run their 150 steps
         # without converging
         pot, calls = make_two_well_k(4.0), 3
-        solve = lambda: minimize_unconstrained((-1.0, 0.3), (1.0, 0.2), pot,
-                                               config)
+        solve = lambda: minimize_constrained((-1.0, 0.3), (1.0, 0.2), None,
+                                             pot, config)
     inputs = _polish_inputs(monkeypatch, solve, calls)
     assert len(inputs) == calls
     total_steps = 0
