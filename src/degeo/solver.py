@@ -20,9 +20,12 @@ accepted at.  A polish trial evaluates only what its acceptance test reads
 once a trial is accepted.  A start's energy comes once from `energy`, the
 function that reports it.
 
-An augmented-Lagrangian outer loop around L-BFGS-B on the interior vertices
-brings each start near feasibility and hands it to a damped Newton polish as
-soon as that polish converges.  The inner solves drive scipy's L-BFGS-B
+With an area, each start is first resampled (`_remesh`) and handed to a
+damped Newton polish as it is: a start that meets A, as the bump starts do,
+usually ends there.  Where that polish does not converge, the attempt is
+discarded and an augmented-Lagrangian outer loop around L-BFGS-B on the
+interior vertices brings the untouched start near feasibility and hands it to
+the polish as soon as that converges.  The inner solves drive scipy's L-BFGS-B
 routine `setulb` themselves, with the settings and stopping rule of
 `scipy.optimize.minimize`, so the iterates are the ones it gives, without
 its per-evaluation wrapper; `setulb` moves the vertices in place.  The
@@ -564,6 +567,11 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
                           ) -> Tuple[np.ndarray, float, float, bool]:
     """Solve from one start; returns (vertices, lam, area gap, polish ok).
 
+    With an area, the start is first resampled and polished as given, at
+    init_multiplier, and ends there when that polish converges.  Otherwise,
+    NonConvergence included, the attempt is discarded and the outer loop
+    runs from v0 as if it had not been made.
+
     The outer loop updates the multiplier lam around an inexact L-BFGS-B
     inner solve of the penalized objective, raising the penalty rho
     whenever the area gap fails to shrink fourfold, and resamples each
@@ -579,9 +587,23 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
     `ok` says whether the polish got the normal gradient and the area gap
     to tolerance.
     """
+    tol_c = _area_tol(A)
+    if A is not None:
+        try:
+            attempt = _newton_polish(_remesh(v0, potential), potential, A,
+                                     init_multiplier)
+        except NonConvergence as exc:
+            log.debug("start polish failed (%s); running the outer loop",
+                      exc)
+        else:
+            v, lam, res, c, steps = attempt
+            if _polish_converged(res, c, tol_c):
+                log.debug("start polished as given in %d steps", steps)
+                return v, lam, c, True
+            log.debug("start polish failed after %d steps, residual %.3g; "
+                      "running the outer loop", steps, res)
     v = v0.copy()
     lam, rho = init_multiplier, _PENALTY_START
-    tol_c = _area_tol(A)
     c_prev = np.inf
     polished, tried = None, math.inf
     for k in range(_OUTER_ITERATIONS):
@@ -644,23 +666,22 @@ def _bump_inits(p: np.ndarray, q: np.ndarray, A: Optional[float], n: int
     self-term telescopes to zero for a profile vanishing at both ends), so
     the amplitude meeting the target area is solved for directly.  Without
     an area (A=None) the starts are the straight segment and the two arches
-    +-0.05 |q - p| t (1 - t) along its normal, and none when |q - p|
-    overflows.
+    +-0.05 |q - p| t (1 - t) along its normal.  There are none when
+    |q - p| overflows: the straight segment's chords would overflow the
+    area too.
     """
     base = _straight(p, q, n)
     chord = q - p
-    nrm = np.array([-chord[1], chord[0]])
+    # |q - p| squared can overflow where q - p does not
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(chord))
+    if not math.isfinite(scale):
+        return []
+    nrm = np.array([-chord[1], chord[0]]) / scale
     t = np.linspace(0.0, 1.0, n)
     if A is None:
-        # |q - p| squared can overflow where q - p does not
-        with np.errstate(over="ignore"):
-            scale = float(np.linalg.norm(chord))
-        if not math.isfinite(scale):
-            return []
-        nrm = nrm / scale
         return [base + (amp * t * (1.0 - t))[:, None] * nrm
                 for amp in (0.0, 0.05 * scale, -0.05 * scale)]
-    nrm = nrm / np.linalg.norm(nrm)
     a0 = area(Curve(base))
     if abs(A - a0) <= 1e-12 * (1.0 + abs(A)):
         # every bump would have amplitude 0
@@ -1006,7 +1027,8 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
 
     Solves from each start with `_augmented_lagrangian`: the warm start
     `init_curve` (a curve from p_minus to p_plus, with multiplier estimate
-    init_multiplier) when given, then the bump starts.  Each start runs the
+    init_multiplier) when given, then the bump starts.  With an area, each
+    start is first polished as given; a start whose polish fails runs the
     augmented-Lagrangian loop until the KKT Newton polish converges on a
     mesh graded toward the wells, and ends there.  The first best result
     by feasibility, then polish success, then energy wins, and the result

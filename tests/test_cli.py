@@ -650,6 +650,21 @@ def test_start_check_catches_a_penalty_overflowing_in_python_floats(
         (code, err)
 
 
+def test_far_apart_endpoints_exit_1_without_a_warning(tmp_path, capsys):
+    # |q - p| overflows: the solve has no start curve, and says so with no
+    # RuntimeWarning on the way
+    path = _write(tmp_path, "far.json", {
+        "potential": HOM_POT, "endpoints": [[0.0, 0.0], [1e160, 0.0]],
+        "A": 0.1, "solver": {"n_vertices": 16}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", path, "--out", str(tmp_path / "out"),
+                     "--quiet"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and err == ["degeo: no start curve for the area 0.1 "
+                                 "can be evaluated in floating point"], err
+
+
 def test_huge_two_well_areas_end_flagged(tmp_path):
     # the Newton polish meets these areas with overflowing border products;
     # like 1e101 to 1e105 they end in a flag exit 2: the packed certificate

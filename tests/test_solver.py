@@ -262,6 +262,25 @@ def test_unconstrained_overflow_raises_value_error(pot):
                                      SolverConfig(n_vertices=16))
 
 
+@pytest.mark.parametrize("pot", [make_homogeneous(1.0, 2.0),
+                                 make_radial_quartic(1.0),
+                                 make_two_well_k(4.0)],
+                         ids=["homogeneous", "radial", "two_well"])
+def test_far_apart_endpoints_give_no_bump_start(pot):
+    # |q - p| overflows, and the straight segment's chords would overflow
+    # its area: no start, and no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for q in ((1e160, 0.0), (1e200, 3.0)):
+            assert solver._bump_inits(np.zeros(2), np.array(q), 0.1,
+                                      16) == []
+            with pytest.raises(ValueError, match=re.escape(
+                    "no start curve for the area 0.1 can be evaluated in "
+                    "floating point")):
+                minimize_constrained((0.0, 0.0), q, 0.1, pot,
+                                     SolverConfig(n_vertices=16))
+
+
 def test_unconstrained_polishes_every_start():
     # an arched start ends L-BFGS-B lowest (2.866363) but its polish fails
     # at 2.906966; the straight start polishes to a cheaper geodesic
@@ -459,17 +478,27 @@ def test_each_start_hands_off_to_the_newton_early(case, monkeypatch):
 
 
 def test_solve_logs_each_handoff(caplog):
+    # at A = 0.5 no bump start polishes as given, so each of the three
+    # runs the outer loop up to a handoff
     pot = make_homogeneous(1.0, 2.0)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
-        minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.05, pot, FAST)
+        minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.5, pot, FAST)
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "degeo.solver"]
     handoffs = [m for m in messages if m.startswith("handoff at outer ")]
-    # start 1 agrees with start 0, so start 2 never runs
-    assert len(handoffs) == 2
+    assert len(handoffs) == 3
+    failed = [m for m in messages if m.startswith("start polish ")]
+    assert len(failed) == 3
+    for m in failed:
+        assert re.fullmatch(r"start polish failed after \d+ steps, residual "
+                            r"\S+; running the outer loop", m), m
+        assert float(m.split("residual ")[1].split(";")[0]) > solver._TOL_EL
     outer = [m for m in messages if m.startswith("outer iteration ")]
-    # each start logs iterations 0, 1, ... up to its handoff
-    assert [m.split(":")[0] for m in outer].count("outer iteration 0") == 2
+    # each start logs iterations 0, 1, ... up to its handoff, after its
+    # start polish
+    assert [m.split(":")[0] for m in outer].count("outer iteration 0") == 3
+    for m in failed:
+        assert messages[messages.index(m) + 1].startswith("inner solve: ")
     for m in outer:
         rho = float(m.split("rho ")[1].split(",")[0])
         nit = int(m.split(", ")[-1].split(" ")[0])
@@ -487,25 +516,26 @@ def test_solve_logs_each_handoff(caplog):
 
 
 def test_solve_survives_a_handoff_polish_that_raises(monkeypatch, caplog):
-    # a handoff polish that raises NonConvergence is dropped: the start's
-    # outer loop goes on, and a later polish finishes it.  Here the first
-    # polish is the handoff of the first start; had it been the polish after
-    # the outer loop, the error would leave the solve
+    # a start or handoff polish that raises NonConvergence is dropped: the
+    # start's outer loop runs or goes on, and a later polish finishes it.
+    # Here the first two polishes are the first start's start polish and
+    # its first handoff; had one been the polish after the outer loop, the
+    # error would leave the solve
     pot = make_homogeneous(1.0, 2.0)
     polish = solver._newton_polish
     calls = []
 
-    def first_raises(v, potential, A, lam):
+    def first_two_raise(v, potential, A, lam):
         calls.append(A)
-        if len(calls) == 1:
-            raise NonConvergence("the first polish fails")
+        if len(calls) <= 2:
+            raise NonConvergence(f"polish {len(calls)} fails")
         return polish(v, potential, A, lam)
 
-    monkeypatch.setattr(solver, "_newton_polish", first_raises)
+    monkeypatch.setattr(solver, "_newton_polish", first_two_raise)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
         res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.05, pot,
                                    SolverConfig(n_vertices=64))
-    assert len(calls) > 1
+    assert len(calls) > 2
     assert res.converged and res.packed is None
     ref = solve_homogeneous(np.array([1.0, 0.0]), 0.05, 1.0, 2.0)
     assert res.energy == pytest.approx(ref.energy, rel=1e-6)
@@ -513,6 +543,8 @@ def test_solve_survives_a_handoff_polish_that_raises(monkeypatch, caplog):
                 if r.name == "degeo.solver"]
     start0 = next(i for i, m in enumerate(messages)
                   if m.startswith("start 0:"))
+    assert messages[0] == ("start polish failed (polish 1 fails); running "
+                           "the outer loop")
     # the first start still ends at a handoff, a later one
     assert any(m.startswith("handoff at outer ") for m in messages[:start0])
 
@@ -555,19 +587,74 @@ def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
 def test_handoff_polish_runs_once_per_decade_of_the_gap(monkeypatch):
     # a handoff that fails is tried again only once the area gap has fallen
     # a decade; trying at every outer iteration below _HANDOFF_GAP makes a
-    # fourth polish call on this solve
-    steps = []
+    # fifth polish call on this solve.  The first call is the start polish,
+    # which fails here
+    converged = []
     polish = solver._newton_polish
 
-    def counted(*args):
-        out = polish(*args)
-        steps.append(out[4])
+    def counted(v, potential, A, lam):
+        out = polish(v, potential, A, lam)
+        converged.append(solver._polish_converged(out[2], out[3],
+                                                  solver._area_tol(A)))
         return out
 
     monkeypatch.setattr(solver, "_newton_polish", counted)
     minimize_constrained((-1.0, 0.0), (1.0, 0.0), 2.0, make_two_well_k(4.0),
                          SolverConfig(n_vertices=128))
-    assert len(steps) == 3, steps
+    assert len(converged) == 4 and not converged[0], converged
+
+
+def test_a_start_that_meets_A_needs_no_inner_solve(monkeypatch, caplog):
+    # the bump starts meet A exactly, and the Newton polish finishes each
+    # from its remeshed start: no L-BFGS-B inner solve runs
+    calls = []
+    one_pass = solver._one_pass
+
+    def counted(*args):
+        calls.append(None)
+        return one_pass(*args)
+
+    monkeypatch.setattr(solver, "_one_pass", counted)
+    with caplog.at_level("DEBUG", logger="degeo.solver"):
+        res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.05,
+                                   make_homogeneous(1.0, 2.0),
+                                   SolverConfig(n_vertices=256))
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "degeo.solver"]
+    assert not any(m.startswith("inner solve: ") for m in messages)
+    polished = [m for m in messages if m.startswith("start polish")]
+    assert polished and all(
+        re.fullmatch(r"start polished as given in \d+ steps", m)
+        for m in polished), polished
+    assert res.converged and not res.nonexistence_suspected
+    # gate 6's tolerance
+    ref = solve_homogeneous(np.array([1.0, 0.0]), 0.05, 1.0, 2.0)
+    assert res.energy == pytest.approx(ref.energy, rel=5e-3)
+    assert len(calls) < 200
+
+
+def test_a_failed_start_polish_changes_no_iterate():
+    # no radial start polishes as given at A = 0.25, n = 256: each runs the
+    # outer loop from the untouched start, to the curve and multiplier the
+    # solve returned before the start polish existed
+    res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.25,
+                               make_radial_quartic(1.0),
+                               SolverConfig(n_vertices=256))
+    assert res.converged
+    assert (res.energy, res.multiplier) == (0.8576408525271149,
+                                            1.6802060806291663)
+
+
+def test_standing_wave_is_polished_from_the_straight_line():
+    # the straight line meets A = 0 on the double well; the inner solve it
+    # ran before took 0 iterations, so remesh then polish is the same
+    # sequence and the energy is unchanged bit for bit
+    pot = make_custom(_double_well_W, wells=[(-1.0, 0.0), (1.0, 0.0)],
+                      grad_W=_double_well_grad)
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), 0.0, pot,
+                               SolverConfig(n_vertices=384))
+    assert res.converged
+    assert res.energy == 1.3333395694052328
 
 
 def _minimize_reference(v0, potential, A, mu, rho):
@@ -750,11 +837,13 @@ def test_extension_loader_names_the_folder_it_searched():
 
 
 def test_solve_logs_each_inner_solve(caplog):
-    # one line per inner solve, and the outer loop reports the same count
+    # one line per inner solve, and the outer loop reports the same count.
+    # At A = 0.25 the start polishes of starts 0 and 2 fail, so both run
+    # the outer loop
     pot = make_radial_quartic(1.0)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
-        minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.1, pot,
-                             SolverConfig(n_vertices=32))
+        minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.25, pot,
+                             SolverConfig(n_vertices=64))
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "degeo.solver"]
     outer = [i for i, m in enumerate(messages)
@@ -917,7 +1006,9 @@ def test_certificate_is_built_before_the_starts_and_competes(monkeypatch,
 
 def test_converged_warm_start_ends_the_search(caplog):
     # each sweep row after the first starts from the previous row's curve
-    # and multiplier; it converges, so no cold start runs
+    # and multiplier; it converges, so no cold start runs.  Its start
+    # polish fails on the 0.02 step in area, and the outer loop starts from
+    # the same multiplier
     with caplog.at_level("DEBUG", logger="degeo.solver"):
         rows = area_sweep((1.0, 0.0), (0.0, 0.0), [0.08, 0.10, 0.12],
                           make_radial_quartic(1.0),
@@ -929,9 +1020,10 @@ def test_converged_warm_start_ends_the_search(caplog):
             if re.match(r"start \d+ of \d+ won", solves[-1][-1]):
                 solves.append([])
     assert len(solves) == 4 and not solves[-1]
-    for lines, prev, lam in zip(solves[1:3], rows, ("0.7346", "0.894368")):
+    for lines, prev, lam in zip(solves[1:3], rows, ("0.73474", "0.894367")):
         starts = [m for m in lines if re.match(r"start \d+: ", m)]
         assert len(starts) == 1 and starts[0].startswith("start 0: ")
+        assert lines[0].startswith("start polish failed after ")
         first = next(m for m in lines if m.startswith("outer iteration 0:"))
         assert first.startswith(f"outer iteration 0: lambda {lam}, ")
         assert f"{prev['multiplier']:.6g}" == lam
@@ -1126,7 +1218,9 @@ def test_certificate_is_none_at_a_tiny_area_excess(A):
     assert _packed_certificate(p, q, A, pot, 32) is None
     res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=32))
     assert res.converged and res.packed is None
-    assert res.energy == pytest.approx(2.8010365985535, rel=1e-12)
+    # the start polish ends at the straight line resampled toward the
+    # wells, whose energy is 4.7e-4 above the exact length 2.8
+    assert res.energy == pytest.approx(2.8004696835552, rel=1e-12)
 
 
 def test_certificate_is_none_where_the_loop_radius_has_no_root():
