@@ -36,8 +36,8 @@ class ZeroBeta(DegeoError):
 
 
 class ZeroDensityInterior(DegeoError):
-    """The conformal density vanishes at an interior point that is not a
-    declared well, so a weighted reparametrization is ill-posed."""
+    """The conformal density vanishes at an interior vertex, where the
+    geodesic curvature, which divides by F^2, is undefined."""
 
 
 class InvalidDensity(DegeoError):

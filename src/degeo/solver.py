@@ -17,7 +17,8 @@ L-BFGS-B objective, every polish evaluation and `el_residual` use it, and
 the polish Hessian reuses the geometry and density of the evaluation it was
 accepted at.  A polish trial evaluates only what its acceptance test reads
 (`_normal_gradient`); the residual's scale (`_scaled_residual`) is formed
-once a trial is accepted.  A start's energy comes once from `energy`, the
+once a trial is accepted, and each start's result carries the residual of
+the polish that ended it.  A start's energy comes once from `energy`, the
 function that reports it.
 
 With an area, each start is first resampled (`_remesh`) and handed to a
@@ -57,8 +58,8 @@ which is never converged (`SolveResult` derives both verdicts).
 A curve that ends at a well can park extra area in vanishing loops there
 at the marginal cost lambda1 + lambda2 of that well, so the least energy is
 Lipschitz in A with that rate, and a critical curve whose multiplier
-exceeds it is no minimizer.  One rule ends the search at a start that ends
-feasible and polished: when it is the warm start, when |lambda| is above the
+exceeds it is no minimizer.  One rule ends the search at a start whose
+result is converged: when it is the warm start, when |lambda| is above the
 smallest such rate of the endpoint wells and the certificate is strictly
 cheaper, or when its energy is within _START_AGREEMENT relative of an
 earlier such start (the two have found the same critical curve).
@@ -404,7 +405,7 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
         return N, gn, one, 0.0 if A is None else one.area - A
 
     N, gn, one, c = evaluate(v, lam)
-    res, _ = _scaled_residual(v, potential, lam, gn, one.geo)
+    res = _scaled_residual(v, potential, lam, gn, one.geo)
     lm = 1e-9
     steps = 0
     for _ in range(_NEWTON_ITERATIONS):
@@ -450,7 +451,7 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             if max(float(np.abs(gnt).max()), abs(ct)) < err:
                 v, lam = vt, lam + dlam
                 N, gn, one, c = trial
-                res, _ = _scaled_residual(v, potential, lam, gn, one.geo)
+                res = _scaled_residual(v, potential, lam, gn, one.geo)
                 steps += 1
                 lm = max(lm / 3.0, 1e-12)
                 break
@@ -564,8 +565,9 @@ def _polish_converged(res: float, c: float, tol_c: float) -> bool:
 
 def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
                           A: Optional[float], init_multiplier: float = 0.0
-                          ) -> Tuple[np.ndarray, float, float, bool]:
-    """Solve from one start; returns (vertices, lam, area gap, polish ok).
+                          ) -> Tuple[np.ndarray, float, float]:
+    """Solve from one start; returns the vertices, lam and EL residual of
+    the Newton polish that ended it.
 
     With an area, the start is first resampled and polished as given, at
     init_multiplier, and ends there when that polish converges.  Otherwise,
@@ -583,9 +585,8 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
     iteration, or after the first at which the gap again fails to shrink
     with rho already at _PENALTY_CAP, since more outer iterations would
     not move it.  Without an area (A=None) the gap is 0: one inner solve,
-    one resample and the polish without the area border.
-    `ok` says whether the polish got the normal gradient and the area gap
-    to tolerance.
+    one resample and the polish without the area border.  The residual
+    equals `el_residual` of the returned vertices and lam, bit for bit.
     """
     tol_c = _area_tol(A)
     if A is not None:
@@ -599,7 +600,7 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
             v, lam, res, c, steps = attempt
             if _polish_converged(res, c, tol_c):
                 log.debug("start polished as given in %d steps", steps)
-                return v, lam, c, True
+                return v, lam, res
             log.debug("start polish failed after %d steps, residual %.3g; "
                       "running the outer loop", steps, res)
     v = v0.copy()
@@ -645,8 +646,8 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
         polished = _newton_polish(v, potential, A, lam)
         log.debug("no handoff; polish after %d outer iterations took %d "
                   "steps", k + 1, polished[4])
-    v, lam, res, c, _ = polished
-    return v, lam, c, _polish_converged(res, c, tol_c)
+    v, lam, res, _, _ = polished
+    return v, lam, res
 
 
 # ---------------------------------------------------------------------------
@@ -722,22 +723,21 @@ def _normal_gradient(v: np.ndarray, potential: Potential, lam: float
 
 
 def _scaled_residual(v: np.ndarray, potential: Potential, lam: float,
-                     gn: np.ndarray, geo: SegmentGeometry
-                     ) -> Tuple[float, np.ndarray]:
+                     gn: np.ndarray, geo: SegmentGeometry) -> float:
     """Size of the normal gradient gn of `_normal_gradient` in
-    `el_residual`'s normalization, and F at the interior vertices.
+    `el_residual`'s normalization.
 
     The local scale is |grad F| + |lam| + F * (discrete turning rate), times
     the mean spacing s of the two adjacent segments; the size is
     max |g_n| / scale over the interior vertices (0 where the scale
-    vanishes).
+    vanishes; grad F is `Potential.density`'s, bounded at a well).
     """
     Fv, gFv = potential.density(v[1:-1])
     s = 0.5 * (geo.L[:-1] + geo.L[1:])
     turn = _row_norms(geo.T[1:] - geo.T[:-1]) / s
     scale = s * (_row_norms(gFv) + abs(lam) + Fv * turn)
     res = np.where(scale > 0.0, np.abs(gn) / np.maximum(scale, 1e-300), 0.0)
-    return float(res.max()), Fv
+    return float(res.max())
 
 
 def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
@@ -752,8 +752,10 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     circle with lam = 0 scores order one, and consistent samplings of
     exact critical curves score at truncation level even next to a well
     endpoint, where forcing a uniform weighted-arclength grid first would
-    pin an order-one artifact on the adjacent vertex.  A multiplier that
-    is not finite raises ValueError: the scale it enters has no size.
+    pin an order-one artifact on the adjacent vertex.  A vertex where the
+    density vanishes, as on a line through a well, scores by the same rule.
+    A multiplier that is not finite raises ValueError: the scale it enters
+    has no size.
     """
     if not math.isfinite(lam):
         raise ValueError(f"the multiplier {lam} must be finite")
@@ -761,10 +763,7 @@ def el_residual(curve: Curve, potential: Potential, lam: float) -> float:
     if len(v) < 3:
         return 0.0
     _, gn, one = _normal_gradient(v, potential, lam)
-    res, Fv = _scaled_residual(v, potential, lam, gn, one.geo)
-    if np.any(Fv <= 0.0):
-        raise ZeroDensityInterior("density vanishes at an interior vertex")
-    return res
+    return _scaled_residual(v, potential, lam, gn, one.geo)
 
 
 def geodesic_curvature(curve: Curve, potential: Potential) -> np.ndarray:
@@ -870,8 +869,8 @@ def _packed_certificate(p: np.ndarray, q: np.ndarray, A: float,
     marginal cost signed like A.  Areas are taken about the well, so that
     its coordinates do not swallow the loop's digits: the loop's from the
     diamond in the frame, the curve's from its vertices less the well's.
-    The result is flagged, and the EL residual and the leakage report are
-    left to _finish.  Returns None when no well is available, when the
+    The result is flagged; the solve that adopts it fills in its EL residual
+    and leakage report.  Returns None when no well is available, when the
     written loop's area rounds to 0 (its radius is lost against the well's
     coordinates at a tiny excess) or when no loop radius meets A to the
     area tolerance.  Raises ValueError naming A when the loop count passes
@@ -966,20 +965,6 @@ def _end_rate(p: np.ndarray, q: np.ndarray, potential: Potential) -> float:
 # drivers
 # ---------------------------------------------------------------------------
 
-def _finish(result: SolveResult, potential: Potential) -> SolveResult:
-    """Fill in the EL residual, inf where the multiplier is not finite or
-    the density vanishes at an interior vertex, and the leakage report."""
-    result.el_residual_max = math.inf
-    if math.isfinite(result.multiplier):
-        try:
-            result.el_residual_max = el_residual(result.curve, potential,
-                                                 result.multiplier)
-        except ZeroDensityInterior:
-            pass
-    result.leakage_report = detect_area_leakage(result, potential)
-    return result
-
-
 def _endpoints(p_minus, p_plus, A: Optional[float]
                ) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoints as arrays; rejects a non-finite area (A=None is none) and
@@ -1030,27 +1015,27 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
     init_multiplier) when given, then the bump starts.  With an area, each
     start is first polished as given; a start whose polish fails runs the
     augmented-Lagrangian loop until the KKT Newton polish converges on a
-    mesh graded toward the wells, and ends there.  The first best result
-    by feasibility, then polish success, then energy wins, and the result
-    is converged only when the winner is both.  The returned multiplier is
-    the polish's, lambda = d(energy)/d(area).
+    mesh graded toward the wells, and ends there.  Each start ends in a
+    `SolveResult` carrying that polish's residual; the first best by
+    feasibility, then `converged`, then energy wins and is returned as
+    built, with the polish's multiplier lambda = d(energy)/d(area).
 
     When the potential has wells, the packed certificate is built once,
     before the starts, and replaces the winner exactly when it is strictly
     cheaper; in the non-existence regime the result is that certificate
     (`packed` set, not converged, flagged) instead of a fabricated
-    minimizer.  Only the returned result is finished with its
-    diagnostics.
+    minimizer, and `el_residual` runs on it.  Only the returned result gets
+    a leakage report.
 
-    A start that ends feasible and polished ends the search, skipping the
-    remaining starts, in three cases:
+    A converged start ends the search, skipping the remaining starts, in
+    three cases:
     - it is the warm start;
     - |lambda| is above the smallest packing rate lambda1 + lambda2 of a well
       at p_minus or p_plus, so it is no minimizer, and the certificate is
       strictly cheaper (logged at debug level);
     - its energy E_j is within _START_AGREEMENT * |E_j| of an earlier
-      feasible, polished start, so it reached that start's critical curve
-      (logged at debug level).
+      converged start, so it reached that start's critical curve (logged
+      at debug level).
 
     A start that overflows floating point raises ValueError naming A, or
     both endpoints for A=None; a non-finite init_multiplier, or a nonzero
@@ -1084,24 +1069,32 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
     certificate = None if A is None else _packed_certificate(
         p, q, A, potential, config.n_vertices)
     rate_end = _end_rate(p, q, potential)
-    # (infeasible, failed, energy, vertices, lam) per start run
-    outcomes = []
+
+    def rank(r: SolveResult) -> Tuple[bool, bool, float]:
+        # infeasible, not converged, energy: the first minimum wins
+        return (abs(r.area_achieved - r.A_target) > tol_c, not r.converged,
+                r.energy)
+
+    results = []
     for j, (v0, lam0, warm) in enumerate(starts):
         # a start can pass _finite_start and still overflow once the penalty
         # and the multiplier grow, at an area near floating-point reach
         try:
             with np.errstate(over="raise"):
-                v, lam, c, ok = _augmented_lagrangian(v0, potential, A, lam0)
+                v, lam, res = _augmented_lagrangian(v0, potential, A, lam0)
         except FloatingPointError as exc:
             raise ValueError(f"the solve {what} overflows floating "
                              f"point") from exc
-        E = energy(Curve(v), potential)
-        feasible = abs(c) <= tol_c
+        curve = Curve(v)
+        a = area(curve)
+        r = SolveResult(curve, energy(curve, potential), a, lam,
+                        a if A is None else A, el_residual_max=res)
+        results.append(r)
+        infeasible, failed, E = rank(r)
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
-                  j, E, feasible, ok)
-        outcomes.append((not feasible, not ok, E, v, lam))
-        # a polish that converged met the area tolerance too
-        if not ok:
+                  j, E, not infeasible, not failed)
+        # a converged start met the area tolerance too
+        if failed:
             continue
         if warm:
             break
@@ -1113,34 +1106,33 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
                       "skipping the %d remaining starts",
                       lam, j, rate_end, certificate.energy, left)
             break
-        # earlier feasible, polished starts on the same critical curve
-        same = [i for i, (_, failed, E_i, _, _) in enumerate(outcomes[:j])
-                if not failed and abs(E - E_i) <= _START_AGREEMENT * abs(E)]
+        # earlier converged starts on the same critical curve
+        same = [i for i, r_i in enumerate(results[:j]) if r_i.converged
+                and abs(E - r_i.energy) <= _START_AGREEMENT * abs(E)]
         if same and left:
             log.debug("start %d agrees with start %d within %.3g relative "
                       "energy: skipping the %d remaining starts", j, same[0],
-                      abs(E - outcomes[same[0]][2]) / abs(E), left)
+                      abs(E - results[same[0]].energy) / abs(E), left)
             break
-    # the first minimum wins
-    j = min(range(len(outcomes)), key=lambda i: outcomes[i][:3])
-    *_, E, v, lam = outcomes[j]
-    others = [o[2] for i, o in enumerate(outcomes) if i != j]
+    j = min(range(len(results)), key=lambda i: rank(results[i]))
+    result, E = results[j], results[j].energy
+    others = [r.energy for i, r in enumerate(results) if i != j]
     if others:
         # negative when a cheaper start lost on feasibility or polish
         log.debug("start %d of %d won; next cheapest start is %.3g higher "
-                  "in relative energy", j, len(outcomes),
+                  "in relative energy", j, len(results),
                   (min(others) - E) / max(abs(E), 1e-300))
     else:
-        log.debug("start %d of %d won unopposed", j, len(outcomes))
+        log.debug("start %d of %d won unopposed", j, len(results))
 
-    curve = Curve(v)
-    a = area(curve)
-    result = SolveResult(curve, E, a, lam, a if A is None else A)
-    if certificate is not None and certificate.energy < result.energy:
+    if certificate is not None and certificate.energy < E:
         log.info("adopting packed certificate: energy %.6g vs %.6g",
-                 certificate.energy, result.energy)
+                 certificate.energy, E)
         result = certificate
-    return _finish(result, potential)
+        result.el_residual_max = el_residual(result.curve, potential,
+                                             result.multiplier)
+    result.leakage_report = detect_area_leakage(result, potential)
+    return result
 
 
 def area_sweep(p_minus, p_plus, A_list: Sequence[float], potential: Potential,

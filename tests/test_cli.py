@@ -167,6 +167,41 @@ def test_sweep_with_an_unconverged_row_exits_2(tmp_path):
     assert row[4:] == ["false", "false"]
 
 
+def test_sweep_sorts_a_descending_area_list(tmp_path, caplog):
+    cfg = _write(tmp_path, "sweep.json", {
+        "potential": HOM_POT,
+        "endpoints": [[1.0, 0.0], [0.0, 0.0]],
+        "A_list": [0.07, 0.05, 0.03],
+        "solver": {"n_vertices": 64}})
+    out = tmp_path / "out"
+    with caplog.at_level("INFO", logger="degeo.cli"):
+        assert main(["sweep", cfg, "--out", str(out)]) == 0
+    assert "A_list not ascending; sorting it" in [
+        r.getMessage() for r in caplog.records if r.name == "degeo.cli"]
+    rows = (out / "table.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.03, 0.05, 0.07]
+
+
+def test_line_through_a_well_solves_but_is_no_wave(tmp_path, capsys):
+    # the straight line across the radial well at A = 0, its middle vertex
+    # on the well: a converged solve, and a curve that passes through a
+    # well away from its ends, which no traveling profile describes
+    cfg = _write(tmp_path, "line.json", {
+        "potential": RADIAL_POT,
+        "endpoints": [[-1.0, 0.0], [1.0, 0.0]],
+        "A": 0.0,
+        "solver": {"n_vertices": 5}})
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out), "--quiet"]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["converged"] is True and result["el_residual_max"] == 0.0
+    capsys.readouterr()
+    assert main(["wave", cfg, "--out", str(tmp_path / "wave"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "degeo: curve revisits a well neighborhood away from its ends"]
+
+
 @pytest.mark.parametrize("command", ["solve", "wave"])
 def test_raised_flag_errors_exit_2_with_one_line(tmp_path, capsys,
                                                   monkeypatch, command):

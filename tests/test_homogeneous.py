@@ -394,3 +394,8 @@ def test_closed_form_flow_does_not_overflow():
         flow = _exp_flow(math.pi / 2, 1.0, 100.0, 100.0)
     ref = expm(M * 100.0)
     assert np.abs(flow - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_integral_curve_needs_two_samples():
+    with pytest.raises(ValueError, match="n_out"):
+        integrate_integral_curve([1.0, 0.0], 0.5, 1.0, 2.0, n_out=1)

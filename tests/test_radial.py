@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from degeo import (Curve, GapTooLarge, InvalidC1, InvalidCoefficient,
-                   NonExistence, NotInNonexistenceRegime, area_polar,
+from degeo import (Curve, DesingularizedPath, GapTooLarge, InvalidC1,
+                   InvalidCoefficient, InvalidDensity, NonExistence,
+                   NotInNonexistenceRegime, area_polar,
                    compare_b_negative, delivered_area, energy,
                    energy_RA, existence_threshold, figure1_bundle,
                    lagrange_multiplier_radial, make_radial_quartic,
@@ -232,3 +233,25 @@ def test_C1_near_the_threshold_delivers_its_area():
     A = -0.9991 * existence_threshold(R0, b)
     c1 = solve_C1_for_area(R0, A, b)
     assert abs(delivered_area(c1, R0, b) - A) <= 1e-7 * abs(A)
+
+
+def test_desingularized_path_checks_its_samples():
+    with pytest.raises(ValueError, match="equal length"):
+        DesingularizedPath(R=[0.0, 1.0, 2.0], alpha=[0.0, 1.0])
+    # 1 + b R vanishes at the midpoint R = 1 for b = -1
+    path = DesingularizedPath(R=[0.0, 2.0], alpha=[0.0, 1.0], b=-1.0)
+    with pytest.raises(InvalidDensity):
+        energy_RA(path)
+
+
+def test_area_at_the_threshold_gives_the_extreme_slope():
+    R0, b = 1.0, 1.0
+    thr = existence_threshold(R0, b)
+    assert solve_C1_for_area(R0, thr, b) == 1.0
+    assert solve_C1_for_area(R0, -thr, b) == -1.0
+
+
+@pytest.mark.parametrize("r_inner", [0.5, 0.8])
+def test_spiral_needs_its_inner_radius_inside_the_outer(r_inner):
+    with pytest.raises(ValueError, match="r_inner < r_outer"):
+        spiral_from_C1(0.5, 1.0, 0.5, r_inner)

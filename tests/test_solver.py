@@ -190,11 +190,13 @@ def test_geodesic_curvature_euclidean_circle():
 
 
 def test_zero_density_at_an_interior_vertex_raises():
-    # W = p1^2 vanishes on the p2 axis, where no well is declared
+    # W = p1^2 vanishes on the p2 axis, where no well is declared.  The EL
+    # residual scores that vertex by its scale rule; the geodesic curvature
+    # divides by F^2 there
     pot = make_custom(lambda p: np.asarray(p)[..., 0] ** 2, wells=())
     c = Curve(np.array([[-1.0, 0.0], [0.0, 0.5], [1.0, 1.0]]))
-    with pytest.raises(ZeroDensityInterior):
-        el_residual(c, pot, 0.0)
+    res = el_residual(c, pot, 0.0)
+    assert math.isfinite(res) and res >= 0.0
     with pytest.raises(ZeroDensityInterior):
         geodesic_curvature(c, pot)
 
@@ -227,9 +229,93 @@ def test_el_residual_rejects_a_multiplier_that_is_not_finite():
         for lam in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="multiplier"):
                 el_residual(res.curve, pot, lam)
-    # a result without a finite multiplier reports no residual
-    res.multiplier = math.nan
-    assert solver._finish(res, pot).el_residual_max == math.inf
+
+
+def test_el_residual_scores_a_vertex_on_a_well():
+    # F = 0 at the radial well; the vertex there is scored by the scale
+    # rule like any other, and a 2-vertex curve has no interior to score
+    pot = make_radial_quartic(1.0)
+    bent = Curve(np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.5]]))
+    assert math.isfinite(el_residual(bent, pot, 0.5))
+    assert el_residual(Curve(np.array([[-1.0, 0.0], [1.0, 0.0]])), pot,
+                       0.5) == 0.0
+
+
+@pytest.mark.parametrize("A, n", [(0.0, 5), (0.0, 65), (None, 3)])
+def test_line_through_a_well_converges(A, n):
+    # the minimizer across the radial well at A = 0 is the straight line
+    # through it; an odd n puts the middle vertex on the well, where F = 0
+    pot = make_radial_quartic(1.0)
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), A, pot,
+                               SolverConfig(n_vertices=n))
+    assert res.converged
+    assert res.el_residual_max == 0.0
+
+
+def test_line_between_two_wells_through_their_seam_converges():
+    res = minimize_constrained((-2.0, 0.0), (2.0, 0.0), 0.0,
+                               make_two_well_k(4.0), SolverConfig(n_vertices=9))
+    assert res.converged
+    assert res.energy == 5.301469325076508
+
+
+def test_the_solver_scores_only_an_adopted_certificate(monkeypatch):
+    # each start's result carries its polish's residual: a standard solve
+    # calls el_residual not at all, a certificate once
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("el_residual called")
+
+    monkeypatch.setattr(solver, "el_residual", refused)
+    res = minimize_constrained((1.0, 0.0), (0.0, 0.0), 0.1,
+                               make_radial_quartic(1.0),
+                               SolverConfig(n_vertices=32))
+    assert res.converged and not calls
+    monkeypatch.setattr(solver, "el_residual",
+                        lambda *args: calls.append(args) or el_residual(*args))
+    res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), 2.0,
+                               make_two_well_k(4.0), SolverConfig(n_vertices=64))
+    assert res.nonexistence_suspected and len(calls) == 1
+    assert math.isfinite(res.el_residual_max)
+
+
+@pytest.mark.parametrize("case", [
+    "radial_0.1", "radial_0.25", "homogeneous_0.05", "homogeneous_0.5",
+    "two_well_0.3", "two_well_certificate", "double_well_0.08",
+    "two_well_geodesic", "homogeneous_unconverged"])
+def test_result_residual_is_el_residual_bit_for_bit(case):
+    # the residual a result reports is the one el_residual recomputes from
+    # its curve and multiplier, converged or not
+    radial, hom, two = (make_radial_quartic(1.0), make_homogeneous(1.0, 2.0),
+                        make_two_well_k(4.0))
+    double = make_custom(_double_well_W, wells=[(-1.0, 0.0), (1.0, 0.0)],
+                         grad_W=_double_well_grad)
+    ray, across = ((1.0, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (1.0, 0.0))
+    pot, (p, q), A, n = {
+        "radial_0.1": (radial, ray, 0.1, 64),
+        "radial_0.25": (radial, ray, 0.25, 64),
+        "homogeneous_0.05": (hom, ray, 0.05, 64),
+        "homogeneous_0.5": (hom, ray, 0.5, 64),
+        "two_well_0.3": (two, across, 0.3, 64),
+        "two_well_certificate": (two, across, 2.0, 64),
+        "double_well_0.08": (double, across, 0.08, 64),
+        "two_well_geodesic": (two, ((-1.0, 0.3), (1.0, 0.2)), None, 64),
+        "homogeneous_unconverged": (hom, ray, 2.0, 256)}[case]
+    res = minimize_constrained(p, q, A, pot, SolverConfig(n_vertices=n))
+    assert res.converged == (case not in ("two_well_certificate",
+                                          "homogeneous_unconverged"))
+    assert res.el_residual_max == el_residual(res.curve, pot, res.multiplier)
+
+
+def test_zero_weight_curve_cannot_be_resampled():
+    # W = 0 everywhere and no wells: every start has zero weight
+    flat_zero = make_custom(lambda p: np.zeros(np.asarray(p).shape[:-1]),
+                            wells=())
+    with pytest.raises(ValueError, match="zero total weight"):
+        minimize_constrained((0.0, 0.0), (1.0, 0.0), 0.1, flat_zero,
+                             SolverConfig(n_vertices=16))
 
 
 def test_unconstrained_geodesic_on_radial_ray():
@@ -568,7 +654,7 @@ def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
     monkeypatch.setattr(solver, "_inner_solve", stuck_inner)
     monkeypatch.setattr(solver, "_newton_polish", failed_polish)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
-        assert not solver._augmented_lagrangian(v_stuck, pot, A)[3]
+        assert solver._augmented_lagrangian(v_stuck, pot, A)[2] == math.inf
     # one inner solve per penalty from 1 to the cap, plus the first, which
     # has no earlier gap to compare with
     assert penalties == [1.0] + [10.0 ** k for k in range(9)]
@@ -1416,7 +1502,7 @@ def test_warm_start_rejects_a_multiplier_estimate_that_is_not_finite(
 def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
     # each start returned as given: the bump starts meet A exactly
     def as_given(v0, potential, A, init_multiplier=0.0):
-        return v0, 0.0, area(Curve(v0)) - A, True
+        return v0, 0.0, 0.0
 
     monkeypatch.setattr(solver, "_augmented_lagrangian", as_given)
     pot = make_radial_quartic(1.0)
@@ -1440,7 +1526,7 @@ def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
 def test_unpolished_winner_is_not_converged(monkeypatch, caplog):
     # every start meets A exactly but its polish fails
     def unpolished(v0, potential, A, init_multiplier=0.0):
-        return v0, 0.0, area(Curve(v0)) - A, False
+        return v0, 0.0, math.inf
 
     monkeypatch.setattr(solver, "_augmented_lagrangian", unpolished)
     with caplog.at_level("DEBUG", logger="degeo.solver"):

@@ -259,3 +259,25 @@ def test_profile_csv_roundtrip(tmp_path, standing):
     assert back.nu == prof.nu
     header = path.read_text().splitlines()[0]
     assert header == "y,u1,u2"
+
+
+def test_profile_checks_its_grid():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        WaveProfile(np.zeros((2, 2)), np.zeros((4, 2)), 0.0)
+    with pytest.raises(ValueError, match="two samples"):
+        WaveProfile(np.zeros(1), np.zeros((1, 2)), 0.0)
+
+
+def test_three_vertex_result_is_too_short_for_a_profile():
+    curve = Curve(np.array([[-1.0, 0.0], [0.0, 0.3], [1.0, 0.0]]))
+    res = SolveResult(curve=curve, energy=1.0, area_achieved=0.0,
+                      multiplier=0.0, el_residual_max=0.0, A_target=0.0)
+    assert res.converged
+    with pytest.raises(ValueError, match="too short"):
+        to_traveling_wave(res, _double_well())
+
+
+def test_zero_mode_has_no_alignment():
+    y = np.linspace(-1.0, 1.0, 9)
+    prof = WaveProfile(y, np.stack([y, y * y], axis=1), 0.0)
+    assert zero_mode_alignment(prof, np.zeros_like(prof.U)) == 0.0
