@@ -17,9 +17,9 @@ L-BFGS-B objective, every polish evaluation and `el_residual` use it, and
 the polish Hessian reuses the geometry and density of the evaluation it was
 accepted at.  A polish trial evaluates only what its acceptance test reads
 (`_normal_gradient`); the residual's scale (`_scaled_residual`) is formed
-once a trial is accepted, and each start's result carries the residual of
-the polish that ended it.  A start's energy comes once from `energy`, the
-function that reports it.
+once a trial is accepted.  Each polish ends in a `SolveResult` carrying
+that residual and the energy from `energy`, the function that reports it,
+and each start in the result of the polish that ended it.
 
 With an area, each start is first resampled (`_remesh`) and handed to a
 damped Newton polish as it is: a start that meets A, as the bump starts do,
@@ -371,7 +371,7 @@ def vertex_normals(v: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
-                   lam: float) -> Tuple[np.ndarray, float, float, float, int]:
+                   lam: float) -> Tuple[SolveResult, int]:
     """Damped Newton on the KKT system of E - lam * (area - A).
 
     The full-coordinate problem is gauge degenerate: sliding vertices along
@@ -394,9 +394,9 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
     in `el_residual`'s normalization.  A non-finite Hessian or gradient
     raises ValueError.
 
-    Returns the vertices, lam, the final max over interior vertices of that
-    residual, the area gap c (0 for A=None) and the number of accepted
-    steps.
+    Returns the `SolveResult` of the final vertices, with lam and that
+    residual's final max over interior vertices (its `converged` is the
+    stopping test), and the number of accepted steps.
     """
     tol_c = _area_tol(A)
 
@@ -458,7 +458,10 @@ def _newton_polish(v: np.ndarray, potential: Potential, A: Optional[float],
             lm *= 10.0
         else:
             break
-    return v, lam, res, c, steps
+    curve = Curve(v)
+    return SolveResult(curve, energy(curve, potential), one.area, lam,
+                       one.area if A is None else A,
+                       el_residual_max=res), steps
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +568,9 @@ def _polish_converged(res: float, c: float, tol_c: float) -> bool:
 
 def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
                           A: Optional[float], init_multiplier: float = 0.0
-                          ) -> Tuple[np.ndarray, float, float]:
-    """Solve from one start; returns the vertices, lam and EL residual of
-    the Newton polish that ended it.
+                          ) -> SolveResult:
+    """Solve from one start; returns the `SolveResult` of the Newton polish
+    that ended it.
 
     With an area, the start is first resampled and polished as given, at
     init_multiplier, and ends there when that polish converges.  Otherwise,
@@ -580,33 +583,32 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
     inner solve's curve once, with the graded `_remesh`: the next inner
     solve and every polish start from that mesh graded toward the wells.
     Once the gap is below _HANDOFF_GAP relative to 1 + |A| (and again at
-    each further decade) it tries the KKT Newton polish and stops at the
+    each further decade) it tries the KKT Newton polish and returns the
     first that converges.  Otherwise it polishes after the last outer
     iteration, or after the first at which the gap again fails to shrink
     with rho already at _PENALTY_CAP, since more outer iterations would
     not move it.  Without an area (A=None) the gap is 0: one inner solve,
-    one resample and the polish without the area border.  The residual
-    equals `el_residual` of the returned vertices and lam, bit for bit.
+    one resample and the polish without the area border.  The result's
+    residual equals `el_residual` of its curve and multiplier, bit for bit.
     """
     tol_c = _area_tol(A)
     if A is not None:
         try:
-            attempt = _newton_polish(_remesh(v0, potential), potential, A,
-                                     init_multiplier)
+            result, steps = _newton_polish(_remesh(v0, potential), potential,
+                                           A, init_multiplier)
         except NonConvergence as exc:
             log.debug("start polish failed (%s); running the outer loop",
                       exc)
         else:
-            v, lam, res, c, steps = attempt
-            if _polish_converged(res, c, tol_c):
+            if result.converged:
                 log.debug("start polished as given in %d steps", steps)
-                return v, lam, res
+                return result
             log.debug("start polish failed after %d steps, residual %.3g; "
-                      "running the outer loop", steps, res)
+                      "running the outer loop", steps, result.el_residual_max)
     v = v0.copy()
     lam, rho = init_multiplier, _PENALTY_START
     c_prev = np.inf
-    polished, tried = None, math.inf
+    tried = math.inf
     for k in range(_OUTER_ITERATIONS):
         v, _, nit = _inner_solve(v, potential, A, lam, rho)
         c = 0.0 if A is None else area(Curve(v)) - A
@@ -620,16 +622,13 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
         if gap <= _HANDOFF_GAP and math.floor(math.log10(gap)) < tried:
             tried = math.floor(math.log10(gap))
             try:
-                attempt = _newton_polish(v, potential, A, lam)
+                result, steps = _newton_polish(v, potential, A, lam)
             except NonConvergence:
-                attempt = None
-            if (attempt is not None
-                    and _polish_converged(attempt[2], attempt[3], tol_c)):
+                result = None
+            if result is not None and result.converged:
                 log.debug("handoff at outer iteration %d, area gap %.3g: "
-                          "polish converged in %d steps", k, abs(c),
-                          attempt[4])
-                polished = attempt
-                break
+                          "polish converged in %d steps", k, abs(c), steps)
+                return result
         if abs(c) > 0.25 * abs(c_prev):
             if rho >= _PENALTY_CAP:
                 log.debug("outer loop stalled at iteration %d: area gap "
@@ -640,14 +639,11 @@ def _augmented_lagrangian(v0: np.ndarray, potential: Potential,
             # it does not steady lam, which gap noise still moves by rho * c
             rho = min(rho * _PENALTY_FACTOR, _PENALTY_CAP)
         c_prev = c
-    if polished is None:
-        # Newton on the KKT system in normal coordinates, which takes over
-        # the multiplier
-        polished = _newton_polish(v, potential, A, lam)
-        log.debug("no handoff; polish after %d outer iterations took %d "
-                  "steps", k + 1, polished[4])
-    v, lam, res, _, _ = polished
-    return v, lam, res
+    # Newton on the KKT system in normal coordinates takes over the multiplier
+    result, steps = _newton_polish(v, potential, A, lam)
+    log.debug("no handoff; polish after %d outer iterations took %d steps",
+              k + 1, steps)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -812,21 +808,27 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
     """Per-well, per-radius account of area and arclength near the wells.
 
     The probe radii are 1e-1, 1e-2 and 1e-3 times the well separation, or
-    times the chord |p_plus - p_minus| with fewer than two wells.  On a
-    certificate the loop's segments count `loop_count` times each.  The
-    report measures and does not judge: {"wells": [...]}, each well with its
-    `index`, its `levels` (radius, area_in, arclength_in) and `flagged`,
-    true only at the well holding a certificate's loops.
+    times the chord |p_plus - p_minus| with fewer than two wells.  Each
+    segment counts in `arclength_in` clipped to the disc, and in `area_in`
+    when its midpoint lies inside; a certificate's loop counts `loop_count`
+    times.  The report measures and does not judge: {"wells": [...]}, each
+    well with its `index`, its `levels` (radius, area_in, arclength_in) and
+    `flagged`, true only at the well holding a certificate's loops.
     """
     v = result.curve.vertices
     radii = _probe_radii(potential, v[0], v[-1])
     geo = segment_geometry(v)
     seg, L, mid = geo.seg, geo.L, geo.mid
+    T = seg / np.maximum(L, 1e-300)[:, None]
     packed = result.packed
     mult = np.ones(L.size) if packed is None else packed.multiplicity(L.size)
     wells_report = []
     for i, well in enumerate(potential.wells):
         d = np.linalg.norm(mid - well.location, axis=1)
+        # the well seen from each segment's start: along it and across it
+        a = v[:-1] - well.location
+        u = -(a[:, 0] * T[:, 0] + a[:, 1] * T[:, 1])
+        h = np.abs(a[:, 0] * T[:, 1] - a[:, 1] * T[:, 0])
         levels = []
         for r in radii:
             inside = d < r
@@ -834,10 +836,12 @@ def detect_area_leakage(result: SolveResult, potential: Potential) -> dict:
             # around it and immune to the global choice of origin
             area_in = float(np.sum((mid[inside, 0] - well.location[0])
                                    * seg[inside, 1] * mult[inside]))
-            levels.append({"radius": float(r),
-                           "area_in": area_in,
-                           "arclength_in": float(np.sum(L[inside]
-                                                        * mult[inside]))})
+            # the segment holds [0, L] of its line, the disc [u - w, u + w]
+            w = np.sqrt(np.maximum(r - h, 0.0) * (r + h))
+            cut = np.minimum(u + w, L) - np.maximum(u - w, 0.0)
+            levels.append({"radius": float(r), "area_in": area_in,
+                           "arclength_in": float(np.sum(np.maximum(cut, 0.0)
+                                                        * mult))})
         wells_report.append({"index": i, "levels": levels, "flagged":
                              packed is not None and packed.well == i})
     return {"wells": wells_report}
@@ -1015,10 +1019,10 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
     init_multiplier) when given, then the bump starts.  With an area, each
     start is first polished as given; a start whose polish fails runs the
     augmented-Lagrangian loop until the KKT Newton polish converges on a
-    mesh graded toward the wells, and ends there.  Each start ends in a
-    `SolveResult` carrying that polish's residual; the first best by
-    feasibility, then `converged`, then energy wins and is returned as
-    built, with the polish's multiplier lambda = d(energy)/d(area).
+    mesh graded toward the wells, and ends there.  Each start ends in the
+    `SolveResult` of that polish, kept as built; the first best by
+    feasibility, then `converged`, then energy wins and is returned, with
+    the polish's multiplier lambda = d(energy)/d(area).
 
     When the potential has wells, the packed certificate is built once,
     before the starts, and replaces the winner exactly when it is strictly
@@ -1049,7 +1053,6 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
         raise ValueError(f"init_multiplier {init_multiplier} must be 0 "
                          f"without an area")
     what = f"from {p} to {q}" if A is None else f"for the area {A:g}"
-    tol_c = _area_tol(A)
 
     # starts as (vertices, multiplier, warm): a warm start runs first and
     # ends the search when it converges; if it goes astray the cold starts
@@ -1072,8 +1075,8 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
 
     def rank(r: SolveResult) -> Tuple[bool, bool, float]:
         # infeasible, not converged, energy: the first minimum wins
-        return (abs(r.area_achieved - r.A_target) > tol_c, not r.converged,
-                r.energy)
+        return (abs(r.area_achieved - r.A_target) > _area_tol(r.A_target),
+                not r.converged, r.energy)
 
     results = []
     for j, (v0, lam0, warm) in enumerate(starts):
@@ -1081,14 +1084,10 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
         # and the multiplier grow, at an area near floating-point reach
         try:
             with np.errstate(over="raise"):
-                v, lam, res = _augmented_lagrangian(v0, potential, A, lam0)
+                r = _augmented_lagrangian(v0, potential, A, lam0)
         except FloatingPointError as exc:
             raise ValueError(f"the solve {what} overflows floating "
                              f"point") from exc
-        curve = Curve(v)
-        a = area(curve)
-        r = SolveResult(curve, energy(curve, potential), a, lam,
-                        a if A is None else A, el_residual_max=res)
         results.append(r)
         infeasible, failed, E = rank(r)
         log.debug("start %d: energy %.12g, feasible %s, ok %s",
@@ -1099,12 +1098,12 @@ def minimize_constrained(p_minus, p_plus, A: Optional[float],
         if warm:
             break
         left = len(starts) - j - 1
-        if (abs(lam) > rate_end and certificate is not None
+        if (abs(r.multiplier) > rate_end and certificate is not None
                 and certificate.energy < E):
             log.debug("multiplier %.6g of start %d passes the endpoint "
                       "packing rate %.6g and the certificate costs %.12g: "
                       "skipping the %d remaining starts",
-                      lam, j, rate_end, certificate.energy, left)
+                      r.multiplier, j, rate_end, certificate.energy, left)
             break
         # earlier converged starts on the same critical curve
         same = [i for i, r_i in enumerate(results[:j]) if r_i.converged

@@ -11,6 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize
 
@@ -540,9 +542,7 @@ def test_each_start_hands_off_to_the_newton_early(case, monkeypatch):
 
     def counted_polish(*args, **kwargs):
         out = polish(*args, **kwargs)
-        polishes[-1].append(solver._polish_converged(out[2], out[3],
-                                                     solver._TOL_AREA
-                                                     * (1.0 + abs(A))))
+        polishes[-1].append(out[0].converged)
         return out
 
     def counted_outer(*args, **kwargs):
@@ -635,6 +635,13 @@ def test_solve_survives_a_handoff_polish_that_raises(monkeypatch, caplog):
     assert any(m.startswith("handoff at outer ") for m in messages[:start0])
 
 
+def _as_result(v, potential, A, lam, residual):
+    """The `SolveResult` of a polish that ends at v with this residual."""
+    curve = Curve(v)
+    return SolveResult(curve, energy(curve, potential), area(curve), lam, A,
+                       el_residual_max=residual)
+
+
 def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
     # stubs: every inner solve returns the same curve, so the area gap never
     # shrinks, and the polish never converges
@@ -649,12 +656,13 @@ def test_outer_loop_stalls_out_at_the_penalty_cap(monkeypatch, caplog):
         return v_stuck.copy(), False, solver._INNER_ITERATIONS
 
     def failed_polish(v, potential, A, lam):
-        return v, lam, math.inf, area(Curve(v)) - A, 0
+        return _as_result(v, potential, A, lam, math.inf), 0
 
     monkeypatch.setattr(solver, "_inner_solve", stuck_inner)
     monkeypatch.setattr(solver, "_newton_polish", failed_polish)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
-        assert solver._augmented_lagrangian(v_stuck, pot, A)[2] == math.inf
+        assert (solver._augmented_lagrangian(v_stuck, pot, A).el_residual_max
+                == math.inf)
     # one inner solve per penalty from 1 to the cap, plus the first, which
     # has no earlier gap to compare with
     assert penalties == [1.0] + [10.0 ** k for k in range(9)]
@@ -680,8 +688,7 @@ def test_handoff_polish_runs_once_per_decade_of_the_gap(monkeypatch):
 
     def counted(v, potential, A, lam):
         out = polish(v, potential, A, lam)
-        converged.append(solver._polish_converged(out[2], out[3],
-                                                  solver._area_tol(A)))
+        converged.append(out[0].converged)
         return out
 
     monkeypatch.setattr(solver, "_newton_polish", counted)
@@ -994,6 +1001,31 @@ def test_leakage_report_holds_only_what_is_read():
                    for level in well["levels"])
 
 
+@pytest.mark.parametrize("height", [0.0, 0.1])
+def test_leakage_arclength_is_the_length_inside_each_disc(height):
+    # five vertices on a line at this height across the radial well: no
+    # segment's midpoint lies within the probe radii 0.2, 0.02 and 0.002,
+    # and the line through the well read 0.0 at each when only segments
+    # with their midpoint inside counted
+    pot = make_radial_quartic(1.0)
+    v = np.linspace([-1.0, height], [1.0, height], 5)
+    levels = detect_area_leakage(_fake_result(v, 0.0, 0.0),
+                                 pot)["wells"][0]["levels"]
+    assert [level["radius"] for level in levels] == [0.2, 0.02, 0.002]
+    for level in levels:
+        r = level["radius"]
+        chord = 2.0 * math.sqrt(max(r * r - height * height, 0.0))
+        assert level["arclength_in"] == pytest.approx(chord, rel=1e-12,
+                                                      abs=0.0)
+    if height == 0.0:
+        # the solve across the well returns that line, on its own mesh
+        res = minimize_constrained((-1.0, 0.0), (1.0, 0.0), 0.0, pot,
+                                   SolverConfig(n_vertices=5))
+        assert [level["arclength_in"] for level in
+                res.leakage_report["wells"][0]["levels"]] == pytest.approx(
+                    [0.4, 0.04, 0.004], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("pot, p, q, A", [
     (make_homogeneous(1.0, 2.0), (1.0, 0.0), (0.0, 0.0), 0.05),
     (make_radial_quartic(1.0), (1.0, 0.0), (0.0, 0.0), 0.1),
@@ -1178,6 +1210,31 @@ def test_reflections_are_exact(case):
         assert res.energy == ref.energy, (sx, sy)
         assert res.multiplier == sx * sy * ref.multiplier, (sx, sy)
         assert res.converged, (sx, sy)
+
+
+@pytest.mark.parametrize("case", ["radial", "homogeneous"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.sampled_from([16, 32, 48]),
+       reflection=st.sampled_from([(-1, 1), (1, -1), (-1, -1)]))
+def test_reflections_are_exact_at_drawn_areas(case, data, n, reflection):
+    # test_reflections_are_exact at drawn areas and vertex counts, from
+    # (1, 0) to the well at the origin: the image solve's vertices are the
+    # reflected ones, bit for bit
+    pot, lo, hi = {"radial": (make_radial_quartic(1.0), 0.02, 0.3),
+                   "homogeneous": (make_homogeneous(1.0, 2.0), 0.01, 0.5)
+                   }[case]
+    A = data.draw(st.floats(lo, hi), label="A")
+    sx, sy = reflection
+    cfg = SolverConfig(n_vertices=n)
+    ref = minimize_constrained((1.0, 0.0), (0.0, 0.0), A, pot, cfg)
+    res = minimize_constrained((sx * 1.0, sy * 0.0), (sx * 0.0, sy * 0.0),
+                               sx * sy * A, pot, cfg)
+    assert res.energy == ref.energy
+    assert (res.converged, res.nonexistence_suspected) == (
+        ref.converged, ref.nonexistence_suspected)
+    assert res.multiplier == sx * sy * ref.multiplier
+    assert np.array_equal(res.curve.vertices,
+                          ref.curve.vertices * np.array([sx, sy]))
 
 
 def test_a_zero_multiplier_is_positive_zero():
@@ -1502,7 +1559,7 @@ def test_warm_start_rejects_a_multiplier_estimate_that_is_not_finite(
 def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
     # each start returned as given: the bump starts meet A exactly
     def as_given(v0, potential, A, init_multiplier=0.0):
-        return v0, 0.0, 0.0
+        return _as_result(v0, potential, A, 0.0, 0.0)
 
     monkeypatch.setattr(solver, "_augmented_lagrangian", as_given)
     pot = make_radial_quartic(1.0)
@@ -1526,7 +1583,7 @@ def test_solve_logs_every_start_and_the_winner(monkeypatch, caplog):
 def test_unpolished_winner_is_not_converged(monkeypatch, caplog):
     # every start meets A exactly but its polish fails
     def unpolished(v0, potential, A, init_multiplier=0.0):
-        return v0, 0.0, math.inf
+        return _as_result(v0, potential, A, 0.0, math.inf)
 
     monkeypatch.setattr(solver, "_augmented_lagrangian", unpolished)
     with caplog.at_level("DEBUG", logger="degeo.solver"):
@@ -1759,12 +1816,14 @@ def test_newton_polish_equals_the_reference_bit_for_bit(case, monkeypatch):
     assert len(inputs) == calls
     total_steps = 0
     for v, potential, A, lam in inputs:
-        got = solver._newton_polish(v, potential, A, lam)
+        got, steps = solver._newton_polish(v, potential, A, lam)
         # the reference polishes in mu = -lam, the multiplier of E + mu c
         ref = _reference_polish(v, potential, A, -lam)
-        assert np.array_equal(got[0], ref[0])
-        assert got[1] == -ref[1] and got[2:] == ref[2:]
-        total_steps += got[4]
+        assert np.array_equal(got.curve.vertices, ref[0])
+        assert got.multiplier == -ref[1]
+        assert (got.el_residual_max, got.area_achieved - got.A_target,
+                steps) == ref[2:]
+        total_steps += steps
     assert total_steps > 0
 
 
