@@ -15,7 +15,7 @@ class NonPositiveEigenvalue(DegeoError):
 
 
 class InvalidCoefficient(DegeoError):
-    """Quartic coefficient makes the density vanish inside the working disc."""
+    """Quartic coefficient makes the density vanish inside the unit disc."""
 
 
 class InvalidK(DegeoError):

@@ -14,18 +14,21 @@ evaluated.
 Built-in families:
 
 * homogeneous quadratic     W = l1^2 p1^2 + l2^2 p2^2, single well at 0
-* radial quartic            W = r^2 + b r^4 about a center, single well
-* two-well composite        W = g(dist to nearest of (-1,0), (1,0)) with
-                            g(r) = r^2 + (k^2-1) r^4 capped at k^2 for r >= 1
+* radial quartic            W = r^2 + b r^4 about a center, single well,
+                            b > -1
+* two-well composite        the radial quartic with b = k^2 - 1 about the
+                            nearer of (-1,0), (1,0), capped at k^2 for
+                            r >= 1
 * custom                    user callables on batches of points, optional
                             analytic derivatives: a missing gradient is the
                             central difference of W, a missing Hessian that
                             of the gradient; the Hessian, given or not, is
                             symmetrized where the potential is made
 
-The two-well composite is Lipschitz but not C^1 across the unit circles and
-the vertical axis; derivative queries on those sets return the one-sided
-value from inside the near disc.
+Both quartic families evaluate r^2 + b r^4 through one kernel (`_quartic`,
+`_quartic_hess`).  The two-well composite is Lipschitz but not C^1 across
+the unit circles and the vertical axis; derivative queries on those sets
+return the one-sided value from inside the near disc.
 """
 
 from __future__ import annotations
@@ -50,14 +53,19 @@ FD_STEP_SCALE = 1e-5
 _SQRT_FLOOR = math.sqrt(1e-300)
 
 
+def _squared_norms(q: np.ndarray) -> np.ndarray:
+    """|q|^2 over the last axis of q, of shape (..., 2)."""
+    q0, q1 = q[..., 0], q[..., 1]
+    return q0 * q0 + q1 * q1
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (n, 2) array.
 
     sqrt(x0*x0 + x1*x1) is what `np.linalg.norm(x, axis=1)` computes, bit
     for bit, without the overhead of its length-2 reduction.
     """
-    x0, x1 = x[:, 0], x[:, 1]
-    return np.sqrt(x0 * x0 + x1 * x1)
+    return np.sqrt(_squared_norms(x))
 
 
 @dataclass(frozen=True)
@@ -84,11 +92,12 @@ class Potential:
     the Hessians of W on an (N, 2) batch.  Each is called unchecked.
     """
 
-    def __init__(self, kind, params, wells_locations, eval_W, *, w_grad,
-                 hess_W):
+    def __init__(self, kind, params, wells_locations, w_grad, hess_W, *,
+                 eval_W=None):
         self.kind = kind
         self.params = dict(params)
-        self._eval = eval_W
+        # a built-in's W alone is the first half of its one-pass (W, grad W)
+        self._eval = eval_W or (lambda p: w_grad(p)[0])
         self._w_grad = w_grad
         self._hess = hess_W
         locs = [np.asarray(w, dtype=float) for w in wells_locations]
@@ -169,18 +178,10 @@ class Potential:
         chord = float(np.linalg.norm(np.subtract(q, p)))
         return self.well_separation() or chord or 1.0
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom potentials carry callables and are not "
-                             "JSON serializable")
-        return {"kind": self.kind, "params": dict(self.params)}
-
 
 # the parameters each built-in family takes
 _FAMILY_PARAMS = {"homogeneous": ("lambda1", "lambda2"),
-                  "radial_quartic": ("b", "center", "r_max"),
+                  "radial_quartic": ("b", "center"),
                   "two_well": ("k",)}
 
 
@@ -208,8 +209,8 @@ def from_json_dict(data: dict) -> Potential:
                              f"{name!r:.40}, only "
                              f"{', '.join(_FAMILY_PARAMS[kind])}")
 
-    def number(name, default=None):
-        value = params[name] if default is None else params.get(name, default)
+    def number(name):
+        value = params[name]
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):
@@ -220,8 +221,7 @@ def from_json_dict(data: dict) -> Potential:
         return make_homogeneous(number("lambda1"), number("lambda2"))
     if kind == "radial_quartic":
         return make_radial_quartic(number("b"),
-                                   center=params.get("center", (0.0, 0.0)),
-                                   r_max=number("r_max", 1.0))
+                                   center=params.get("center", (0.0, 0.0)))
     return make_two_well_k(number("k"))
 
 
@@ -229,11 +229,25 @@ def from_json_dict(data: dict) -> Potential:
 # built-in families
 # ---------------------------------------------------------------------------
 
-def _family(kind, params, wells, w_grad, hess) -> Potential:
-    """A built-in potential: W alone is the first half of its one-pass
-    (W, grad W), so each formula is written once."""
-    return Potential(kind, params, wells, lambda p: w_grad(p)[0],
-                     w_grad=w_grad, hess_W=hess)
+def _quartic(b: float, r2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """W = r^2 + b r^4 from the squared radius r2, and the factor
+    2 + 4 b r^2 that times the offset q gives grad W."""
+    return r2 + b * r2**2, 2.0 + 4.0 * b * r2
+
+
+def _quartic_hess(b: float, q: np.ndarray, r2: np.ndarray,
+                  inside=None) -> np.ndarray:
+    """Hessians of r^2 + b r^4 at offsets q of shape (N, 2) with squared
+    radii r2, zero where the optional mask `inside` is False."""
+    iso, quart = 2.0 + 4.0 * b * r2, 8.0 * b
+    if inside is not None:
+        iso = np.where(inside, iso, 0.0)
+        quart = np.where(inside, quart, 0.0)
+    out = np.empty((q.shape[0], 2, 2))
+    out[:, 0, 0] = iso + quart * q[:, 0]**2
+    out[:, 1, 1] = iso + quart * q[:, 1]**2
+    out[:, 0, 1] = out[:, 1, 0] = quart * q[:, 0] * q[:, 1]
+    return out
 
 
 def _check_rates(lambda1: float, lambda2: float) -> None:
@@ -259,60 +273,47 @@ def make_homogeneous(lambda1: float, lambda2: float) -> Potential:
     def hess(p):
         return np.broadcast_to(np.diag(rates), (p.shape[0], 2, 2)).copy()
 
-    return _family("homogeneous",
-                   {"lambda1": float(lambda1), "lambda2": float(lambda2)},
-                   [(0.0, 0.0)], w_grad, hess)
+    return Potential("homogeneous", {"lambda1": lambda1, "lambda2": lambda2},
+                     [(0.0, 0.0)], w_grad, hess)
 
 
-def make_radial_quartic(b: float, center=(0.0, 0.0), r_max: float = 1.0) -> Potential:
+def make_radial_quartic(b: float, center=(0.0, 0.0)) -> Potential:
     """W(p) = r^2 + b r^4 with r = |p - center|.
 
-    For b < 0 the density vanishes on the circle r = 1/sqrt(-b); the
-    working disc of radius r_max must stay strictly inside it.
+    b > -1: for b < 0 the density vanishes on the circle r = 1/sqrt(-b),
+    which must lie outside the unit disc about the center.
     """
-    b, r_max = float(b), float(r_max)
+    b = float(b)
     try:
         c = np.asarray(center, dtype=float)
     except (TypeError, ValueError, OverflowError):
         c = np.empty(0)
     if c.shape != (2,) or not np.all(np.isfinite(c)):
         raise ValueError("center must be a finite point (p1, p2)")
-    if not 0.0 < r_max < math.inf:
-        raise ValueError("r_max must be finite and positive")
-    # 1 + b r_max^2 > 0, and the Hessian's 8 b finite
-    if not (-1.0 < b * r_max * r_max and 8.0 * b < math.inf):
+    # 1 + b > 0, and the Hessian's 8 b finite
+    if not (-1.0 < b and 8.0 * b < math.inf):
         raise InvalidCoefficient(
-            f"b = {b} is too large or makes W vanish within the working "
-            f"disc of radius {r_max}")
+            f"b = {b} is too large or makes W vanish within the unit disc")
 
     def w_grad(p):
         q = p - c
-        qq = q * q
-        r2 = qq[..., 0] + qq[..., 1]
-        return r2 + b * r2**2, (2.0 + 4.0 * b * r2)[..., None] * q
+        w, factor = _quartic(b, _squared_norms(q))
+        return w, factor[..., None] * q
 
     def hess(p):
         q = p - c
-        r2 = q[:, 0]**2 + q[:, 1]**2
-        out = np.zeros((q.shape[0], 2, 2))
-        iso = 2.0 + 4.0 * b * r2
-        out[:, 0, 0] = iso + 8.0 * b * q[:, 0]**2
-        out[:, 1, 1] = iso + 8.0 * b * q[:, 1]**2
-        out[:, 0, 1] = out[:, 1, 0] = 8.0 * b * q[:, 0] * q[:, 1]
-        return out
+        return _quartic_hess(b, q, _squared_norms(q))
 
-    return _family("radial_quartic",
-                   {"b": b, "center": [float(c[0]), float(c[1])],
-                    "r_max": float(r_max)},
-                   [tuple(c)], w_grad, hess)
+    return Potential("radial_quartic",
+                     {"b": b, "center": [float(c[0]), float(c[1])]},
+                     [tuple(c)], w_grad, hess)
 
 
 def make_two_well_k(k: float) -> Potential:
     """Two-well composite with wells at (-1, 0) and (1, 0).
 
-    About the nearer well, W = g(r) with g(r) = r^2 + (k^2 - 1) r^4 for
-    r <= 1 and g = k^2 outside; even under p1 -> -p1.  Inside either unit
-    disc this is the radial quartic with b = k^2 - 1.
+    About the nearer well, W is the radial quartic with b = k^2 - 1 for
+    r <= 1 and the plateau k^2 outside; even under p1 -> -p1.
     """
     k = float(k)
     b = k * k - 1.0
@@ -326,31 +327,24 @@ def make_two_well_k(k: float) -> Potential:
         and their squared lengths."""
         q = p.copy()
         q[..., 0] -= np.where(p[..., 0] <= 0.0, -1.0, 1.0)
-        qq = q * q
-        return q, qq[..., 0] + qq[..., 1]
+        return q, _squared_norms(q)
 
     def w_grad(p):
         q, r2 = split(p)
         # the quartic is read inside the unit disc only; clipping r2 keeps
         # it from overflowing far out on the plateau
-        r2in = np.minimum(r2, 1.0)
-        return (np.where(r2 >= 1.0, k * k, r2in + b * r2in**2),
-                np.where(r2 <= 1.0, 2.0 + 4.0 * b * r2in, 0.0)[..., None] * q)
+        w, factor = _quartic(b, np.minimum(r2, 1.0))
+        # masked before it multiplies q: a plateau gradient is 0 * q, a
+        # zero with the sign of q
+        return (np.where(r2 >= 1.0, k * k, w),
+                np.where(r2 <= 1.0, factor, 0.0)[..., None] * q)
 
     def hess(p):
         q, r2 = split(p)
-        inside = r2 <= 1.0
-        out = np.zeros((q.shape[0], 2, 2))
-        # clipped as in w_grad: the plateau's r2 may overflow 4 b r2
-        iso = np.where(inside, 2.0 + 4.0 * b * np.minimum(r2, 1.0), 0.0)
-        quart = np.where(inside, 8.0 * b, 0.0)
-        out[:, 0, 0] = iso + quart * q[:, 0]**2
-        out[:, 1, 1] = iso + quart * q[:, 1]**2
-        out[:, 0, 1] = out[:, 1, 0] = quart * q[:, 0] * q[:, 1]
-        return out
+        return _quartic_hess(b, q, np.minimum(r2, 1.0), inside=r2 <= 1.0)
 
-    return _family("two_well", {"k": k}, [(-1.0, 0.0), (1.0, 0.0)],
-                   w_grad, hess)
+    return Potential("two_well", {"k": k}, [(-1.0, 0.0), (1.0, 0.0)],
+                     w_grad, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -408,5 +402,5 @@ def make_custom(eval_W: Callable, wells=(), grad_W=None,
         H = raw(p)
         return 0.5 * (H + H.swapaxes(-1, -2))
 
-    return Potential("custom", {}, list(wells), W,
-                     w_grad=lambda p: (W(p), grad(p)), hess_W=hess)
+    return Potential("custom", {}, list(wells),
+                     lambda p: (W(p), grad(p)), hess, eval_W=W)

@@ -523,7 +523,6 @@ _BAD_POTENTIALS = (
     ("homogeneous", "lambda1", _NOT_NUMBERS + (0.0, -1.0, 2e154, 1e308)),
     ("homogeneous", "lambda2", _NOT_NUMBERS + (-0.0, 9.5e153, 1e200)),
     ("radial_quartic", "b", _NOT_NUMBERS + (-1.0, -1e308, 2.3e307, 1e308)),
-    ("radial_quartic", "r_max", _NOT_NUMBERS + (0.0, -1.0)),
     ("radial_quartic", "center", _NOT_NUMBERS + ([0.0, float("nan")],
                                                  [0.0, 0.0, 0.0])),
     ("two_well", "k", _NOT_NUMBERS + (1.0, 0.5, -4.0, 5e153, 1e200)),

@@ -64,12 +64,13 @@ def test_radial_quartic_values():
 
 
 def test_radial_quartic_negative_b_guard():
-    # vanishing circle at 1/sqrt(-b) must lie outside the working disc
-    make_radial_quartic(-0.25, r_max=1.0)
+    # vanishing circle at 1/sqrt(-b) must lie outside the unit disc
+    make_radial_quartic(-0.25)
+    make_radial_quartic(np.nextafter(-1.0, 0.0))
     with pytest.raises(InvalidCoefficient):
-        make_radial_quartic(-1.0, r_max=1.0)
+        make_radial_quartic(-1.0)
     with pytest.raises(InvalidCoefficient):
-        make_radial_quartic(-0.25, r_max=2.0)
+        make_radial_quartic(-4.0)
 
 
 def test_two_well_plateau_and_wells():
@@ -95,6 +96,69 @@ def test_two_well_requires_k_above_one():
     for bad in (1.0, 0.5, -3.0):
         with pytest.raises(InvalidK):
             make_two_well_k(bad)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, 4.0])
+def test_two_well_is_the_radial_quartic_about_its_nearer_well(k):
+    pot = make_two_well_k(k)
+    rng = np.random.default_rng(int(4 * k))
+    for well in ((-1.0, 0.0), (1.0, 0.0)):
+        bowl = make_radial_quartic(k * k - 1.0, center=well)
+        # points inside the disc on the well's own side of p1 = 0, and
+        # points on its unit circle whose r^2 rounds to exactly 1, where
+        # the derivatives are the one-sided values from inside
+        t = rng.uniform(0.0, 2.0 * np.pi, size=4000)
+        r = np.sqrt(rng.uniform(0.0, 1.0, size=t.size))
+        disc = well + np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+        circle = well + np.stack([np.cos(t), np.sin(t)], axis=1)
+        q = circle - well
+        circle = circle[q[:, 0] ** 2 + q[:, 1] ** 2 == 1.0]
+        exact = well + np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                 [0.0, -1.0], [0.0, 0.0], [0.5, -0.5]])
+        pts = np.vstack([disc, circle, exact])
+        pts = pts[(pts[:, 0] <= 0.0) == (well[0] < 0.0)]
+        assert len(circle) > 100
+        w, g = pot.W_and_grad(pts)
+        w_ref, g_ref = bowl.W_and_grad(pts)
+        assert _same_bits(w, w_ref) and _same_bits(g, g_ref)
+        assert _same_bits(pot.hess_W(pts), bowl.hess_W(pts))
+    # p1 = 0 (either sign) belongs to the left well and p1 = +1e-17 to the
+    # right, though (1e-17, 0) is 1.0 from both wells in floating point
+    left = make_radial_quartic(k * k - 1.0, center=(-1.0, 0.0))
+    right = make_radial_quartic(k * k - 1.0, center=(1.0, 0.0))
+    for p, bowl in (([0.0, 0.0], left), ([-0.0, 0.0], left),
+                    ([1e-17, 0.0], right)):
+        p = np.array([p])
+        assert _same_bits(pot.grad_W(p), bowl.grad_W(p))
+        assert _same_bits(pot.hess_W(p), bowl.hess_W(p))
+    assert pot.grad_W(np.array([1e-17, 0.0]))[0] < 0.0
+    assert pot.grad_W(np.array([0.0, 0.0]))[0] > 0.0
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, 4.0])
+def test_two_well_plateau_is_flat_and_finite(k):
+    pot = make_two_well_k(k)
+    # r^2 up to 1e200 overflows nothing: the quartic reads r^2 clipped at 1
+    pts = np.array([[3.0, 4.0], [0.0, 5.0], [-0.0, -1.5], [2.5, -0.5],
+                    [np.nextafter(2.0, 3.0), 0.0], [-1.0, -1.0 - 1e-15],
+                    [1e100, 0.0], [-3.0, -1e100], [7e99, 7e99]])
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.all(pot.hess_W(pts) == 0.0)
+        pot.W_and_grad(pts)
+    # farther out r^2 itself overflows to inf, yet W reads the plateau
+    far = np.array([[1e200, 0.0], [0.0, 1e200], [-1e200, 3.0],
+                    [1e200, -1e200], [-1e200, -1e200]])
+    for p in (pts, far):
+        with np.errstate(over="ignore"):
+            w, g = pot.W_and_grad(p)
+        assert np.all(w == k * k) and np.all(g == 0.0)
+        # the gradient is 0 * q, a zero with the sign of the offset q
+        q = p - np.where(p[:, :1] <= 0.0, [-1.0, 0.0], [1.0, 0.0])
+        assert np.array_equal(np.signbit(g), np.signbit(q))
 
 
 def test_custom_well_data_from_hessian():
@@ -201,10 +265,9 @@ def test_non_finite_parameters_rejected():
     for b in (nan, inf):
         with pytest.raises(InvalidCoefficient):
             make_radial_quartic(b)
-    for kwargs in ({"center": (nan, 0.0)}, {"center": (0.0, 0.0, 1.0)},
-                   {"r_max": nan}, {"r_max": inf}, {"r_max": 0.0}):
+    for center in ((nan, 0.0), (0.0, inf), (0.0, 0.0, 1.0)):
         with pytest.raises(ValueError):
-            make_radial_quartic(1.0, **kwargs)
+            make_radial_quartic(1.0, center=center)
     for k in (nan, inf):
         with pytest.raises(InvalidK):
             make_two_well_k(k)
@@ -303,7 +366,7 @@ def _reference_W_and_grad(pot):
 
 @pytest.mark.parametrize("pot", [
     make_homogeneous(1.3, 2.2),
-    make_radial_quartic(0.8, center=(0.5, -0.25), r_max=1.1),
+    make_radial_quartic(0.8, center=(0.5, -0.25)),
     make_two_well_k(3.0)], ids=["homogeneous", "radial", "two_well"])
 def test_one_pass_W_and_grad_bit_for_bit(pot):
     W_ref, grad_ref = _reference_W_and_grad(pot)
@@ -326,7 +389,7 @@ def test_one_pass_W_and_grad_bit_for_bit(pot):
 
 @pytest.mark.parametrize("pot", [
     make_homogeneous(1.3, 2.2),
-    make_radial_quartic(0.8, center=(0.5, -0.25), r_max=1.1),
+    make_radial_quartic(0.8, center=(0.5, -0.25)),
     make_two_well_k(3.0),
     make_custom(_smooth_double_well([(-1.0, 0.0), (1.0, 0.0)]),
                 wells=[(-1.0, 0.0), (1.0, 0.0)])],
@@ -411,30 +474,30 @@ def test_one_pass_keeps_the_per_point_check():
 
 
 def test_json_roundtrip_builtin_kinds():
+    # a built-in's kind and params, as a config writes them, rebuild it
     originals = [make_homogeneous(1.3, 2.2),
-                 make_radial_quartic(0.8, center=(0.5, 0.0), r_max=2.0),
+                 make_radial_quartic(0.8, center=(0.5, 0.0)),
                  make_two_well_k(3.0)]
     pts = RNG.normal(size=(8, 2))
     for pot in originals:
-        clone = from_json_dict(pot.to_json_dict())
-        assert clone.kind == pot.kind
-        assert clone.eval_W(pts) == pytest.approx(pot.eval_W(pts))
+        clone = from_json_dict({"kind": pot.kind, "params": pot.params})
+        assert clone.kind == pot.kind and clone.params == pot.params
+        assert np.array_equal(clone.eval_W(pts), pot.eval_W(pts))
     with pytest.raises(ValueError):
         from_json_dict({"kind": "nope", "params": {}})
-    with pytest.raises(ValueError):
-        make_custom(lambda p: 1.0, wells=()).to_json_dict()
 
 
 @pytest.mark.parametrize("kind, params", [
     ("homogeneous", {"lambda1": 1.0, "lambda2": 2.0}),
-    ("radial_quartic", {"b": 1.0, "center": [0.0, 0.0], "r_max": 1.0}),
+    ("radial_quartic", {"b": 1.0, "center": [0.0, 0.0]}),
     ("two_well", {"k": 4.0})])
 def test_from_json_dict_rejects_a_parameter_its_family_does_not_take(
         kind, params):
     # every accepted name builds the potential; one more is named in the
     # message, not dropped
     assert from_json_dict({"kind": kind, "params": params}).kind == kind
-    for extra in ("typo", "lambda3", "k" if kind != "two_well" else "b"):
+    for extra in ("typo", "lambda3", "r_max",
+                  "k" if kind != "two_well" else "b"):
         with pytest.raises(ValueError, match=f"{kind} potential takes no "
                                              f"parameter '{extra}'"):
             from_json_dict({"kind": kind, "params": {**params, extra: 3}})

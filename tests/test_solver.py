@@ -472,6 +472,37 @@ def test_constrained_matches_homogeneous_closed_form(homogeneous_solve):
     assert res.el_residual_max <= 1e-7
 
 
+def _exact_length(v, pot, m=16):
+    """The polyline's weighted length by m-point Gauss-Legendre on each
+    segment."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    seg = np.diff(v, axis=0)
+    pts = v[:-1, None, :] + t[None, :, None] * seg[:, None, :]
+    F = pot.eval_F(pts.reshape(-1, 2)).reshape(len(seg), m)
+    return float(np.sum(np.linalg.norm(seg, axis=1) * (F @ w)))
+
+
+@pytest.mark.parametrize("kind, A", [("radial", 0.25), ("radial", 0.4),
+                                     ("homogeneous", 0.05),
+                                     ("homogeneous", 0.5)])
+def test_polyline_exact_length_bounds_the_closed_form(kind, A):
+    # the polyline's area is exact, so a feasible polyline is an admissible
+    # curve and its exact length is at least the infimum at its area; the
+    # midpoint energy is no such bound (radial A=0.25 reads 2.5e-5 low)
+    if kind == "radial":
+        pot = make_radial_quartic(1.0)
+        ref = parabola_energy(solve_C1_for_area(1.0, A, 1.0), 1.0, 1.0)
+    else:
+        pot = make_homogeneous(1.0, 2.0)
+        ref = solve_homogeneous(np.array([1.0, 0.0]), A, 1.0, 2.0).energy
+    res = minimize_constrained((1.0, 0.0), (0.0, 0.0), A, pot,
+                               SolverConfig(n_vertices=64))
+    assert res.converged
+    assert res.area_achieved == pytest.approx(A, abs=1e-12 * (1.0 + A))
+    assert _exact_length(res.curve.vertices, pot) >= ref
+
+
 def test_result_json_dict_shape(radial_solve):
     _, res = radial_solve
     d = res.to_json_dict()
